@@ -1,19 +1,31 @@
 """Exact singularity decisions with machine-checkable certificates.
 
-The decision pipeline is staged from cheap to certain:
+The decision pipeline is staged from cheap to certain; the stage that
+decides is recorded as ``CertStats.stage``:
 
-1. full GF(2) rank forces an odd determinant: nonsingular, prime-2
-   evidence;
-2. a nonzero determinant residue modulo any of k random 31-bit primes:
-   nonsingular with that prime and residue;
-3. otherwise an exact kernel search: a verified integer kernel vector
-   (singular), or, failing that, the exact determinant (nonsingular).
+1. ``gf2``: full GF(2) rank forces an odd determinant: nonsingular,
+   prime-2 evidence;
+2. ``structural``: one scan for zero and duplicate lines.  A zero
+   column j gives the kernel vector e_j, a later duplicate j of column
+   i gives e_i - e_j (first such column in scan order).  A zero or
+   duplicate row proves singularity too, so such a matrix skips stage 3;
+3. ``random_prime``: a nonzero determinant residue modulo any of k
+   random 31-bit primes: nonsingular with that prime and residue;
+4. otherwise an exact kernel search: a verified integer kernel vector
+   from the p-adic lift (``lift``) or, if the lift fails, from
+   fraction-free elimination (``bareiss``); a trivial kernel means
+   nonsingular, evidenced by the exact determinant (``det_exact``).
 
-Every certificate is self-verified with :func:`verify_certificate`
-before being returned.  Verification deliberately shares no code with
-the elimination that produced the witness: kernel witnesses are checked
-by direct integer matrix-vector multiplication, determinant residues by
-an independent modular elimination with a different pivoting rule.
+Stages 3 and 4 share one int64 array built from the matrix.  The line
+scan is returned with the certificate, so callers need not repeat it.
+
+Every certificate is checked with :func:`verify_certificate` before it
+is returned, by an explicit test that survives ``python -O``; a failure
+raises CertificateRejected.  Verification deliberately shares no code
+with the elimination that produced the witness: kernel witnesses are
+checked by direct integer matrix-vector multiplication, determinant
+residues by an independent modular elimination with a different
+pivoting rule.
 """
 
 from __future__ import annotations
@@ -25,9 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotSquare
+from .errors import CertificateRejected, DimensionMismatch, KernelLiftFailed, NotSquare
 from .exactla import (
-    KernelLiftFailed,
     det_exact,
     hadamard_bound,
     kernel_rational,
@@ -35,18 +46,29 @@ from .exactla import (
     rank_gf2,
 )
 from .exactla import det_mod as _det_mod_producer
-from .matrices import BitMatrix, RationalVector
+from .matrices import BitMatrix, IntMatrix, RationalVector
+from .models import LineReport, find_duplicate_or_zero_lines
 from .modular import crt_primes, is_prime, random_prime
 from .rng import Stream
 
 RANDOM_PRIME_TRIALS = 3
 
+# Full GF(2) rank rules out every zero or duplicate line.
+_NO_LINES = LineReport((), (), (), ())
+
 
 @dataclass(frozen=True)
 class CertStats:
+    """How a certificate was reached.  ``stage`` names the deciding
+    stage (see the module docstring; None when read from JSON that
+    predates it); ``lines`` is the zero and duplicate line scan of the
+    matrix (None when read from JSON)."""
+
     gf2_rank: int
     primes_tried: tuple[int, ...]
     elapsed: float
+    stage: str | None = None
+    lines: LineReport | None = None
 
 
 @dataclass(frozen=True)
@@ -84,6 +106,7 @@ class SingularityCertificate:
                 "gf2_rank": self.stats.gf2_rank,
                 "primes_tried": [str(p) for p in self.stats.primes_tried],
                 "elapsed": self.stats.elapsed,
+                "stage": self.stats.stage,
             },
         }
         return json.dumps(doc, indent=2)
@@ -111,43 +134,25 @@ class SingularityCertificate:
                 gf2_rank=stats.get("gf2_rank", -1),
                 primes_tried=tuple(int(p) for p in stats.get("primes_tried", ())),
                 elapsed=stats.get("elapsed", 0.0),
+                stage=stats.get("stage"),
             ),
         )
 
 
-def _trivial_kernel_witness(m: BitMatrix) -> tuple[int, ...] | None:
-    """Kernel vector from a zero or duplicate column, if one exists."""
-    t = m.transpose()
-    first_seen: dict[int, int] = {}
-    for j, col in enumerate(t.rows):
-        if col == 0:
-            v = [0] * m.n_cols
-            v[j] = 1
-            return tuple(v)
-        if col in first_seen:
-            v = [0] * m.n_cols
-            v[first_seen[col]] = 1
-            v[j] = -1
-            return tuple(v)
-        first_seen[col] = j
-    return None
-
-
-def _singular_witness(m: BitMatrix) -> tuple[int, ...] | None:
-    """A verified integer right-kernel vector, or None if the kernel is
-    trivial.  Tries cheap column degeneracies, then the multi-modular
-    lift, then falls back to fraction-free elimination."""
-    v = _trivial_kernel_witness(m)
-    if v is not None:
-        return v
-    int_rows = m.to_lists()
-    try:
-        return kernel_vector_crt(int_rows, m.n_cols)
-    except KernelLiftFailed:
-        basis = kernel_rational(m.to_int_matrix(), side="right")
-        if basis.is_trivial():
-            return None
-        return basis.vectors[0].cleared()
+def _column_witness(lines: LineReport, n_cols: int) -> tuple[int, ...] | None:
+    """Kernel vector from the first zero or duplicate column in scan
+    order: e_j for a zero column j, e_i - e_j when column j repeats an
+    earlier column i."""
+    zero = lines.zero_cols[0] if lines.zero_cols else n_cols
+    first, dup = lines.duplicate_col_pairs[0] if lines.duplicate_col_pairs else (None, n_cols)
+    if zero == dup == n_cols:
+        return None
+    v = [0] * n_cols
+    if zero < dup:
+        v[zero] = 1
+    else:
+        v[first], v[dup] = 1, -1
+    return tuple(v)
 
 
 def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertificate:
@@ -155,6 +160,7 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
 
     ``prime_seed`` drives only the random-prime screening stage, so the
     verdict never depends on it -- only the evidence path taken does.
+    Raises CertificateRejected if the certificate fails verification.
     """
     if m.n_rows != m.n_cols:
         raise NotSquare(f"{m.n_rows}x{m.n_cols} matrix")
@@ -162,32 +168,47 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
     start = time.perf_counter()
     g = rank_gf2(m)
     primes_tried: list[int] = []
+    lines = _NO_LINES
 
-    def finish(verdict, kernel=None, prime=None, residue=None, det=None):
-        stats = CertStats(g, tuple(primes_tried), time.perf_counter() - start)
+    def finish(stage, verdict, kernel=None, prime=None, residue=None, det=None):
+        elapsed = time.perf_counter() - start
+        stats = CertStats(g, tuple(primes_tried), elapsed, stage, lines)
         cert = SingularityCertificate(verdict, kernel, prime, residue, det, stats)
-        assert verify_certificate(m, cert)
+        if not verify_certificate(m, cert):
+            raise CertificateRejected(f"{stage} certificate failed verification")
         return cert
 
     if g == n:
         primes_tried.append(2)
-        return finish("nonsingular", prime=2, residue=1)
+        return finish("gf2", "nonsingular", prime=2, residue=1)
 
-    int_rows = m.to_lists()
-    stream = Stream(prime_seed)
-    for _ in range(RANDOM_PRIME_TRIALS):
-        p = random_prime(stream)
-        while p in primes_tried:
-            p = random_prime(stream)
-        primes_tried.append(p)
-        r = _det_mod_producer(int_rows, p)
-        if r != 0:
-            return finish("nonsingular", prime=p, residue=r)
-
-    witness = _singular_witness(m)
+    lines = find_duplicate_or_zero_lines(m)
+    witness = _column_witness(lines, n)
     if witness is not None:
-        return finish("singular", kernel=witness)
-    return finish("nonsingular", det=det_exact(m.to_int_matrix()))
+        return finish("structural", "singular", kernel=witness)
+
+    a = m.to_bit_array().astype(np.int64)
+    if not (lines.zero_rows or lines.duplicate_row_pairs):
+        stream = Stream(prime_seed)
+        for _ in range(RANDOM_PRIME_TRIALS):
+            p = random_prime(stream)
+            while p in primes_tried:
+                p = random_prime(stream)
+            primes_tried.append(p)
+            r = _det_mod_producer(a, p)
+            if r != 0:
+                return finish("random_prime", "nonsingular", prime=p, residue=r)
+
+    try:
+        witness = kernel_vector_crt(a, n)
+        stage = "lift"
+    except KernelLiftFailed:
+        basis = kernel_rational(IntMatrix.from_rows(a.tolist()), side="right")
+        witness = None if basis.is_trivial() else basis.vectors[0].cleared()
+        stage = "bareiss"
+    if witness is not None:
+        return finish(stage, "singular", kernel=witness)
+    return finish("det_exact", "nonsingular", det=det_exact(IntMatrix.from_rows(a.tolist())))
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,7 @@ def cmd_certify(args) -> int:
             print(f"evidence: det = {cert.residue} (mod {cert.prime})")
         else:
             print(f"evidence: det = {cert.det}")
+        print(f"decided by: {cert.stats.stage}")
         print(
             f"gf2 rank: {cert.stats.gf2_rank}, primes tried: "
             f"{list(cert.stats.primes_tried)}, elapsed: {cert.stats.elapsed:.4f}s"

@@ -37,6 +37,14 @@ class InfeasibleDensity(SingmatError):
     """Requested density is outside the valid range for the model."""
 
 
+class KernelLiftFailed(SingmatError):
+    """The p-adic kernel lift found no verified kernel vector."""
+
+
+class CertificateRejected(SingmatError):
+    """A freshly produced certificate failed independent verification."""
+
+
 class MatrixFormatError(SingmatError):
     """Malformed matrix file; carries the offending line number."""
 

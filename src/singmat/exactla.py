@@ -3,32 +3,33 @@
 GF(2) elimination runs on packed rows: Python bit-integers for small
 shapes, a numpy uint64 word matrix for large ones; either way a row
 update is whole-word XOR.  Prime-field elimination is vectorized int64
-with 31-bit moduli.  Integer determinants use Chinese remaindering
-against a fixed prime list up to twice the Hadamard bound; rational
-kernels use fraction-free (Bareiss) elimination with exact
-back-substitution, plus a multi-modular lifting shortcut for single
-kernel vectors that is always verified exactly before use.
+with 31-bit moduli; ``det_mod`` and the kernel lift take the int64 array
+of a zero-one matrix directly.  Integer determinants use Chinese
+remaindering against a fixed prime list up to twice the Hadamard bound;
+rational kernels use fraction-free (Bareiss) elimination with exact
+back-substitution.  Single kernel vectors have a faster route: Dixon
+p-adic lifting, which factors the matrix once modulo one prime of the
+fixed list and then takes O(n^2) solve steps until rational
+reconstruction yields a vector that passes an exact check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CompositeModulus, DimensionMismatch, NotSquare
+from .errors import CompositeModulus, DimensionMismatch, KernelLiftFailed, NotSquare
 from .matrices import BitMatrix, IntMatrix, KernelBasis, ModMatrix, RationalVector
 from .modular import crt_pair, crt_primes, is_prime, rational_reconstruct, symmetric_lift
 
 # Shapes at least this large take the numpy word-matrix path.
 _WORD_PATH_MIN = 192
 _MOD_NUMPY_MIN = 24
-
-
-class KernelLiftFailed(Exception):
-    """Internal: multi-modular kernel lift did not converge."""
+# Primes of the fixed list one kernel lift tries before giving up.
+_LIFT_PRIMES = 3
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +236,7 @@ def _rref_mod(rows: list[list[int]], p: int) -> tuple[int, list[int], list[list[
     return _rref_mod_py(rows, p)
 
 
-def _det_mod_py(rows: list[list[int]], p: int) -> int:
+def _det_mod_py(rows: Sequence[Sequence[int]], p: int) -> int:
     M = [[e % p for e in row] for row in rows]
     n = len(M)
     det = 1
@@ -262,7 +263,7 @@ def _det_mod_py(rows: list[list[int]], p: int) -> int:
     return det % p
 
 
-def _det_mod_np(rows: list[list[int]], p: int) -> int:
+def _det_mod_np(rows, p: int) -> int:
     M = np.array(rows, dtype=np.int64) % p
     n = M.shape[0]
     det = 1
@@ -284,14 +285,15 @@ def _det_mod_np(rows: list[list[int]], p: int) -> int:
     return det % p
 
 
-def det_mod(rows: list[list[int]], p: int) -> int:
-    """Determinant of a square integer matrix modulo prime p."""
+def det_mod(rows: Sequence[Sequence[int]] | np.ndarray, p: int) -> int:
+    """Determinant of a square integer matrix (nested rows or an int64
+    array) modulo prime p."""
     n = len(rows)
     if n == 0:
         return 1 % p
     if n >= _MOD_NUMPY_MIN:
         return _det_mod_np(rows, p)
-    return _det_mod_py(rows, p)
+    return _det_mod_py(rows.tolist() if isinstance(rows, np.ndarray) else rows, p)
 
 
 def rank_mod(m: ModMatrix) -> int:
@@ -431,96 +433,226 @@ def kernel_rational(m: IntMatrix, side: str = "right") -> KernelBasis:
     return KernelBasis("rational", vectors, ambient, side)
 
 
-def _kernel_solve_mod(
-    rows: list[list[int]], p: int
-) -> tuple[int, tuple[int, ...], list[int] | None]:
-    """Mod-p rank, pivot columns, and the canonical kernel solution
-    (first free column set to 1) as residues; None if full column rank."""
-    n_cols = len(rows[0]) if rows else 0
-    rank, pivots, rref = _rref_mod(rows, p)
-    if rank == n_cols:
-        return rank, tuple(pivots), None
+# A mod-p solver: pivot columns of a matrix A mod p, and a function taking
+# an integer vector b to y with A[:, pivots] y = b mod p, or None when that
+# system is inconsistent mod p.
+_ModSolver = tuple[list[int], Callable[[np.ndarray], "list[int] | None"]]
+
+
+def _lu_solver(a: np.ndarray, p: int) -> _ModSolver:
+    """Factor an int64 matrix once mod prime p (forward elimination with
+    row swaps, multipliers kept: a[perm] = L U) and solve through L, then
+    U, in O(n^2) per right-hand side."""
+    if max(a.shape) < _MOD_NUMPY_MIN:
+        return _lu_solver_py(a.tolist(), a.shape[1], p)
+    M = a % p
+    n_rows, n_cols = M.shape
+    perm = np.arange(n_rows)
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        nz = np.flatnonzero(M[r:, c])
+        if nz.size == 0:
+            continue
+        pivot = r + int(nz[0])
+        if pivot != r:
+            M[[r, pivot]] = M[[pivot, r]]
+            perm[[r, pivot]] = perm[[pivot, r]]
+        hits = nz[1:] + r
+        if hits.size:
+            f = M[hits, c] * pow(int(M[r, c]), -1, p) % p
+            M[hits, c + 1 :] = (M[hits, c + 1 :] - f[:, None] * M[r, c + 1 :]) % p
+            M[hits, c] = f  # L, below the pivot
+        pivots.append(c)
+        r += 1
+    lower = []
+    for k, c in enumerate(pivots):
+        below = k + 1 + np.flatnonzero(M[k + 1 :, c])
+        lower.append((below, M[below, c]))
+    upper = [M[:k, c] for k, c in enumerate(pivots)]
+    inv_diag = [pow(int(M[k, c]), -1, p) for k, c in enumerate(pivots)]
+
+    def solve(b: np.ndarray) -> list[int] | None:
+        c = b[perm] % p
+        for k, (below, mult) in enumerate(lower):
+            if below.size and c[k]:
+                c[below] = (c[below] - mult * c[k]) % p
+        if c[r:].any():
+            return None
+        y = [0] * r
+        for k in range(r - 1, -1, -1):
+            y[k] = yk = int(c[k]) * inv_diag[k] % p
+            if yk and k:
+                c[:k] = (c[:k] - upper[k] * yk) % p
+        return y
+
+    return pivots, solve
+
+
+def _lu_solver_py(rows: list[list[int]], n_cols: int, p: int) -> _ModSolver:
+    """_lu_solver on Python lists, for shapes where numpy's per-call cost
+    outweighs the arithmetic."""
+    M = [[e % p for e in row] for row in rows]
+    n_rows = len(M)
+    perm = list(range(n_rows))
+    pivots: list[int] = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if M[i][c]), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        perm[r], perm[pivot] = perm[pivot], perm[r]
+        inv = pow(M[r][c], -1, p)
+        top = M[r]
+        for row in M[r + 1 :]:
+            if row[c]:
+                f = row[c] * inv % p
+                row[c + 1 :] = [(x - f * t) % p for x, t in zip(row[c + 1 :], top[c + 1 :])]
+                row[c] = f  # L, below the pivot
+        pivots.append(c)
+        r += 1
+    inv_diag = [pow(M[k][c], -1, p) for k, c in enumerate(pivots)]
+
+    def solve(b: np.ndarray) -> list[int] | None:
+        b = b.tolist()
+        c = [b[i] % p for i in perm]
+        for k, col in enumerate(pivots):
+            if c[k]:
+                for i in range(k + 1, n_rows):
+                    if M[i][col]:
+                        c[i] = (c[i] - M[i][col] * c[k]) % p
+        if any(c[r:]):
+            return None
+        y = [0] * r
+        for k in range(r - 1, -1, -1):
+            row = M[k]
+            acc = c[k] - sum(row[pivots[j]] * y[j] for j in range(k + 1, r))
+            y[k] = acc * inv_diag[k] % p
+        return y
+
+    return pivots, solve
+
+
+def _reconstruct(residues: list[int], modulus: int) -> tuple[int, list[int]] | None:
+    """Common denominator and numerators of the rationals with these
+    residues, each within Wang's bound sqrt(modulus / 2); None if any
+    residue has no such preimage yet."""
+    half = modulus // 2
+    den = 1
+    for r in residues:
+        t = symmetric_lift(den * r, modulus)
+        if t * t <= half:
+            continue
+        nd = rational_reconstruct(t, modulus)
+        if nd is None:
+            return None
+        den *= nd[1]
+        if den * den > half:
+            return None
+    nums = [symmetric_lift(den * r, modulus) for r in residues]
+    if any(x * x > half for x in nums):
+        return None
+    return den, nums
+
+
+def _padic_kernel_vector(
+    a: np.ndarray, p: int, solver: _ModSolver, target: int, rows: list[int]
+) -> tuple[int, ...] | None:
+    """Dixon lifting of the canonical kernel vector over one prime p,
+    with ``solver = _lu_solver(a, p)``.
+
+    With pivots P and first free column f mod p, solves a[:, P] y =
+    -a[:, f] p-adically; the kernel vector has y on P, 1 at f and 0 on
+    the other free columns.  Returns it, cleared, once rational
+    reconstruction gives a vector that passes the exact check against
+    the packed ``rows``; None when the system is inconsistent mod p or
+    the modulus passes ``target`` first (both mean p is unlucky).
+    """
+    n_cols = a.shape[1]
+    pivots, solve = solver
     pivot_set = set(pivots)
     f = next(c for c in range(n_cols) if c not in pivot_set)
-    x = [0] * n_cols
-    x[f] = 1
-    for k, c in enumerate(pivots):
-        x[c] = (-rref[k][f]) % p
-    return rank, tuple(pivots), x
+    a_piv = a[:, pivots]
+    b = -a[:, f]
+    x = [0] * len(pivots)
+    modulus = 1
+    while modulus <= target:
+        y = solve(b)
+        if y is None:
+            return None
+        # Exact: a[:, P] y = b mod p on every row of a consistent system.
+        b = (b - a_piv @ np.array(y, dtype=np.int64)) // p
+        x = [xi + yi * modulus for xi, yi in zip(x, y)]
+        modulus *= p
+        found = _reconstruct(x, modulus)
+        if found is None:
+            continue
+        den, nums = found
+        v = [0] * n_cols
+        v[f] = den
+        for c, num in zip(pivots, nums):
+            v[c] = num
+        if all(exact_dot(v, row) == 0 for row in rows):
+            return RationalVector.from_values(v).cleared()
+    return None
 
 
-def kernel_vector_crt(rows: Sequence[Sequence[int]], n_cols: int) -> tuple[int, ...] | None:
-    """One exact integer right-kernel vector of an integer matrix, or
+def kernel_vector_crt(
+    rows: Sequence[Sequence[int]] | np.ndarray, n_cols: int
+) -> tuple[int, ...] | None:
+    """One exact integer right-kernel vector of a zero-one matrix, or
     None when the columns are provably independent.
 
-    Lifts the canonical mod-p kernel solution by CRT across the fixed
-    prime list, reconstructing rationals and verifying the cleared
-    integer vector exactly; a verified vector is returned immediately.
-    Raises KernelLiftFailed if the lift exhausts its prime budget
-    (callers fall back to fraction-free elimination).
+    ``rows`` is an int64 array (or nested rows) of zeros and ones.  The
+    vector is the canonical one -- first free column 1, the other free
+    columns 0, then cleared -- found by p-adic lifting over one prime of
+    the fixed list and verified exactly before return.  An unlucky prime
+    moves on to the next; after ``_LIFT_PRIMES`` of them this raises
+    KernelLiftFailed (callers fall back to fraction-free elimination).
     """
-    rows = [list(r) for r in rows]
     if n_cols == 0:
         return None
-    if not rows:
-        v = [0] * n_cols
-        v[0] = 1
-        return tuple(v)
-    nonzero_norms = [s for row in rows if (s := sum(e * e for e in row)) > 0]
-    minor_bound = 1
-    for s in nonzero_norms:
-        minor_bound *= s
-    minor_bound = isqrt(minor_bound) + 1
-    target = 2 * minor_bound * minor_bound
-
-    best: tuple[int, tuple[int, ...]] | None = None
-    residues: list[int] = []
-    modulus = 1
-    idx = 0
-    # A handful of extra primes past the bound absorbs unlucky ones.
-    max_primes = (target.bit_length() // 30 + 2) * 2 + 8
-    while idx < max_primes:
+    a = np.asarray(rows, dtype=np.int64).reshape(-1, n_cols)
+    if a.size and (a.min() < 0 or a.max() > 1):
+        raise ValueError("kernel_vector_crt needs a zero-one matrix")
+    packed = BitMatrix.from_bit_array(a).rows
+    # Numerators and denominators are r x r minors, at most the
+    # Hadamard bound of the nonzero rows; reconstruction needs a
+    # modulus past twice its square.
+    norms = 1
+    for row in packed:
+        norms *= row.bit_count() or 1
+    bound = isqrt(norms) + 1
+    target = 2 * bound * bound
+    for idx in range(_LIFT_PRIMES):
         p = crt_primes(idx + 1)[idx]
-        idx += 1
-        rank, pivots, x = _kernel_solve_mod(rows, p)
-        if x is None:
-            return None
-        key = (-rank, pivots)
-        if best is None or key < (-best[0], best[1]):
-            best = (rank, pivots)
-            residues = x
-            modulus = p
-        elif (rank, pivots) == best:
-            residues = [crt_pair(r0, modulus, xp, p) for r0, xp in zip(residues, x)]
-            modulus *= p
-        else:
-            continue
-        candidate = _try_reconstruct(residues, modulus)
-        if candidate is not None and _verify_kernel_vector(rows, candidate):
-            return candidate
-        if modulus > target:
-            break
+        solver = _lu_solver(a, p)
+        if len(solver[0]) == n_cols:
+            return None  # independent mod p, so independent over Q
+        v = _padic_kernel_vector(a, p, solver, target, packed)
+        if v is not None:
+            return v
     raise KernelLiftFailed("no verified kernel vector within the prime budget")
 
 
-def _try_reconstruct(residues: list[int], modulus: int) -> tuple[int, ...] | None:
-    fracs = []
-    for r in residues:
-        nd = rational_reconstruct(r, modulus)
-        if nd is None:
-            return None
-        fracs.append(Fraction(*nd))
-    return RationalVector(tuple(fracs)).cleared()
-
-
-def _verify_kernel_vector(rows: list[list[int]], v: Sequence[int]) -> bool:
-    if not any(v):
-        return False
-    return all(sum(e * vi for e, vi in zip(row, v)) == 0 for row in rows)
-
-
 # ---------------------------------------------------------------------------
-# Membership checks mod arbitrary moduli
+# Exact dot products and membership checks mod arbitrary moduli
+
+
+def exact_dot(v: Sequence[int], row: int) -> int:
+    """Exact dot product of an integer vector with a packed zero-one
+    row, visiting only the row's set bits."""
+    acc = 0
+    while row:
+        low = row & -row
+        acc += v[low.bit_length() - 1]
+        row ^= low
+    return acc
 
 
 def check_vector_mod(
@@ -538,16 +670,7 @@ def check_vector_mod(
     if side == "right":
         if v.length != m.n_cols:
             raise DimensionMismatch(f"vector length {v.length} != n_cols {m.n_cols}")
-        for row in m.rows:
-            acc = 0
-            w = row
-            while w:
-                j = (w & -w).bit_length() - 1
-                acc += ints[j]
-                w &= w - 1
-            if acc % modulus:
-                return False
-        return True
+        return all(exact_dot(ints, row) % modulus == 0 for row in m.rows)
     if side == "left":
         if v.length != m.n_rows:
             raise DimensionMismatch(f"vector length {v.length} != n_rows {m.n_rows}")

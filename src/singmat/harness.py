@@ -26,12 +26,14 @@ from math import sqrt
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .bounds import ATOM_BERNOULLI_MAX_LEN, ATOM_COMB_BUDGET, max_atom_bernoulli, max_atom_combinatorial
 from .certify import is_singular_exact
 from .errors import BudgetExceeded, InfeasibleDensity, KernelTooLarge
-from .exactla import KernelLiftFailed, kernel_gf2, kernel_rational, kernel_vector_crt
-from .matrices import BitMatrix, RationalVector
-from .models import SampleSpec, complement, find_duplicate_or_zero_lines, sample, sample_row
+from .exactla import KernelLiftFailed, exact_dot, kernel_rational, kernel_vector_crt
+from .matrices import IntMatrix, RationalVector
+from .models import SampleSpec, complement, sample, sample_row
 from .rng import derive_seed
 from .stats import binomial_sigma, clopper_pearson
 from .structure import PropertyPredicate, enumerate_gf2_kernel_min_support, eval_predicate
@@ -152,7 +154,7 @@ def run_trial(model: str, n: int, density, trial_seed: int) -> dict:
     spec = _make_spec(model, n, density, trial_seed)
     matrix = sample(spec)
     cert = is_singular_exact(matrix, prime_seed=derive_seed(trial_seed, PRIME_SEED_SALT))
-    lines = find_duplicate_or_zero_lines(matrix)
+    lines = cert.stats.lines
     return {
         "verdict": cert.verdict,
         "gf2_rank": cert.stats.gf2_rank,
@@ -402,37 +404,18 @@ class DecompositionReport:
         )
 
 
-def _exact_dot_is_zero(v: Sequence[int], row_bits: int) -> bool:
-    acc = 0
-    w = row_bits
-    while w:
-        j = (w & -w).bit_length() - 1
-        acc += v[j]
-        w &= w - 1
-    return acc == 0
-
-
-def _left_kernel_vector(matrix: BitMatrix) -> tuple[int, ...]:
-    rows = matrix.to_int_matrix().transpose().entries
+def _kernel_vector(a: np.ndarray) -> tuple[int, ...]:
+    """Verified integer right-kernel vector of a zero-one int64 array
+    whose kernel is known to be nontrivial: the p-adic lift, else
+    fraction-free elimination."""
     try:
-        v = kernel_vector_crt([list(r) for r in rows], matrix.n_rows)
+        v = kernel_vector_crt(a, a.shape[1])
     except KernelLiftFailed:
-        basis = kernel_rational(matrix.to_int_matrix(), side="left")
-        return basis.vectors[0].cleared()
-    assert v is not None
-    return v
-
-
-def _right_kernel_vector_of_rows(matrix: BitMatrix, n_rows: int) -> tuple[int, ...]:
-    rows = matrix.to_lists()[:n_rows]
-    try:
-        v = kernel_vector_crt(rows, matrix.n_cols)
-    except KernelLiftFailed:
-        from .matrices import IntMatrix
-
-        basis = kernel_rational(IntMatrix.from_rows(rows), side="right")
-        return basis.vectors[0].cleared()
-    assert v is not None  # n_rows < n_cols always leaves a kernel
+        basis = kernel_rational(IntMatrix.from_rows(a.tolist()), side="right")
+        v = None if basis.is_trivial() else basis.vectors[0].cleared()
+    if v is None:
+        shape = f"{a.shape[0]}x{a.shape[1]}"
+        raise KernelLiftFailed(f"no kernel vector for a {shape} matrix that must have one")
     return v
 
 
@@ -457,7 +440,7 @@ def _atom_proxy(
     hits = 0
     for k in range(ATOM_MC_INNER):
         row = sample_row(_make_spec(model, x.length, density, derive_seed(seed, k)))
-        if _exact_dot_is_zero(ints, row):
+        if exact_dot(ints, row) == 0:
             hits += 1
     return hits / ATOM_MC_INNER, binomial_sigma(max(hits, 1), ATOM_MC_INNER), False
 
@@ -502,6 +485,7 @@ def verify_lemma21(
         trial_seed = derive_seed(seed, i)
         matrix = sample(_make_spec(model, n, density, trial_seed))
         cert = is_singular_exact(matrix, prime_seed=derive_seed(trial_seed, PRIME_SEED_SALT))
+        a = matrix.to_bit_array().astype(np.int64)
         singular = cert.is_singular
         singular_hits += singular
 
@@ -512,7 +496,7 @@ def verify_lemma21(
                 if screen.trivial or screen.min_support >= t:
                     pass  # a small-support rational vector would show up mod 2
                 else:
-                    v1 = _left_kernel_vector(matrix)
+                    v1 = _kernel_vector(a.T)
                     if sum(1 for e in v1 if e) < t:
                         ev1_hits += 1
                     elif screen.kernel_dim > 1:
@@ -522,11 +506,11 @@ def verify_lemma21(
                 ev1_hits += 1  # conservative
 
         # Terms (2) and (3): kernel vector of the first n-1 rows vs the last.
-        x = _right_kernel_vector_of_rows(matrix, n - 1)
+        x = _kernel_vector(a[: n - 1])
         xvec = RationalVector.from_values(x)
         if eval_predicate(pred, xvec):
             in_property_trials += 1
-            if _exact_dot_is_zero(x, matrix.rows[n - 1]):
+            if exact_dot(x, matrix.rows[n - 1]) == 0:
                 atom_zero_hits += 1
             value, sigma_a, exact = _atom_proxy(
                 model, density, xvec, derive_seed(trial_seed, FRESH_ROW_SALT)
@@ -612,7 +596,7 @@ def subthreshold_autopsy(model: str, n: int, density, trials: int, seed: int) ->
         cert = is_singular_exact(matrix, prime_seed=derive_seed(trial_seed, PRIME_SEED_SALT))
         if cert.is_singular:
             singular += 1
-            if find_duplicate_or_zero_lines(matrix).any_line:
+            if cert.stats.lines.any_line:
                 explained += 1
     return AutopsyReport(
         trials, singular, explained,

@@ -83,6 +83,7 @@ def test_cli_certify_exit_codes(tmp_path, capsys):
     assert main(["certify", "--in", str(dup)]) == 10
     out = capsys.readouterr().out
     assert "singular" in out and "kernel vector" in out
+    assert "decided by: structural" in out
 
 
 def test_cli_certify_json(tmp_path, capsys):

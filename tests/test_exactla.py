@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,16 +16,20 @@ from singmat.exactla import (
     check_vector_mod,
     det_exact,
     det_mod,
+    exact_dot,
     hadamard_bound,
     kernel_gf2,
     kernel_rational,
     kernel_vector_crt,
     rank_gf2,
     rank_mod,
+    _lu_solver,
+    _lu_solver_py,
     _rank_words,
     _rref_bits,
 )
 from singmat.matrices import BitMatrix, IntMatrix, ModMatrix, RationalVector, unpack_bits
+from singmat.modular import crt_primes
 
 
 def bm(rows):
@@ -256,6 +261,128 @@ def test_kernel_vector_crt_wide_system_always_finds_vector():
         v = kernel_vector_crt(rows, n)
         assert v is not None
         assert all(sum(r[j] * v[j] for j in range(n)) == 0 for r in rows)
+
+
+def _bareiss_vector(a: np.ndarray) -> tuple[int, ...]:
+    return kernel_rational(IntMatrix.from_rows(a.tolist()), "right").vectors[0].cleared()
+
+
+def _sparse_rows(rng, n_rows, n_cols, density=0.15):
+    """Zero-one int64 array, sparse enough that elimination fills in slowly."""
+    return np.array(random_bit_rows(rng, n_rows, n_cols, density), dtype=np.int64)
+
+
+def _with_dependent_columns(rng, n, deficiency):
+    """n x n zero-one array whose last ``deficiency`` columns are sums of
+    two disjoint earlier columns, then shuffled: rank <= n - deficiency."""
+    a = _sparse_rows(rng, n, n, 0.3)
+    for k in range(n - deficiency, n):
+        i, j = rng.sample(range(n - deficiency), 2)
+        a[:, j] &= 1 - a[:, i]
+        a[:, k] = a[:, i] + a[:, j]
+    return a[:, rng.sample(range(n), n)]
+
+
+@pytest.mark.parametrize("deficiency", [1, 2, 4])
+def test_lift_matches_bareiss_on_rank_deficient_numpy_path(deficiency):
+    rng = random.Random(20 + deficiency)
+    for _ in range(4):
+        a = _with_dependent_columns(rng, rng.randint(24, 40), deficiency)
+        basis = kernel_rational(IntMatrix.from_rows(a.tolist()), "right")
+        assert basis.dim >= deficiency
+        assert kernel_vector_crt(a, a.shape[1]) == basis.vectors[0].cleared()
+
+
+@pytest.mark.parametrize("zero_row, duplicate_row", [(True, False), (False, True), (True, True)])
+def test_lift_matches_bareiss_on_degenerate_rows(zero_row, duplicate_row):
+    rng = random.Random(2 * zero_row + duplicate_row)
+    for _ in range(4):
+        n = rng.randint(24, 40)
+        a = _sparse_rows(rng, n, n)
+        i, j, k = rng.sample(range(n), 3)
+        if zero_row:
+            a[i] = 0
+        if duplicate_row:
+            a[j] = a[k]
+        assert kernel_vector_crt(a, n) == _bareiss_vector(a)
+
+
+def test_numpy_and_list_solvers_agree():
+    """The lift factors small shapes on Python lists and larger ones in
+    numpy; both must give the same pivots and the same solutions."""
+    rng = random.Random(27)
+    p = crt_primes(1)[0]
+    for _ in range(6):
+        n_rows, n_cols = rng.randint(24, 36), rng.randint(24, 36)
+        a = _sparse_rows(rng, n_rows, n_cols, 0.2)
+        a[rng.randrange(n_rows)] = 0
+        pivots, solve = _lu_solver(a, p)
+        pivots_py, solve_py = _lu_solver_py(a.tolist(), n_cols, p)
+        assert pivots == pivots_py
+        for _ in range(3):
+            y = np.array([rng.randrange(p) for _ in pivots], dtype=np.int64)
+            b = a[:, pivots] @ y  # consistent right-hand side
+            assert solve(b) == solve_py(b) == y.tolist()
+            b[rng.randrange(n_rows)] += 1
+            assert solve(b) == solve_py(b)
+
+
+def test_lift_wide_system_numpy_path():
+    rng = random.Random(23)
+    for _ in range(5):
+        n = rng.randint(24, 48)
+        a = _sparse_rows(rng, n - 1, n, 0.2)
+        assert kernel_vector_crt(a, n) == _bareiss_vector(a)
+
+
+def test_lift_left_kernel_from_transpose():
+    rng = random.Random(24)
+    for _ in range(4):
+        n = rng.randint(24, 40)
+        a = _sparse_rows(rng, n, n)
+        a[:, rng.randrange(n)] = 0  # singular, so the left kernel is nontrivial too
+        want = kernel_rational(IntMatrix.from_rows(a.tolist()), "left").vectors[0].cleared()
+        assert kernel_vector_crt(a.T, n) == want
+
+
+def test_lift_independent_columns_give_none():
+    rng = random.Random(25)
+    a = np.eye(30, dtype=np.int64)
+    assert kernel_vector_crt(a, 30) is None
+    tall = _sparse_rows(rng, 40, 24, 0.5)
+    if kernel_rational(IntMatrix.from_rows(tall.tolist()), "right").is_trivial():
+        assert kernel_vector_crt(tall, 24) is None
+
+
+def test_lift_edge_shapes():
+    assert kernel_vector_crt([], 0) is None
+    assert kernel_vector_crt([[], []], 0) is None
+    assert kernel_vector_crt([], 3) == (1, 0, 0)
+    assert kernel_vector_crt(np.zeros((0, 3), dtype=np.int64), 3) == (1, 0, 0)
+    assert kernel_vector_crt(np.zeros((3, 4), dtype=np.int64), 4) == (1, 0, 0, 0)
+    assert kernel_vector_crt([[0]], 1) == (1,)
+    assert kernel_vector_crt([[1]], 1) is None
+
+
+def test_lift_rejects_entries_outside_zero_one():
+    with pytest.raises(ValueError):
+        kernel_vector_crt([[2, 0], [0, 1]], 2)
+
+
+def test_kernel_lift_failed_is_a_singmat_error():
+    from singmat.errors import SingmatError
+
+    assert issubclass(KernelLiftFailed, SingmatError)
+
+
+def test_exact_dot_matches_dense_dot():
+    rng = random.Random(26)
+    for _ in range(100):
+        n = rng.randint(0, 70)
+        bits = [rng.randint(0, 1) for _ in range(n)]
+        v = [rng.randint(-(2**80), 2**80) for _ in range(n)]
+        row = sum(b << j for j, b in enumerate(bits))
+        assert exact_dot(v, row) == sum(b * x for b, x in zip(bits, v))
 
 
 # -- membership checks mod q ------------------------------------------------

@@ -22,10 +22,29 @@ from singmat.harness import (
     verify_complement,
     verify_lemma21,
 )
-from singmat.models import SampleSpec, sample
+from singmat.models import SampleSpec, find_duplicate_or_zero_lines, sample
 from singmat.rng import derive_seed
 from singmat.stats import clopper_pearson
 from singmat.structure import PropertyPredicate
+
+
+def test_run_trial_line_flags_match_the_scan():
+    """run_trial reads the line scan off the certificate instead of
+    repeating it; the flags must equal a fresh scan."""
+    for seed in range(50):
+        model = ("bernoulli", "combinatorial")[seed % 2]
+        n = 8 + seed % 17
+        density = bernoulli_density(Fraction(1 + seed % 4, 2), n)
+        if model == "combinatorial":
+            density = combinatorial_density(Fraction(1 + seed % 4, 2), n)
+        out = run_trial(model, n, density, derive_seed(0x11E5, seed))
+        spec = (SampleSpec.bernoulli if model == "bernoulli" else SampleSpec.combinatorial)(
+            n, density, derive_seed(0x11E5, seed)
+        )
+        lines = find_duplicate_or_zero_lines(sample(spec))
+        assert out["had_zero_line"] == bool(lines.zero_rows or lines.zero_cols)
+        duplicate = lines.duplicate_row_pairs or lines.duplicate_col_pairs
+        assert out["had_duplicate_line"] == bool(duplicate)
 
 
 def test_ln_rational_accuracy():
