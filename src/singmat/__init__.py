@@ -25,7 +25,6 @@ from .exactla import (
     kernel_gf2,
     kernel_rational,
     rank_gf2,
-    rank_mod,
 )
 from .harness import (
     AutopsyReport,
@@ -39,12 +38,11 @@ from .harness import (
     verify_complement,
     verify_lemma21,
 )
-from .matrices import BitMatrix, IntMatrix, KernelBasis, ModMatrix, RationalVector
+from .matrices import BitMatrix, IntMatrix, KernelBasis, RationalVector
 from .models import (
     LineReport,
     PairingSample,
     SampleSpec,
-    complement,
     find_duplicate_or_zero_lines,
     sample,
     sample_bernoulli,
@@ -78,7 +76,6 @@ __all__ = [
     "KernelStructureReport",
     "LineReport",
     "MinSupportReport",
-    "ModMatrix",
     "PairingSample",
     "PropertyPredicate",
     "RationalVector",
@@ -89,7 +86,6 @@ __all__ = [
     "analyze_vector",
     "binomial_point_mass",
     "check_vector_mod",
-    "complement",
     "det_exact",
     "enumerate_gf2_kernel_min_support",
     "enumerate_modq_bad_vectors",
@@ -103,7 +99,6 @@ __all__ = [
     "p_even",
     "pairing_disagreement_prob",
     "rank_gf2",
-    "rank_mod",
     "run_sweep",
     "sample",
     "sample_bernoulli",

@@ -33,20 +33,13 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import CertificateRejected, DimensionMismatch, KernelLiftFailed, NotSquare
-from .exactla import (
-    det_exact,
-    hadamard_bound,
-    kernel_rational,
-    kernel_vector_crt,
-    rank_gf2,
-)
+from .errors import CertificateRejected, DimensionMismatch, NotSquare
+from .exactla import det_exact, hadamard_bound, kernel_vector, rank_gf2
 from .exactla import det_mod as _det_mod_producer
-from .matrices import BitMatrix, IntMatrix, RationalVector
+from .matrices import BitMatrix, IntMatrix
 from .models import LineReport, find_duplicate_or_zero_lines
 from .modular import crt_primes, is_prime, random_prime
 from .rng import Stream
@@ -199,13 +192,7 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
             if r != 0:
                 return finish("random_prime", "nonsingular", prime=p, residue=r)
 
-    try:
-        witness = kernel_vector_crt(a, n)
-        stage = "lift"
-    except KernelLiftFailed:
-        basis = kernel_rational(IntMatrix.from_rows(a.tolist()), side="right")
-        witness = None if basis.is_trivial() else basis.vectors[0].cleared()
-        stage = "bareiss"
+    witness, stage = kernel_vector(a)
     if witness is not None:
         return finish(stage, "singular", kernel=witness)
     return finish("det_exact", "nonsingular", det=det_exact(IntMatrix.from_rows(a.tolist())))
@@ -241,8 +228,8 @@ def _check_det_mod_py(rows: list[list[int]], p: int) -> int:
     return det
 
 
-def _check_det_mod_np(rows: list[list[int]], p: int) -> int:
-    M = np.array(rows, dtype=np.int64) % p
+def _check_det_mod_np(a: np.ndarray, p: int) -> int:
+    M = a % p
     n = M.shape[0]
     det = 1
     for c in range(n):
@@ -263,11 +250,22 @@ def _check_det_mod_np(rows: list[list[int]], p: int) -> int:
     return int(det % p)
 
 
+def _unpack_int64(m: BitMatrix) -> np.ndarray:
+    """The entries as an int64 array, shifted out of 64-bit words sliced
+    off each packed row (independent of ``BitMatrix.to_bit_array``)."""
+    n_words = (m.n_cols + 63) // 64
+    mask = (1 << 64) - 1
+    words = np.array(
+        [[(row >> (64 * k)) & mask for k in range(n_words)] for row in m.rows], dtype=np.uint64
+    )
+    bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
+    return bits.reshape(m.n_rows, -1)[:, : m.n_cols].astype(np.int64)
+
+
 def _check_det_mod(m: BitMatrix, p: int) -> int:
-    rows = m.to_lists()
     if m.n_rows >= 24:
-        return _check_det_mod_np(rows, p)
-    return _check_det_mod_py(rows, p)
+        return _check_det_mod_np(_unpack_int64(m), p)
+    return _check_det_mod_py(m.to_lists(), p)
 
 
 def _fresh_check_primes(m: BitMatrix, count: int = 2) -> list[int]:
@@ -343,10 +341,3 @@ def _det_mod2_packed(m: BitMatrix) -> int:
                 work[i] ^= work[r]
         r += 1
     return 1
-
-
-def certificate_vector(cert: SingularityCertificate) -> RationalVector | None:
-    """The singular witness as a RationalVector, if present."""
-    if cert.kernel_vector is None:
-        return None
-    return RationalVector(tuple(Fraction(v) for v in cert.kernel_vector))

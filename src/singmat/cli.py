@@ -3,7 +3,9 @@
 Subcommands: sample, certify, bounds, sweep, analyze.  Every command is
 a thin adapter over the library; nothing numeric happens here.  Exit
 codes: 0 success (or nonsingular), 10 singular, 2 usage or parse
-failure, 3 enumeration budget exceeded.
+failure, 3 enumeration budget exceeded, 4 internal error (a result
+failed its own check: CertificateRejected, KernelLiftFailed,
+SelfCheckFailed).
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ from . import harness, matio
 from .certify import is_singular_exact
 from .errors import (
     BudgetExceeded,
+    CertificateRejected,
     InfeasibleDensity,
+    KernelLiftFailed,
     KernelTooLarge,
     MatrixFormatError,
+    SelfCheckFailed,
     SingmatError,
 )
 from .exactla import kernel_rational
@@ -32,6 +37,7 @@ from .structure import analyze_vector, enumerate_gf2_kernel_min_support
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 EXIT_SINGULAR = 10
 
 
@@ -285,6 +291,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BudgetExceeded, KernelTooLarge) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (CertificateRejected, KernelLiftFailed, SelfCheckFailed) as exc:
+        print(f"{parser.prog}: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (InfeasibleDensity, SingmatError, ValueError) as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
         return EXIT_USAGE

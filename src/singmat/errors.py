@@ -13,10 +13,6 @@ class DimensionMismatch(SingmatError):
     """Operand shapes are incompatible."""
 
 
-class CompositeModulus(SingmatError):
-    """A prime modulus was required but a composite was supplied."""
-
-
 class PairingInfeasible(SingmatError):
     """Cannot place 2*d distinct indices into n slots."""
 
@@ -43,6 +39,10 @@ class KernelLiftFailed(SingmatError):
 
 class CertificateRejected(SingmatError):
     """A freshly produced certificate failed independent verification."""
+
+
+class SelfCheckFailed(SingmatError):
+    """A computed kernel vector failed the exact check run before return."""
 
 
 class MatrixFormatError(SingmatError):

@@ -1,29 +1,33 @@
 """Exact linear algebra over GF(2), prime fields, and the rationals.
 
-GF(2) elimination runs on packed rows: Python bit-integers for small
-shapes, a numpy uint64 word matrix for large ones; either way a row
-update is whole-word XOR.  Prime-field elimination is vectorized int64
-with 31-bit moduli; ``det_mod`` and the kernel lift take the int64 array
-of a zero-one matrix directly.  Integer determinants use Chinese
-remaindering against a fixed prime list up to twice the Hadamard bound;
-rational kernels use fraction-free (Bareiss) elimination with exact
-back-substitution.  Single kernel vectors have a faster route: Dixon
-p-adic lifting, which factors the matrix once modulo one prime of the
-fixed list and then takes O(n^2) solve steps until rational
-reconstruction yields a vector that passes an exact check.
+Each field has one elimination.  Over GF(2) it is forward elimination
+to echelon form on packed rows: Python bit-integers for small shapes, a
+numpy uint64 word matrix for large ones, a row update being whole-word
+XOR either way.  ``rank_gf2`` counts its pivots and ``kernel_gf2``
+back-substitutes one basis vector per free column.  Over a prime field
+it is one LU factorization with row swaps, on int64 arrays for large
+shapes and Python lists for small ones: ``det_mod`` is the signed
+product of its diagonal, and the kernel lift solves through it.
+Integer determinants use Chinese remaindering of ``det_mod`` against a
+fixed prime list up to twice the Hadamard bound; rational kernels use
+fraction-free (Bareiss) elimination with exact back-substitution.
+``kernel_vector`` finds one exact kernel vector by Dixon p-adic lifting,
+which factors the matrix once modulo one prime of the fixed list and
+then takes O(n^2) solve steps until rational reconstruction yields a
+vector that passes an exact check, and falls back to Bareiss.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CompositeModulus, DimensionMismatch, KernelLiftFailed, NotSquare
-from .matrices import BitMatrix, IntMatrix, KernelBasis, ModMatrix, RationalVector
-from .modular import crt_pair, crt_primes, is_prime, rational_reconstruct, symmetric_lift
+from .errors import DimensionMismatch, KernelLiftFailed, NotSquare, SelfCheckFailed
+from .matrices import BitMatrix, IntMatrix, KernelBasis, RationalVector
+from .modular import crt_pair, crt_primes, rational_reconstruct, symmetric_lift
 
 # Shapes at least this large take the numpy word-matrix path.
 _WORD_PATH_MIN = 192
@@ -36,8 +40,9 @@ _LIFT_PRIMES = 3
 # GF(2) elimination
 
 
-def _rref_bits(rows: Sequence[int], n_cols: int) -> tuple[list[int], list[int]]:
-    """Gauss-Jordan on packed bit rows; returns (rref rows, pivot cols)."""
+def _echelon_bits(rows: Sequence[int], n_cols: int) -> tuple[list[int], list[int]]:
+    """Forward elimination on packed bit rows; returns (echelon rows,
+    pivot cols).  Echelon row k has no bits below pivot col k."""
     work = list(rows)
     pivot_cols: list[int] = []
     r = 0
@@ -50,8 +55,8 @@ def _rref_bits(rows: Sequence[int], n_cols: int) -> tuple[list[int], list[int]]:
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and (work[i] >> c) & 1:
+        for i in range(r + 1, len(work)):
+            if (work[i] >> c) & 1:
                 work[i] ^= work[r]
         pivot_cols.append(c)
         r += 1
@@ -66,33 +71,9 @@ def _word_matrix(rows: Sequence[int], n_cols: int) -> np.ndarray:
     return np.frombuffer(buf, dtype="<u8").reshape(len(rows), n_words).copy()
 
 
-def _rank_words(rows: Sequence[int], n_cols: int) -> int:
-    """Forward elimination on the word matrix, counting pivots only."""
-    W = _word_matrix(rows, n_cols)
-    n = W.shape[0]
-    one = np.uint64(1)
-    r = 0
-    for c in range(n_cols):
-        if r == n:
-            break
-        w, b = c >> 6, np.uint64(c & 63)
-        col = (W[r:, w] >> b) & one
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            W[[r, pivot], w:] = W[[pivot, r], w:]
-        hits = nz[1:] + r
-        if hits.size:
-            # Columns left of c are never read again, so XOR from word w on.
-            W[hits, w:] ^= W[r, w:]
-        r += 1
-    return r
-
-
-def _rref_words(rows: Sequence[int], n_cols: int) -> tuple[list[int], list[int]]:
-    """Full Gauss-Jordan on the word matrix; returns (rref rows, pivot cols)."""
+def _echelon_words(rows: Sequence[int], n_cols: int) -> tuple[np.ndarray, list[int]]:
+    """_echelon_bits on the word matrix; returns (echelon word matrix,
+    pivot cols)."""
     W = _word_matrix(rows, n_cols)
     n = W.shape[0]
     one = np.uint64(1)
@@ -108,44 +89,40 @@ def _rref_words(rows: Sequence[int], n_cols: int) -> tuple[list[int], list[int]]
             continue
         pivot = r + int(nz[0])
         if pivot != r:
-            W[[r, pivot]] = W[[pivot, r]]
+            W[[r, pivot], w:] = W[[pivot, r], w:]
         hits = nz[1:] + r
         if hits.size:
-            W[hits] ^= W[r]
+            # Columns left of c are zero in rows r and below, so XOR from word w on.
+            W[hits, w:] ^= W[r, w:]
         pivot_cols.append(c)
         r += 1
-    for k in range(len(pivot_cols) - 1, -1, -1):
-        c = pivot_cols[k]
-        w, b = c >> 6, np.uint64(c & 63)
-        col = (W[:k, w] >> b) & one
-        nz = np.nonzero(col)[0]
-        if nz.size:
-            W[nz] ^= W[k]
-    out = [int.from_bytes(W[i].tobytes(), "little") for i in range(n)]
-    return out, pivot_cols
+    return W, pivot_cols
 
 
 def rank_gf2(m: BitMatrix) -> int:
     """Rank of a zero-one matrix over GF(2)."""
     if max(m.n_rows, m.n_cols, 1) >= _WORD_PATH_MIN:
-        return _rank_words(m.rows, m.n_cols)
-    return len(_rref_bits(m.rows, m.n_cols)[1])
+        return len(_echelon_words(m.rows, m.n_cols)[1])
+    return len(_echelon_bits(m.rows, m.n_cols)[1])
 
 
 def _gf2_right_kernel_vectors(rows: Sequence[int], n_cols: int) -> list[int]:
+    """One basis vector per free column f: bit f set, the other free
+    bits clear, pivot bits back-substituted from the echelon."""
     if max(len(rows), n_cols, 1) >= _WORD_PATH_MIN:
-        rref, pivots = _rref_words(rows, n_cols)
+        W, pivots = _echelon_words(rows, n_cols)
+        ech = [int.from_bytes(W[k].tobytes(), "little") for k in range(len(pivots))]
     else:
-        rref, pivots = _rref_bits(rows, n_cols)
+        ech, pivots = _echelon_bits(rows, n_cols)
     pivot_set = set(pivots)
     basis = []
     for f in range(n_cols):
         if f in pivot_set:
             continue
         v = 1 << f
-        for k, c in enumerate(pivots):
-            if (rref[k] >> f) & 1:
-                v |= 1 << c
+        for k in range(len(pivots) - 1, -1, -1):
+            if (ech[k] & v).bit_count() & 1:
+                v |= 1 << pivots[k]
         basis.append(v)
     return basis
 
@@ -153,7 +130,8 @@ def _gf2_right_kernel_vectors(rows: Sequence[int], n_cols: int) -> list[int]:
 def kernel_gf2(m: BitMatrix, side: str = "right") -> KernelBasis:
     """Basis of the left or right kernel over GF(2), packed bit vectors.
 
-    Every returned vector is checked against the matrix before return.
+    Every returned vector is checked against the matrix before return;
+    a failure raises SelfCheckFailed.
     """
     if side == "right":
         rows, ambient = m.rows, m.n_cols
@@ -163,8 +141,8 @@ def kernel_gf2(m: BitMatrix, side: str = "right") -> KernelBasis:
     else:
         raise ValueError("side must be 'left' or 'right'")
     basis = _gf2_right_kernel_vectors(rows, ambient)
-    for v in basis:
-        assert all((row & v).bit_count() % 2 == 0 for row in rows)
+    if any((row & v).bit_count() & 1 for v in basis for row in rows):
+        raise SelfCheckFailed("GF(2) kernel vector fails its check")
     return KernelBasis("gf2", tuple(basis), ambient, side)
 
 
@@ -172,117 +150,78 @@ def kernel_gf2(m: BitMatrix, side: str = "right") -> KernelBasis:
 # Prime-field elimination
 
 
-def _rref_mod_py(rows: list[list[int]], p: int) -> tuple[int, list[int], list[list[int]]]:
-    R = [[e % p for e in row] for row in rows]
-    m_rows = len(R)
-    n = len(R[0]) if R else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, m_rows):
-            if R[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        R[r], R[pivot] = R[pivot], R[r]
-        inv = pow(R[r][c], -1, p)
-        R[r] = [x * inv % p for x in R[r]]
-        for i in range(m_rows):
-            f = R[i][c]
-            if i != r and f:
-                Rr = R[r]
-                R[i] = [(x - f * y) % p for x, y in zip(R[i], Rr)]
-        pivots.append(c)
-        r += 1
-        if r == m_rows:
-            break
-    return r, pivots, R
+class _LU(NamedTuple):
+    """a[perm] = L U mod p, from forward elimination with row swaps:
+    ``factors`` holds U on and right of the pivots and the multipliers
+    of L below them; ``sign`` is the sign of the row permutation."""
+
+    factors: np.ndarray | list[list[int]]
+    perm: list[int]
+    pivots: list[int]
+    sign: int
+    p: int
 
 
-def _rref_mod_np(rows: list[list[int]], p: int) -> tuple[int, list[int], list[list[int]]]:
-    M = np.array(rows, dtype=np.int64) % p
-    m_rows, n = M.shape
+def _lu_mod(a: np.ndarray, p: int) -> _LU:
+    """Factor an int64 matrix once mod prime p."""
+    if max(a.shape) < _MOD_NUMPY_MIN:
+        return _lu_mod_py(a.tolist(), a.shape[1], p)
+    M = a % p
+    n_rows, n_cols = M.shape
+    perm = list(range(n_rows))
     pivots: list[int] = []
+    sign = 1
     r = 0
-    for c in range(n):
-        if r == m_rows:
+    for c in range(n_cols):
+        if r == n_rows:
             break
-        nz = np.nonzero(M[r:, c])[0]
+        nz = np.flatnonzero(M[r:, c])
         if nz.size == 0:
             continue
         pivot = r + int(nz[0])
         if pivot != r:
             M[[r, pivot]] = M[[pivot, r]]
-        inv = pow(int(M[r, c]), -1, p)
-        M[r] = M[r] * inv % p
-        f = M[:, c].copy()
-        f[r] = 0
-        hit = np.nonzero(f)[0]
-        if hit.size:
-            M[hit] = (M[hit] - f[hit, None] * M[r][None, :]) % p
+            perm[r], perm[pivot] = perm[pivot], perm[r]
+            sign = -sign
+        hits = nz[1:] + r
+        if hits.size:
+            f = M[hits, c] * pow(int(M[r, c]), -1, p) % p
+            M[hits, c + 1 :] = (M[hits, c + 1 :] - f[:, None] * M[r, c + 1 :]) % p
+            M[hits, c] = f  # L, below the pivot
         pivots.append(c)
         r += 1
-    return r, pivots, M.tolist()
+    return _LU(M, perm, pivots, sign, p)
 
 
-def _rref_mod(rows: list[list[int]], p: int) -> tuple[int, list[int], list[list[int]]]:
-    """Reduced row echelon form mod prime p: (rank, pivot cols, rref)."""
-    if not rows or len(rows[0]) == 0:
-        return 0, [], [list(row) for row in rows]
-    if max(len(rows), len(rows[0])) >= _MOD_NUMPY_MIN:
-        return _rref_mod_np(rows, p)
-    return _rref_mod_py(rows, p)
-
-
-def _det_mod_py(rows: Sequence[Sequence[int]], p: int) -> int:
+def _lu_mod_py(rows: Sequence[Sequence[int]], n_cols: int, p: int) -> _LU:
+    """_lu_mod on Python lists, for shapes where numpy's per-call cost
+    outweighs the arithmetic."""
     M = [[e % p for e in row] for row in rows]
-    n = len(M)
-    det = 1
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if M[i][c]:
-                pivot = i
-                break
+    n_rows = len(M)
+    perm = list(range(n_rows))
+    pivots: list[int] = []
+    sign = 1
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        pivot = next((i for i in range(r, n_rows) if M[i][c]), None)
         if pivot is None:
-            return 0
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            det = p - det
-        piv = M[c][c]
-        det = det * piv % p
-        inv = pow(piv, -1, p)
-        for i in range(c + 1, n):
-            f = M[i][c]
-            if f:
-                f = f * inv % p
-                Mc = M[c]
-                M[i] = [(x - f * y) % p for x, y in zip(M[i], Mc)]
-    return det % p
-
-
-def _det_mod_np(rows, p: int) -> int:
-    M = np.array(rows, dtype=np.int64) % p
-    n = M.shape[0]
-    det = 1
-    for c in range(n):
-        nz = np.nonzero(M[c:, c])[0]
-        if nz.size == 0:
-            return 0
-        pivot = c + int(nz[0])
-        if pivot != c:
-            M[[c, pivot]] = M[[pivot, c]]
-            det = p - det
-        piv = int(M[c, c])
-        det = det * piv % p
-        inv = pow(piv, -1, p)
-        f = M[c + 1 :, c] * inv % p
-        hit = np.nonzero(f)[0]
-        if hit.size:
-            M[c + 1 + hit, c:] = (M[c + 1 + hit, c:] - f[hit, None] * M[c, c:][None, :]) % p
-    return det % p
+            continue
+        if pivot != r:
+            M[r], M[pivot] = M[pivot], M[r]
+            perm[r], perm[pivot] = perm[pivot], perm[r]
+            sign = -sign
+        inv = pow(M[r][c], -1, p)
+        top = M[r]
+        for row in M[r + 1 :]:
+            if row[c]:
+                f = row[c] * inv % p
+                row[c + 1 :] = [(x - f * t) % p for x, t in zip(row[c + 1 :], top[c + 1 :])]
+                row[c] = f  # L, below the pivot
+        pivots.append(c)
+        r += 1
+    return _LU(M, perm, pivots, sign, p)
 
 
 def det_mod(rows: Sequence[Sequence[int]] | np.ndarray, p: int) -> int:
@@ -291,17 +230,16 @@ def det_mod(rows: Sequence[Sequence[int]] | np.ndarray, p: int) -> int:
     n = len(rows)
     if n == 0:
         return 1 % p
-    if n >= _MOD_NUMPY_MIN:
-        return _det_mod_np(rows, p)
-    return _det_mod_py(rows.tolist() if isinstance(rows, np.ndarray) else rows, p)
-
-
-def rank_mod(m: ModMatrix) -> int:
-    """Rank of a matrix over the prime field Z_p."""
-    if not is_prime(m.modulus):
-        raise CompositeModulus(f"modulus {m.modulus} is not prime")
-    rank, _, _ = _rref_mod([list(r) for r in m.entries], m.modulus)
-    return rank
+    if isinstance(rows, np.ndarray) or n >= _MOD_NUMPY_MIN:
+        lu = _lu_mod(np.asarray(rows, dtype=np.int64), p)
+    else:
+        lu = _lu_mod_py(rows, n, p)
+    if len(lu.pivots) < n:
+        return 0
+    det = lu.sign
+    for k in range(n):
+        det = det * int(lu.factors[k][k]) % p
+    return det
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +352,7 @@ def kernel_rational(m: IntMatrix, side: str = "right") -> KernelBasis:
     """Exact rational kernel basis via fraction-free elimination.
 
     Each basis vector is verified against the matrix in exact
-    arithmetic before return.
+    arithmetic before return; a failure raises SelfCheckFailed.
     """
     if side == "left":
         src = m.transpose()
@@ -426,47 +364,24 @@ def kernel_rational(m: IntMatrix, side: str = "right") -> KernelBasis:
         raise ValueError("side must be 'left' or 'right'")
     ech, pivots = _bareiss_echelon([list(r) for r in src.entries])
     basis = _kernel_from_echelon(ech, pivots, src.n_cols)
-    for x in basis:
-        for row in src.entries:
-            assert sum(e * xi for e, xi in zip(row, x)) == 0
+    if any(sum(e * xi for e, xi in zip(row, x)) for x in basis for row in src.entries):
+        raise SelfCheckFailed("rational kernel vector fails its check")
     vectors = tuple(RationalVector(x) for x in basis)
     return KernelBasis("rational", vectors, ambient, side)
 
 
-# A mod-p solver: pivot columns of a matrix A mod p, and a function taking
-# an integer vector b to y with A[:, pivots] y = b mod p, or None when that
-# system is inconsistent mod p.
-_ModSolver = tuple[list[int], Callable[[np.ndarray], "list[int] | None"]]
+# Solves A[:, pivots] y = b mod p for an integer vector b: y, or None when
+# that system is inconsistent mod p.
+_Solve = Callable[[np.ndarray], "list[int] | None"]
 
 
-def _lu_solver(a: np.ndarray, p: int) -> _ModSolver:
-    """Factor an int64 matrix once mod prime p (forward elimination with
-    row swaps, multipliers kept: a[perm] = L U) and solve through L, then
-    U, in O(n^2) per right-hand side."""
-    if max(a.shape) < _MOD_NUMPY_MIN:
-        return _lu_solver_py(a.tolist(), a.shape[1], p)
-    M = a % p
-    n_rows, n_cols = M.shape
-    perm = np.arange(n_rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        nz = np.flatnonzero(M[r:, c])
-        if nz.size == 0:
-            continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            M[[r, pivot]] = M[[pivot, r]]
-            perm[[r, pivot]] = perm[[pivot, r]]
-        hits = nz[1:] + r
-        if hits.size:
-            f = M[hits, c] * pow(int(M[r, c]), -1, p) % p
-            M[hits, c + 1 :] = (M[hits, c + 1 :] - f[:, None] * M[r, c + 1 :]) % p
-            M[hits, c] = f  # L, below the pivot
-        pivots.append(c)
-        r += 1
+def _lu_solve(lu: _LU) -> _Solve:
+    """Solve through L, then U, in O(n^2) per right-hand side."""
+    if isinstance(lu.factors, list):
+        return _lu_solve_py(lu)
+    M, p, pivots = lu.factors, lu.p, lu.pivots
+    r = len(pivots)
+    perm = np.array(lu.perm)
     lower = []
     for k, c in enumerate(pivots):
         below = k + 1 + np.flatnonzero(M[k + 1 :, c])
@@ -488,34 +403,13 @@ def _lu_solver(a: np.ndarray, p: int) -> _ModSolver:
                 c[:k] = (c[:k] - upper[k] * yk) % p
         return y
 
-    return pivots, solve
+    return solve
 
 
-def _lu_solver_py(rows: list[list[int]], n_cols: int, p: int) -> _ModSolver:
-    """_lu_solver on Python lists, for shapes where numpy's per-call cost
-    outweighs the arithmetic."""
-    M = [[e % p for e in row] for row in rows]
-    n_rows = len(M)
-    perm = list(range(n_rows))
-    pivots: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot = next((i for i in range(r, n_rows) if M[i][c]), None)
-        if pivot is None:
-            continue
-        M[r], M[pivot] = M[pivot], M[r]
-        perm[r], perm[pivot] = perm[pivot], perm[r]
-        inv = pow(M[r][c], -1, p)
-        top = M[r]
-        for row in M[r + 1 :]:
-            if row[c]:
-                f = row[c] * inv % p
-                row[c + 1 :] = [(x - f * t) % p for x, t in zip(row[c + 1 :], top[c + 1 :])]
-                row[c] = f  # L, below the pivot
-        pivots.append(c)
-        r += 1
+def _lu_solve_py(lu: _LU) -> _Solve:
+    """_lu_solve on the Python-list factorization."""
+    M, perm, pivots, p = lu.factors, lu.perm, lu.pivots, lu.p
+    n_rows, r = len(M), len(pivots)
     inv_diag = [pow(M[k][c], -1, p) for k, c in enumerate(pivots)]
 
     def solve(b: np.ndarray) -> list[int] | None:
@@ -535,7 +429,7 @@ def _lu_solver_py(rows: list[list[int]], n_cols: int, p: int) -> _ModSolver:
             y[k] = acc * inv_diag[k] % p
         return y
 
-    return pivots, solve
+    return solve
 
 
 def _reconstruct(residues: list[int], modulus: int) -> tuple[int, list[int]] | None:
@@ -561,10 +455,10 @@ def _reconstruct(residues: list[int], modulus: int) -> tuple[int, list[int]] | N
 
 
 def _padic_kernel_vector(
-    a: np.ndarray, p: int, solver: _ModSolver, target: int, rows: list[int]
+    a: np.ndarray, lu: _LU, target: int, rows: list[int]
 ) -> tuple[int, ...] | None:
     """Dixon lifting of the canonical kernel vector over one prime p,
-    with ``solver = _lu_solver(a, p)``.
+    with ``lu = _lu_mod(a, p)``.
 
     With pivots P and first free column f mod p, solves a[:, P] y =
     -a[:, f] p-adically; the kernel vector has y on P, 1 at f and 0 on
@@ -574,7 +468,7 @@ def _padic_kernel_vector(
     the modulus passes ``target`` first (both mean p is unlucky).
     """
     n_cols = a.shape[1]
-    pivots, solve = solver
+    p, pivots, solve = lu.p, lu.pivots, _lu_solve(lu)
     pivot_set = set(pivots)
     f = next(c for c in range(n_cols) if c not in pivot_set)
     a_piv = a[:, pivots]
@@ -613,7 +507,8 @@ def kernel_vector_crt(
     columns 0, then cleared -- found by p-adic lifting over one prime of
     the fixed list and verified exactly before return.  An unlucky prime
     moves on to the next; after ``_LIFT_PRIMES`` of them this raises
-    KernelLiftFailed (callers fall back to fraction-free elimination).
+    KernelLiftFailed (``kernel_vector`` then falls back to fraction-free
+    elimination).
     """
     if n_cols == 0:
         return None
@@ -631,13 +526,25 @@ def kernel_vector_crt(
     target = 2 * bound * bound
     for idx in range(_LIFT_PRIMES):
         p = crt_primes(idx + 1)[idx]
-        solver = _lu_solver(a, p)
-        if len(solver[0]) == n_cols:
+        lu = _lu_mod(a, p)
+        if len(lu.pivots) == n_cols:
             return None  # independent mod p, so independent over Q
-        v = _padic_kernel_vector(a, p, solver, target, packed)
+        v = _padic_kernel_vector(a, lu, target, packed)
         if v is not None:
             return v
     raise KernelLiftFailed("no verified kernel vector within the prime budget")
+
+
+def kernel_vector(a: np.ndarray) -> tuple[tuple[int, ...] | None, str]:
+    """One verified integer right-kernel vector of a zero-one int64
+    array, or None when its columns are independent, with the stage
+    that produced it: "lift" (``kernel_vector_crt``) or, when the lift
+    raises KernelLiftFailed, "bareiss" (fraction-free elimination)."""
+    try:
+        return kernel_vector_crt(a, a.shape[1]), "lift"
+    except KernelLiftFailed:
+        basis = kernel_rational(IntMatrix.from_rows(a.tolist()), side="right")
+        return (None if basis.is_trivial() else basis.vectors[0].cleared()), "bareiss"
 
 
 # ---------------------------------------------------------------------------

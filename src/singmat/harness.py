@@ -30,10 +30,10 @@ import numpy as np
 
 from .bounds import ATOM_BERNOULLI_MAX_LEN, ATOM_COMB_BUDGET, max_atom_bernoulli, max_atom_combinatorial
 from .certify import is_singular_exact
-from .errors import BudgetExceeded, InfeasibleDensity, KernelTooLarge
-from .exactla import KernelLiftFailed, exact_dot, kernel_rational, kernel_vector_crt
-from .matrices import IntMatrix, RationalVector
-from .models import SampleSpec, complement, sample, sample_row
+from .errors import BudgetExceeded, InfeasibleDensity, KernelLiftFailed, KernelTooLarge
+from .exactla import exact_dot, kernel_vector
+from .matrices import RationalVector
+from .models import SampleSpec, sample, sample_row
 from .rng import derive_seed
 from .stats import binomial_sigma, clopper_pearson
 from .structure import PropertyPredicate, enumerate_gf2_kernel_min_support, eval_predicate
@@ -406,13 +406,8 @@ class DecompositionReport:
 
 def _kernel_vector(a: np.ndarray) -> tuple[int, ...]:
     """Verified integer right-kernel vector of a zero-one int64 array
-    whose kernel is known to be nontrivial: the p-adic lift, else
-    fraction-free elimination."""
-    try:
-        v = kernel_vector_crt(a, a.shape[1])
-    except KernelLiftFailed:
-        basis = kernel_rational(IntMatrix.from_rows(a.tolist()), side="right")
-        v = None if basis.is_trivial() else basis.vectors[0].cleared()
+    whose kernel is known to be nontrivial."""
+    v, _ = kernel_vector(a)
     if v is None:
         shape = f"{a.shape[0]}x{a.shape[1]}"
         raise KernelLiftFailed(f"no kernel vector for a {shape} matrix that must have one")
@@ -570,7 +565,7 @@ def verify_complement(n: int, d: int, trials: int, seed: int) -> ComplementRepor
         trial_seed = derive_seed(seed, i)
         q = sample(SampleSpec.combinatorial(n, d, trial_seed))
         cert_q = is_singular_exact(q, prime_seed=derive_seed(trial_seed, 1))
-        cert_c = is_singular_exact(complement(q), prime_seed=derive_seed(trial_seed, 2))
+        cert_c = is_singular_exact(q.complement(), prime_seed=derive_seed(trial_seed, 2))
         if cert_q.verdict == cert_c.verdict:
             agreements += 1
         else:

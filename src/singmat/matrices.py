@@ -119,35 +119,6 @@ class BitMatrix:
 
 
 @dataclass(frozen=True)
-class ModMatrix:
-    """Matrix with entries reduced modulo a fixed integer >= 2."""
-
-    n_rows: int
-    n_cols: int
-    modulus: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be >= 2")
-        if len(self.entries) != self.n_rows:
-            raise ValueError("row count mismatch")
-        reduced = tuple(
-            tuple(e % self.modulus for e in row) for row in self.entries
-        )
-        for row in reduced:
-            if len(row) != self.n_cols:
-                raise DimensionMismatch("ragged rows")
-        object.__setattr__(self, "entries", reduced)
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]], modulus: int) -> ModMatrix:
-        rows = tuple(tuple(int(e) for e in r) for r in rows)
-        n_cols = len(rows[0]) if rows else 0
-        return cls(len(rows), n_cols, modulus, rows)
-
-
-@dataclass(frozen=True)
 class IntMatrix:
     """Matrix with exact arbitrary-precision integer entries."""
 
@@ -226,11 +197,11 @@ class RationalVector:
 class KernelBasis:
     """Basis of a left or right kernel over a tagged field.
 
-    ``field_tag`` is "gf2", "rational", or a prime integer.  GF(2) basis
-    vectors are packed bit integers; rational ones are RationalVector.
+    ``field_tag`` is "gf2" or "rational".  GF(2) basis vectors are
+    packed bit integers; rational ones are RationalVector.
     """
 
-    field_tag: str | int
+    field_tag: str
     vectors: tuple
     ambient_dim: int
     side: str = field(default="right")

@@ -175,11 +175,6 @@ def sample_pairing(n: int, d: int, seed: int) -> PairingSample:
     return PairingSample(n, pairs, choices)
 
 
-def complement(q: BitMatrix) -> BitMatrix:
-    """Entrywise 1 - q: the all-ones matrix minus q."""
-    return q.complement()
-
-
 @dataclass(frozen=True)
 class LineReport:
     """Zero and duplicate rows/columns of a matrix.

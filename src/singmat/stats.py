@@ -30,9 +30,3 @@ def chi_square_uniform(counts: Sequence[int]) -> tuple[float, float]:
     uniform distribution over len(counts) categories."""
     stat, pvalue = _sp.chisquare(list(counts))
     return float(stat), float(pvalue)
-
-
-def chi_square_gof(counts: Sequence[int], expected: Sequence[float]) -> tuple[float, float]:
-    """Chi-square goodness of fit against arbitrary expected counts."""
-    stat, pvalue = _sp.chisquare(list(counts), f_exp=list(expected))
-    return float(stat), float(pvalue)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import BudgetExceeded, EmptyVector, KernelTooLarge
+from .errors import BudgetExceeded, EmptyVector, KernelTooLarge, SelfCheckFailed
 from .exactla import kernel_gf2
 from .matrices import BitMatrix, RationalVector, unpack_bits
 
@@ -115,7 +115,8 @@ def enumerate_gf2_kernel_min_support(
     """Minimum Hamming weight over the 2**k - 1 nonzero kernel vectors.
 
     Walks the kernel span in Gray-code order (one basis XOR per step).
-    Raises KernelTooLarge when the kernel dimension exceeds max_dim.
+    Raises KernelTooLarge when the kernel dimension exceeds max_dim, and
+    SelfCheckFailed if the lightest vector fails its kernel check.
     """
     basis = kernel_gf2(m, side)
     k = basis.dim
@@ -133,8 +134,12 @@ def enumerate_gf2_kernel_min_support(
         if best_weight is None or w < best_weight:
             best_weight, best_vector = w, current
     rows = m.rows if side == "right" else m.transpose().rows
-    assert best_vector and best_vector.bit_count() == best_weight
-    assert all((row & best_vector).bit_count() % 2 == 0 for row in rows)
+    if (
+        not best_vector
+        or best_vector.bit_count() != best_weight
+        or any((row & best_vector).bit_count() & 1 for row in rows)
+    ):
+        raise SelfCheckFailed("lightest GF(2) kernel vector fails its check")
     return MinSupportReport(
         k, False, best_weight, unpack_bits(best_vector, basis.ambient_dim)
     )

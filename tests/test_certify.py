@@ -10,6 +10,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import singmat
 from oracles import naive_det
@@ -291,7 +293,7 @@ def test_failed_lift_falls_back_to_bareiss(monkeypatch):
     def fail(a, n_cols):
         raise KernelLiftFailed("forced")
 
-    monkeypatch.setattr(certify, "kernel_vector_crt", fail)
+    monkeypatch.setattr(exactla, "kernel_vector_crt", fail)
     m = _zero_row_matrix(30, 7)
     cert = is_singular_exact(m)
     assert cert.stats.stage == "bareiss"
@@ -317,3 +319,55 @@ def test_rejected_certificate_raises_under_optimize():
         [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.stdout.split() == ["rejected", "1"], proc.stderr
+
+
+def test_self_checks_raise_under_optimize():
+    """kernel_gf2, kernel_rational and the minimum-support search check
+    their results with explicit tests that survive python -O."""
+    code = (
+        "import sys\n"
+        "import singmat.exactla as e\n"
+        "import singmat.structure as s\n"
+        "from singmat.errors import SelfCheckFailed\n"
+        "from singmat.matrices import BitMatrix, IntMatrix, KernelBasis\n"
+        "assert False, 'asserts must be stripped'\n"
+        "m = BitMatrix.from_rows([[1, 1], [1, 1]])\n"
+        "e._gf2_right_kernel_vectors = lambda rows, n: [1]\n"
+        "e._kernel_from_echelon = lambda ech, pivots, n: [(1, 0)]\n"
+        "s.kernel_gf2 = lambda m, side: KernelBasis('gf2', (1,), 2, side)\n"
+        "calls = (lambda: e.kernel_gf2(m), lambda: s.enumerate_gf2_kernel_min_support(m),\n"
+        "         lambda: e.kernel_rational(IntMatrix.from_rows([[1, 1], [1, 1]])))\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except SelfCheckFailed:\n"
+        "        print('failed', sys.flags.optimize)\n"
+    )
+    src = str(Path(singmat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.split() == ["failed", "1"] * 3, proc.stderr
+
+
+def _agrees_with_naive_det(m: BitMatrix, seed: int) -> None:
+    cert = is_singular_exact(m, prime_seed=seed)
+    assert cert.is_singular == (naive_det(m.to_lists()) == 0)
+    assert verify_certificate(m, cert)
+
+
+@given(st.integers(0, 12), st.booleans(), st.integers(0, 2**64 - 1))
+@settings(max_examples=40, deadline=None)
+def test_edge_shapes_bernoulli(n, full, seed):
+    """p in {0, 1} at every n, and p = 1/2 as well at n in {0, 1}."""
+    for p in (1 if full else 0,) + ((Fraction(1, 2),) if n <= 1 else ()):
+        _agrees_with_naive_det(sample(SampleSpec.bernoulli(n, p, seed)), seed)
+
+
+@given(st.integers(0, 12), st.booleans(), st.integers(0, 2**64 - 1))
+@settings(max_examples=40, deadline=None)
+def test_edge_shapes_combinatorial(n, full, seed):
+    """d in {0, n} at every n, and every d at n in {0, 1}."""
+    for d in (n if full else 0,) + (tuple(range(n + 1)) if n <= 1 else ()):
+        _agrees_with_naive_det(sample(SampleSpec.combinatorial(n, d, seed)), seed)

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from singmat import certify
 from singmat.bounds import p_even, union_bound_ber
-from singmat.cli import main
+from singmat.cli import EXIT_INTERNAL, main
 from singmat.errors import MatrixFormatError
 from singmat.matio import format_matrix, parse_matrix, read_matrix, write_matrix
 from singmat.matrices import BitMatrix
@@ -84,6 +85,14 @@ def test_cli_certify_exit_codes(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "singular" in out and "kernel vector" in out
     assert "decided by: structural" in out
+
+
+def test_cli_certify_rejected_certificate_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(certify, "verify_certificate", lambda m, cert: False)
+    ident = tmp_path / "id.txt"
+    write_matrix(BitMatrix.identity(2), ident)
+    assert main(["certify", "--in", str(ident)]) == EXIT_INTERNAL
+    assert "failed verification" in capsys.readouterr().err
 
 
 def test_cli_certify_json(tmp_path, capsys):

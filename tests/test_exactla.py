@@ -1,5 +1,6 @@
 """Exact linear algebra against naive oracles."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_gf2_right_kernel, naive_det, naive_rank_gf2
-from singmat.errors import CompositeModulus, DimensionMismatch, NotSquare
+from singmat import exactla
+from singmat.errors import DimensionMismatch, NotSquare
 from singmat.exactla import (
     KernelLiftFailed,
     check_vector_mod,
@@ -22,13 +24,14 @@ from singmat.exactla import (
     kernel_rational,
     kernel_vector_crt,
     rank_gf2,
-    rank_mod,
-    _lu_solver,
-    _lu_solver_py,
-    _rank_words,
-    _rref_bits,
+    _echelon_bits,
+    _echelon_words,
+    _lu_mod,
+    _lu_mod_py,
+    _lu_solve,
+    _lu_solve_py,
 )
-from singmat.matrices import BitMatrix, IntMatrix, ModMatrix, RationalVector, unpack_bits
+from singmat.matrices import BitMatrix, IntMatrix, RationalVector, unpack_bits
 from singmat.modular import crt_primes
 
 
@@ -71,7 +74,10 @@ def test_rank_word_path_matches_bit_path():
         m = rng.randint(1, 80)
         rows = random_bit_rows(rng, n, m)
         mat = bm(rows)
-        assert _rank_words(mat.rows, mat.n_cols) == len(_rref_bits(mat.rows, mat.n_cols)[1])
+        W, pivots = _echelon_words(mat.rows, mat.n_cols)
+        ech, pivots_bits = _echelon_bits(mat.rows, mat.n_cols)
+        assert pivots == pivots_bits
+        assert [int.from_bytes(w.tobytes(), "little") for w in W] == ech
 
 
 def test_rank_degenerate_shapes():
@@ -115,18 +121,35 @@ def test_kernel_gf2_dimension_identity():
         assert kernel_gf2(mat, "left").dim == n_rows - r
 
 
-# -- prime-field ranks ------------------------------------------------------
+# Digests of the bases the former Gauss-Jordan (RREF) eliminations
+# returned on these seeded matrices: (seed, n_rows, n_cols, density) ->
+# {side: (dim, digest)}.  Seeds 1-3 stay below _WORD_PATH_MIN, 4-6 reach it.
+_GF2_PINNED = {
+    (1, 40, 60, 0.1): {"right": (20, "2fe2c5ca1736deef"), "left": (0, "2e38e77b22c314a4")},
+    (2, 60, 60, 0.05): {"right": (5, "42d27f76e0b28abb"), "left": (5, "87bd887f853277a5")},
+    (3, 150, 170, 0.02): {"right": (25, "c69cc634590220cc"), "left": (5, "920cd9fb7aadc0d5")},
+    (4, 200, 230, 0.01): {"right": (51, "7b428b8845322644"), "left": (21, "6fd716dcd0835a61")},
+    (5, 256, 256, 0.02): {"right": (4, "98b90802cf240611"), "left": (4, "5325f86e6d28e818")},
+    (6, 300, 320, 0.005): {"right": (96, "533a552d538cac50"), "left": (76, "eb0b370b924343a3")},
+}
 
 
-def test_rank_mod_examples():
-    assert rank_mod(ModMatrix.from_rows([[1, 0], [0, 1]], 5)) == 2
-    assert rank_mod(ModMatrix.from_rows([[1, 1], [1, 1]], 3)) == 1
-    assert rank_mod(ModMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 3)) == 3
-
-
-def test_rank_mod_rejects_composite():
-    with pytest.raises(CompositeModulus):
-        rank_mod(ModMatrix.from_rows([[1]], 6))
+@pytest.mark.parametrize("key", sorted(_GF2_PINNED))
+def test_kernel_gf2_basis_is_pinned_canonical(key):
+    """One vector per free column f: its highest set bit is f and it is
+    clear on every other free column; the same basis as before."""
+    seed, n_rows, n_cols, density = key
+    rng = random.Random(seed)
+    rows = [sum(1 << j for j in range(n_cols) if rng.random() < density) for _ in range(n_rows)]
+    m = BitMatrix(n_rows, n_cols, tuple(rows))
+    for side, (dim, digest) in _GF2_PINNED[key].items():
+        basis = kernel_gf2(m, side)
+        free = [v.bit_length() - 1 for v in basis.vectors]
+        assert free == sorted(set(free))
+        free_mask = sum(1 << f for f in free)
+        assert all(v & free_mask == 1 << f for v, f in zip(basis.vectors, free))
+        assert basis.dim == dim
+        assert hashlib.sha256(repr(basis.vectors).encode()).hexdigest()[:16] == digest
 
 
 # -- exact determinants -----------------------------------------------------
@@ -167,6 +190,33 @@ def test_det_mod_p_agrees_for_twenty_random_primes():
         d = det_exact(IntMatrix.from_rows(rows))
         for p in primes:
             assert det_mod(rows, p) == d % p
+
+
+def _late_pivotless(rng, n, p):
+    """n x n integer matrix whose last column is a combination of two
+    earlier ones: singular, with the first pivotless column late."""
+    rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+    a, b = rng.sample(range(n - 1), 2)
+    k = rng.randint(1, p - 1)
+    for row in rows:
+        row[-1] = row[a] + k * row[b]
+    return rows
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, exactla._MOD_NUMPY_MIN - 1, exactla._MOD_NUMPY_MIN, 30])
+def test_det_mod_matches_naive_det_across_the_cut_over(n):
+    rng = random.Random(40 + n)
+    for p in (2, 3, 7, crt_primes(1)[0]):
+        for _ in range(4):
+            rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+            want = naive_det(rows)
+            assert det_mod(rows, p) == want.numerator % p
+            assert det_mod(np.array(rows, dtype=np.int64).reshape(n, n), p) == want.numerator % p
+        if n >= 3:
+            rows = _late_pivotless(rng, n, p)
+            assert naive_det(rows) == 0
+            assert det_mod(rows, p) == 0
+            assert det_mod(np.array(rows, dtype=np.int64), p) == 0
 
 
 def test_hadamard_bound_dominates():
@@ -309,16 +359,17 @@ def test_lift_matches_bareiss_on_degenerate_rows(zero_row, duplicate_row):
 
 def test_numpy_and_list_solvers_agree():
     """The lift factors small shapes on Python lists and larger ones in
-    numpy; both must give the same pivots and the same solutions."""
+    numpy; both must give the same factorization and the same solutions."""
     rng = random.Random(27)
     p = crt_primes(1)[0]
     for _ in range(6):
         n_rows, n_cols = rng.randint(24, 36), rng.randint(24, 36)
         a = _sparse_rows(rng, n_rows, n_cols, 0.2)
         a[rng.randrange(n_rows)] = 0
-        pivots, solve = _lu_solver(a, p)
-        pivots_py, solve_py = _lu_solver_py(a.tolist(), n_cols, p)
-        assert pivots == pivots_py
+        lu, lu_py = _lu_mod(a, p), _lu_mod_py(a.tolist(), n_cols, p)
+        assert lu.factors.tolist() == lu_py.factors
+        assert (lu.perm, lu.pivots, lu.sign) == (lu_py.perm, lu_py.pivots, lu_py.sign)
+        pivots, solve, solve_py = lu.pivots, _lu_solve(lu), _lu_solve_py(lu_py)
         for _ in range(3):
             y = np.array([rng.randrange(p) for _ in pivots], dtype=np.int64)
             b = a[:, pivots] @ y  # consistent right-hand side

@@ -12,7 +12,6 @@ from singmat.errors import PairingInfeasible
 from singmat.matrices import BitMatrix
 from singmat.models import (
     SampleSpec,
-    complement,
     find_duplicate_or_zero_lines,
     sample,
     sample_bernoulli,
@@ -165,11 +164,11 @@ def test_pairing_structure():
 
 def test_complement_examples():
     ident = BitMatrix.identity(2)
-    assert complement(ident).to_lists() == [[0, 1], [1, 0]]
+    assert ident.complement().to_lists() == [[0, 1], [1, 0]]
     zero = BitMatrix.zeros(3, 3)
-    assert complement(zero).rows == (7, 7, 7)
+    assert zero.complement().rows == (7, 7, 7)
     dup = BitMatrix.from_rows([[1, 0], [1, 0]])
-    assert complement(dup).to_lists() == [[0, 1], [0, 1]]
+    assert dup.complement().to_lists() == [[0, 1], [0, 1]]
 
 
 def test_complement_is_involution():
@@ -177,7 +176,7 @@ def test_complement_is_involution():
     for _ in range(20):
         n = rng.randint(1, 30)
         m = sample_bernoulli(SampleSpec.bernoulli(n, Fraction(1, 3), rng.getrandbits(64)))
-        assert complement(complement(m)) == m
+        assert m.complement().complement() == m
 
 
 def test_complement_preserves_singularity_with_equal_row_sums():
@@ -188,7 +187,7 @@ def test_complement_preserves_singularity_with_equal_row_sums():
         d = rng.randint(1, n - 1)
         q = sample_combinatorial(SampleSpec.combinatorial(n, d, trial))
         a = is_singular_exact(q, prime_seed=trial)
-        b = is_singular_exact(complement(q), prime_seed=trial + 1)
+        b = is_singular_exact(q.complement(), prime_seed=trial + 1)
         assert a.verdict == b.verdict
 
 
