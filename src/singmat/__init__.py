@@ -20,7 +20,6 @@ from .bounds import (
 )
 from .certify import SingularityCertificate, is_singular_exact, verify_certificate
 from .exactla import (
-    check_vector_mod,
     det_exact,
     kernel_gf2,
     kernel_rational,
@@ -85,7 +84,6 @@ __all__ = [
     "TrialRecord",
     "analyze_vector",
     "binomial_point_mass",
-    "check_vector_mod",
     "det_exact",
     "enumerate_gf2_kernel_min_support",
     "enumerate_modq_bad_vectors",

@@ -7,17 +7,20 @@ decides is recorded as ``CertStats.stage``:
    prime-2 evidence;
 2. ``structural``: one scan for zero and duplicate lines.  A zero
    column j gives the kernel vector e_j, a later duplicate j of column
-   i gives e_i - e_j (first such column in scan order).  A zero or
-   duplicate row proves singularity too, so such a matrix skips stage 3;
-3. ``random_prime``: a nonzero determinant residue modulo any of k
-   random 31-bit primes: nonsingular with that prime and residue;
-4. otherwise an exact kernel search: a verified integer kernel vector
-   from the p-adic lift (``lift``) or, if the lift fails, from
-   fraction-free elimination (``bareiss``); a trivial kernel means
-   nonsingular, evidenced by the exact determinant (``det_exact``).
+   i gives e_i - e_j (first such column in scan order);
+3. otherwise one per-prime loop, ``exactla.kernel_vector``, over
+   seeded random 31-bit primes, factoring the matrix once per prime.
+   Full rank modulo a prime gives a nonzero determinant residue:
+   nonsingular with that prime and residue (``random_prime``).  A
+   rank drop gives a verified integer kernel vector by p-adic lifting
+   on the same factorization (``lift``); an unlucky prime moves on to
+   the next.  When the prime budget is spent, fraction-free
+   elimination finds the vector (``bareiss``) or a trivial kernel,
+   which means nonsingular, evidenced by the exact determinant
+   (``det_exact``).
 
-Stages 3 and 4 share one int64 array built from the matrix.  The line
-scan is returned with the certificate, so callers need not repeat it.
+Stage 3 works on one int64 array built from the matrix.  The line scan
+is returned with the certificate, so callers need not repeat it.
 
 Every certificate is checked with :func:`verify_certificate` before it
 is returned, by an explicit test that survives ``python -O``; a failure
@@ -38,13 +41,10 @@ import numpy as np
 
 from .errors import CertificateRejected, DimensionMismatch, NotSquare
 from .exactla import det_exact, hadamard_bound, kernel_vector, rank_gf2
-from .exactla import det_mod as _det_mod_producer
 from .matrices import BitMatrix, IntMatrix
 from .models import LineReport, find_duplicate_or_zero_lines
 from .modular import crt_primes, is_prime, random_prime
 from .rng import Stream
-
-RANDOM_PRIME_TRIALS = 3
 
 # Full GF(2) rank rules out every zero or duplicate line.
 _NO_LINES = LineReport((), (), (), ())
@@ -52,7 +52,8 @@ _NO_LINES = LineReport((), (), (), ())
 
 @dataclass(frozen=True)
 class CertStats:
-    """How a certificate was reached.  ``stage`` names the deciding
+    """How a certificate was reached.  ``primes_tried`` lists the primes
+    factored, lift certificates included; ``stage`` names the deciding
     stage (see the module docstring; None when read from JSON that
     predates it); ``lines`` is the zero and duplicate line scan of the
     matrix (None when read from JSON)."""
@@ -151,8 +152,9 @@ def _column_witness(lines: LineReport, n_cols: int) -> tuple[int, ...] | None:
 def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertificate:
     """Decide singularity of a zero-one matrix over the rationals.
 
-    ``prime_seed`` drives only the random-prime screening stage, so the
-    verdict never depends on it -- only the evidence path taken does.
+    ``prime_seed`` seeds the primes of the per-prime loop.  The verdict
+    and any kernel vector never depend on it; a residue certificate
+    names the first seeded prime whose factorization has full rank.
     Raises CertificateRejected if the certificate fails verification.
     """
     if m.n_rows != m.n_cols:
@@ -180,21 +182,20 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
     if witness is not None:
         return finish("structural", "singular", kernel=witness)
 
-    a = m.to_bit_array().astype(np.int64)
-    if not (lines.zero_rows or lines.duplicate_row_pairs):
+    def seeded_primes():
         stream = Stream(prime_seed)
-        for _ in range(RANDOM_PRIME_TRIALS):
+        while True:
             p = random_prime(stream)
-            while p in primes_tried:
-                p = random_prime(stream)
-            primes_tried.append(p)
-            r = _det_mod_producer(a, p)
-            if r != 0:
-                return finish("random_prime", "nonsingular", prime=p, residue=r)
+            if p not in primes_tried:
+                primes_tried.append(p)
+                yield p
 
-    witness, stage = kernel_vector(a)
-    if witness is not None:
-        return finish(stage, "singular", kernel=witness)
+    a = m.to_bit_array().astype(np.int64)
+    found = kernel_vector(a, seeded_primes())
+    if found.vector is not None:
+        return finish(found.stage, "singular", kernel=found.vector)
+    if found.prime is not None:
+        return finish("random_prime", "nonsingular", prime=found.prime, residue=found.residue)
     return finish("det_exact", "nonsingular", det=det_exact(IntMatrix.from_rows(a.tolist())))
 
 

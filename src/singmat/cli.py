@@ -75,7 +75,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = sub.add_parser("certify", help="decide singularity with a certificate")
     p_cert.add_argument("--in", dest="infile", required=True)
     p_cert.add_argument("--json", action="store_true", help="emit the certificate as JSON")
-    p_cert.add_argument("--prime-seed", type=int, default=0)
+    p_cert.add_argument(
+        "--prime-seed", type=int, default=0,
+        help="seed of the random primes a residue certificate names; never changes the verdict",
+    )
 
     p_bounds = sub.add_parser("bounds", help="evaluate a closed-form bound")
     p_bounds.add_argument(

@@ -11,29 +11,36 @@ product of its diagonal, and the kernel lift solves through it.
 Integer determinants use Chinese remaindering of ``det_mod`` against a
 fixed prime list up to twice the Hadamard bound; rational kernels use
 fraction-free (Bareiss) elimination with exact back-substitution.
-``kernel_vector`` finds one exact kernel vector by Dixon p-adic lifting,
-which factors the matrix once modulo one prime of the fixed list and
-then takes O(n^2) solve steps until rational reconstruction yields a
-vector that passes an exact check, and falls back to Bareiss.
+
+``kernel_vector`` owns the prime policy.  It factors the matrix once
+per prime it tries, at most ``_PRIME_BUDGET`` primes drawn from the
+caller's sequence (the fixed list by default).  Full column rank mod p
+ends the search: the columns are independent, and a square matrix gets
+its determinant residue off the same diagonal.  Otherwise Dixon p-adic
+lifting on that factorization takes O(n^2) solve steps until rational
+reconstruction yields a vector that passes an exact check.  An unlucky
+prime moves on to the next one; when the budget is spent the search
+falls back to Bareiss.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import islice
 from math import isqrt
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, KernelLiftFailed, NotSquare, SelfCheckFailed
+from .errors import KernelLiftFailed, NotSquare, SelfCheckFailed
 from .matrices import BitMatrix, IntMatrix, KernelBasis, RationalVector
 from .modular import crt_pair, crt_primes, rational_reconstruct, symmetric_lift
 
 # Shapes at least this large take the numpy word-matrix path.
 _WORD_PATH_MIN = 192
 _MOD_NUMPY_MIN = 24
-# Primes of the fixed list one kernel lift tries before giving up.
-_LIFT_PRIMES = 3
+# Primes one kernel search factors before falling back to Bareiss.
+_PRIME_BUDGET = 3
 
 
 # ---------------------------------------------------------------------------
@@ -224,6 +231,16 @@ def _lu_mod_py(rows: Sequence[Sequence[int]], n_cols: int, p: int) -> _LU:
     return _LU(M, perm, pivots, sign, p)
 
 
+def _lu_det(lu: _LU, n: int) -> int:
+    """Determinant mod p of the n x n matrix behind ``lu``."""
+    if len(lu.pivots) < n:
+        return 0
+    det = lu.sign
+    for k in range(n):
+        det = det * int(lu.factors[k][k]) % lu.p
+    return det
+
+
 def det_mod(rows: Sequence[Sequence[int]] | np.ndarray, p: int) -> int:
     """Determinant of a square integer matrix (nested rows or an int64
     array) modulo prime p."""
@@ -231,15 +248,8 @@ def det_mod(rows: Sequence[Sequence[int]] | np.ndarray, p: int) -> int:
     if n == 0:
         return 1 % p
     if isinstance(rows, np.ndarray) or n >= _MOD_NUMPY_MIN:
-        lu = _lu_mod(np.asarray(rows, dtype=np.int64), p)
-    else:
-        lu = _lu_mod_py(rows, n, p)
-    if len(lu.pivots) < n:
-        return 0
-    det = lu.sign
-    for k in range(n):
-        det = det * int(lu.factors[k][k]) % p
-    return det
+        return _lu_det(_lu_mod(np.asarray(rows, dtype=np.int64), p), n)
+    return _lu_det(_lu_mod_py(rows, n, p), n)
 
 
 # ---------------------------------------------------------------------------
@@ -454,19 +464,30 @@ def _reconstruct(residues: list[int], modulus: int) -> tuple[int, list[int]] | N
     return den, nums
 
 
-def _padic_kernel_vector(
-    a: np.ndarray, lu: _LU, target: int, rows: list[int]
-) -> tuple[int, ...] | None:
+def _padic_kernel_vector(a: np.ndarray, lu: _LU) -> tuple[int, ...] | None:
     """Dixon lifting of the canonical kernel vector over one prime p,
     with ``lu = _lu_mod(a, p)``.
 
     With pivots P and first free column f mod p, solves a[:, P] y =
     -a[:, f] p-adically; the kernel vector has y on P, 1 at f and 0 on
     the other free columns.  Returns it, cleared, once rational
-    reconstruction gives a vector that passes the exact check against
-    the packed ``rows``; None when the system is inconsistent mod p or
-    the modulus passes ``target`` first (both mean p is unlucky).
+    reconstruction gives a vector that is zero past f and passes the
+    exact check against the rows of ``a``; None when the system is
+    inconsistent mod p or the modulus passes the reconstruction target
+    first (both mean p is unlucky).  The columns before f are pivots,
+    so independent over Q: a kernel vector that is zero past f makes f
+    the first rational free column, and the vector does not depend on
+    p.
     """
+    rows = BitMatrix.from_bit_array(a).rows
+    # Numerators and denominators are r x r minors, at most the
+    # Hadamard bound of the nonzero rows; reconstruction needs a
+    # modulus past twice its square.
+    norms = 1
+    for row in rows:
+        norms *= row.bit_count() or 1
+    bound = isqrt(norms) + 1
+    target = 2 * bound * bound
     n_cols = a.shape[1]
     p, pivots, solve = lu.p, lu.pivots, _lu_solve(lu)
     pivot_set = set(pivots)
@@ -491,64 +512,71 @@ def _padic_kernel_vector(
         v[f] = den
         for c, num in zip(pivots, nums):
             v[c] = num
-        if all(exact_dot(v, row) == 0 for row in rows):
+        if not any(v[f + 1 :]) and all(exact_dot(v, row) == 0 for row in rows):
             return RationalVector.from_values(v).cleared()
     return None
 
 
+class KernelSearch(NamedTuple):
+    """What one kernel search found.  ``vector`` is a verified integer
+    right-kernel vector, or None when the columns are independent;
+    ``stage`` is "lift" or "bareiss".  When a prime's factorization had
+    full column rank, ``prime`` is that prime and, for a square matrix,
+    ``residue`` is the determinant modulo it (nonzero)."""
+
+    vector: tuple[int, ...] | None
+    stage: str
+    prime: int | None = None
+    residue: int | None = None
+
+
 def kernel_vector_crt(
-    rows: Sequence[Sequence[int]] | np.ndarray, n_cols: int
-) -> tuple[int, ...] | None:
-    """One exact integer right-kernel vector of a zero-one matrix, or
-    None when the columns are provably independent.
+    rows: Sequence[Sequence[int]] | np.ndarray, n_cols: int, primes: Iterable[int] | None = None
+) -> KernelSearch:
+    """Kernel search of a zero-one matrix by p-adic lifting.
 
     ``rows`` is an int64 array (or nested rows) of zeros and ones.  The
+    matrix is factored once per prime, for at most ``_PRIME_BUDGET``
+    primes drawn lazily from ``primes`` (default: the fixed list).  Full
+    column rank mod p proves the columns independent.  Otherwise the
     vector is the canonical one -- first free column 1, the other free
-    columns 0, then cleared -- found by p-adic lifting over one prime of
-    the fixed list and verified exactly before return.  An unlucky prime
-    moves on to the next; after ``_LIFT_PRIMES`` of them this raises
-    KernelLiftFailed (``kernel_vector`` then falls back to fraction-free
-    elimination).
+    columns 0, then cleared -- lifted on that factorization and verified
+    exactly before return.  An unlucky prime moves on to the next; when
+    the budget or the sequence is spent this raises KernelLiftFailed
+    (``kernel_vector`` then falls back to fraction-free elimination).
     """
     if n_cols == 0:
-        return None
+        return KernelSearch(None, "lift")
     a = np.asarray(rows, dtype=np.int64).reshape(-1, n_cols)
     if a.size and (a.min() < 0 or a.max() > 1):
         raise ValueError("kernel_vector_crt needs a zero-one matrix")
-    packed = BitMatrix.from_bit_array(a).rows
-    # Numerators and denominators are r x r minors, at most the
-    # Hadamard bound of the nonzero rows; reconstruction needs a
-    # modulus past twice its square.
-    norms = 1
-    for row in packed:
-        norms *= row.bit_count() or 1
-    bound = isqrt(norms) + 1
-    target = 2 * bound * bound
-    for idx in range(_LIFT_PRIMES):
-        p = crt_primes(idx + 1)[idx]
+    if primes is None:
+        primes = (crt_primes(k + 1)[k] for k in range(_PRIME_BUDGET))
+    for p in islice(primes, _PRIME_BUDGET):
         lu = _lu_mod(a, p)
         if len(lu.pivots) == n_cols:
-            return None  # independent mod p, so independent over Q
-        v = _padic_kernel_vector(a, lu, target, packed)
+            # Independent mod p, so independent over Q.
+            residue = _lu_det(lu, n_cols) if a.shape[0] == n_cols else None
+            return KernelSearch(None, "lift", p, residue)
+        v = _padic_kernel_vector(a, lu)
         if v is not None:
-            return v
+            return KernelSearch(v, "lift")
     raise KernelLiftFailed("no verified kernel vector within the prime budget")
 
 
-def kernel_vector(a: np.ndarray) -> tuple[tuple[int, ...] | None, str]:
-    """One verified integer right-kernel vector of a zero-one int64
-    array, or None when its columns are independent, with the stage
-    that produced it: "lift" (``kernel_vector_crt``) or, when the lift
-    raises KernelLiftFailed, "bareiss" (fraction-free elimination)."""
+def kernel_vector(a: np.ndarray, primes: Iterable[int] | None = None) -> KernelSearch:
+    """Kernel search of a zero-one int64 array: ``kernel_vector_crt``
+    over ``primes`` or, when it raises KernelLiftFailed, fraction-free
+    elimination (stage "bareiss")."""
     try:
-        return kernel_vector_crt(a, a.shape[1]), "lift"
+        return kernel_vector_crt(a, a.shape[1], primes)
     except KernelLiftFailed:
         basis = kernel_rational(IntMatrix.from_rows(a.tolist()), side="right")
-        return (None if basis.is_trivial() else basis.vectors[0].cleared()), "bareiss"
+        return KernelSearch(None if basis.is_trivial() else basis.vectors[0].cleared(), "bareiss")
 
 
 # ---------------------------------------------------------------------------
-# Exact dot products and membership checks mod arbitrary moduli
+# Exact dot products
 
 
 def exact_dot(v: Sequence[int], row: int) -> int:
@@ -560,36 +588,3 @@ def exact_dot(v: Sequence[int], row: int) -> int:
         acc += v[low.bit_length() - 1]
         row ^= low
     return acc
-
-
-def check_vector_mod(
-    m: BitMatrix, v: RationalVector, modulus: int, side: str = "right"
-) -> bool:
-    """True iff every row (side="right") or column (side="left") inner
-    product with the integer vector v vanishes mod the modulus.
-
-    The modulus may be composite: this is membership only, never
-    elimination.
-    """
-    if modulus < 2:
-        raise ValueError("modulus must be >= 2")
-    ints = v.integer_entries()
-    if side == "right":
-        if v.length != m.n_cols:
-            raise DimensionMismatch(f"vector length {v.length} != n_cols {m.n_cols}")
-        return all(exact_dot(ints, row) % modulus == 0 for row in m.rows)
-    if side == "left":
-        if v.length != m.n_rows:
-            raise DimensionMismatch(f"vector length {v.length} != n_rows {m.n_rows}")
-        acc = [0] * m.n_cols
-        for i, row in enumerate(m.rows):
-            vi = ints[i]
-            if vi == 0:
-                continue
-            w = row
-            while w:
-                j = (w & -w).bit_length() - 1
-                acc[j] += vi
-                w &= w - 1
-        return all(a % modulus == 0 for a in acc)
-    raise ValueError("side must be 'left' or 'right'")

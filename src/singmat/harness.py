@@ -407,7 +407,7 @@ class DecompositionReport:
 def _kernel_vector(a: np.ndarray) -> tuple[int, ...]:
     """Verified integer right-kernel vector of a zero-one int64 array
     whose kernel is known to be nontrivial."""
-    v, _ = kernel_vector(a)
+    v = kernel_vector(a).vector
     if v is None:
         shape = f"{a.shape[0]}x{a.shape[1]}"
         raise KernelLiftFailed(f"no kernel vector for a {shape} matrix that must have one")

@@ -1,5 +1,6 @@
 """Certification pipeline: verdicts, witnesses, tamper detection."""
 
+import hashlib
 import json
 import os
 import random
@@ -23,9 +24,11 @@ from singmat.certify import (
 )
 from singmat.errors import DimensionMismatch, KernelLiftFailed, NotSquare
 from singmat.exactla import kernel_rational
+from singmat.harness import bernoulli_density, combinatorial_density
 from singmat.matrices import BitMatrix
 from singmat.models import SampleSpec, find_duplicate_or_zero_lines, sample
 from singmat.modular import crt_primes
+from singmat.rng import derive_seed
 
 
 def bm(rows):
@@ -76,12 +79,19 @@ def test_all_certificates_verify_on_random_instances():
 
 
 def test_verdict_independent_of_prime_seed():
+    """The lift runs on the seeded primes, so its kernel vector must not
+    depend on them either."""
     rng = random.Random(1)
-    for trial in range(10):
-        n = rng.randint(2, 16)
-        m = sample(SampleSpec.bernoulli(n, Fraction(1, 4), trial))
-        verdicts = {is_singular_exact(m, prime_seed=s).verdict for s in range(10)}
-        assert len(verdicts) == 1
+    matrices = [
+        sample(SampleSpec.bernoulli(rng.randint(2, 16), Fraction(1, 4), trial))
+        for trial in range(10)
+    ] + [_zero_row_matrix(n, seed) for n, seed in ((6, 11), (12, 12), (30, 13))]
+    for m in matrices:
+        outcomes = set()
+        for s in range(10):
+            cert = is_singular_exact(m, prime_seed=s)
+            outcomes.add((cert.verdict, cert.kernel_vector))
+        assert len(outcomes) == 1
 
 
 def test_nonsingular_whenever_gf2_full_rank():
@@ -215,28 +225,74 @@ def _zero_row_matrix(n, seed):
             return m
 
 
+def _duplicate_row_matrix(n, seed):
+    """Singular through a duplicate row, with no zero or duplicate column."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        i, j = rng.sample(range(n), 2)
+        rows[i] = list(rows[j])
+        m = BitMatrix.from_rows(rows)
+        lines = find_duplicate_or_zero_lines(m)
+        if not (lines.zero_cols or lines.duplicate_col_pairs):
+            return m
+
+
+def _no_line_singular_matrix(n, seed):
+    """Singular with no zero or duplicate line: one column is the sum of
+    two other columns with disjoint supports."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        i, j, k = rng.sample(range(n), 3)
+        for row in rows:
+            row[j] &= 1 - row[i]
+            row[k] = row[i] + row[j]
+        m = BitMatrix.from_rows(rows)
+        if not find_duplicate_or_zero_lines(m).any_line:
+            return m
+
+
+def _even_det_matrix(n, seed):
+    """Nonsingular with an even determinant: GF(2) rank falls short."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        d = naive_det(rows)
+        if d != 0 and d % 2 == 0:
+            return BitMatrix.from_rows(rows)
+
+
 @pytest.fixture
-def det_mod_calls(monkeypatch):
+def lu_calls(monkeypatch):
+    """Primes of every exactla._lu_mod factorization, in call order."""
     calls = []
-    producer = certify._det_mod_producer
+    lu_mod = exactla._lu_mod
 
     def counting(a, p):
         calls.append(p)
-        return producer(a, p)
+        return lu_mod(a, p)
 
-    monkeypatch.setattr(certify, "_det_mod_producer", counting)
+    monkeypatch.setattr(exactla, "_lu_mod", counting)
     return calls
 
 
-def test_zero_row_skips_prime_screens(det_mod_calls):
-    for n, seed in ((6, 1), (30, 2), (40, 3)):
-        cert = is_singular_exact(_zero_row_matrix(n, seed), prime_seed=seed)
-        assert cert.stats.stage == "lift"
-        assert cert.stats.primes_tried == ()
-        assert det_mod_calls == []
-    cert = is_singular_exact(bm([[1, 1, 0], [0, 1, 1], [1, 0, 1]]))
-    assert cert.stats.stage == "random_prime"
-    assert det_mod_calls == [cert.prime]
+@pytest.mark.parametrize("n", [12, 40])
+def test_one_factorization_per_prime_tried(n, lu_calls):
+    """Every prime certify tries is factored exactly once, whether it
+    ends in a residue or in a lift, on both sides of _MOD_NUMPY_MIN."""
+    cases = (
+        (_even_det_matrix(n, 1), "random_prime"),
+        (_zero_row_matrix(n, 2), "lift"),
+        (_duplicate_row_matrix(n, 3), "lift"),
+        (_no_line_singular_matrix(n, 4), "lift"),
+    )
+    for seed, (m, stage) in enumerate(cases):
+        lu_calls.clear()
+        cert = is_singular_exact(m, prime_seed=seed)
+        assert cert.stats.stage == stage
+        assert lu_calls == list(cert.stats.primes_tried)
+        assert len(set(lu_calls)) == len(lu_calls) == 1
 
 
 def test_line_report_rides_on_the_certificate():
@@ -252,36 +308,63 @@ def _canonical(m):
     return kernel_rational(m.to_int_matrix(), "right").vectors[0].cleared()
 
 
-def test_unlucky_first_lift_prime_moves_on(monkeypatch):
-    """Mod 2 these matrices lose rank beyond the zero row, so a lift over
-    2 alone cannot be trusted; the next prime gives the canonical vector."""
-    asked = []
+@pytest.fixture
+def prime_source(monkeypatch):
+    """Replace certify's random primes by a finite sequence: set
+    ``source.primes`` before each certificate."""
 
-    def primes(k):
-        asked.append(k)
-        return ([2] + crt_primes(k))[:k]
+    class Source:
+        primes = iter(())
 
-    monkeypatch.setattr(exactla, "crt_primes", primes)
+    source = Source()
+    monkeypatch.setattr(certify, "random_prime", lambda stream: next(source.primes))
+    return source
+
+
+def test_unlucky_first_lift_prime_moves_on(prime_source):
+    """No kernel vector of these matrices lifts over 2 alone, so the
+    loop moves on to the second prime and lifts the canonical vector."""
+    big = crt_primes(2)
     checked = 0
     for seed in range(40):
         m = _zero_row_matrix(30, 100 + seed)
-        if exactla.rank_gf2(m) >= 29:
+        a = m.to_bit_array().astype("int64")
+        try:
+            exactla.kernel_vector_crt(a, 30, [2])
             continue
-        checked += 1
-        asked.clear()
+        except KernelLiftFailed:
+            checked += 1
+        prime_source.primes = iter([2] + big)
         cert = is_singular_exact(m)
-        assert max(asked) == 2  # the lift moved on to the second prime
+        assert cert.stats.primes_tried == (2, big[0])
         assert cert.stats.stage == "lift"
         assert verify_certificate(m, cert)
         assert cert.kernel_vector == _canonical(m)
     assert checked >= 3
 
 
-def test_tiny_primes_only_still_certify(monkeypatch):
-    monkeypatch.setattr(exactla, "crt_primes", lambda k: [2] * k)
+def _block_diagonal(*blocks):
+    n = sum(len(b) for b in blocks)
+    rows, offset = [], 0
+    for b in blocks:
+        rows += [[0] * offset + list(r) + [0] * (n - offset - len(r)) for r in b]
+        offset += len(b)
+    return BitMatrix.from_rows(rows)
+
+
+def test_tiny_primes_only_still_certify(prime_source):
+    """With the primes 2, 3 and 5 only, the lift certifies most
+    zero-row matrices; a matrix with blocks of determinant 2, 3 and 5
+    beats all three and reaches Bareiss."""
+    det2 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    det3 = [[int(i != j) for j in range(4)] for i in range(4)]
+    det5 = [[0, 1, 1, 1, 0], [1, 1, 1, 0, 1], [1, 1, 0, 1, 1], [1, 0, 1, 1, 0], [0, 0, 1, 1, 1]]
+    assert [naive_det(b) for b in (det2, det3, det5)] == [2, -3, 5]
+    matrices = [_zero_row_matrix(30, 200 + seed) for seed in range(10)]
+    matrices.append(_block_diagonal(det2, det3, det5, _zero_row_matrix(6, 1).to_lists()))
     stages = set()
-    for seed in range(10):
-        m = _zero_row_matrix(30, 200 + seed)
+    for m in matrices:
+        prime_source.primes = iter([2, 3, 5])
         cert = is_singular_exact(m)
         stages.add(cert.stats.stage)
         assert verify_certificate(m, cert)
@@ -290,14 +373,68 @@ def test_tiny_primes_only_still_certify(monkeypatch):
 
 
 def test_failed_lift_falls_back_to_bareiss(monkeypatch):
-    def fail(a, n_cols):
-        raise KernelLiftFailed("forced")
-
-    monkeypatch.setattr(exactla, "kernel_vector_crt", fail)
+    """Every prime unlucky: the loop spends its whole budget, then
+    fraction-free elimination gives the canonical vector."""
+    monkeypatch.setattr(exactla, "_padic_kernel_vector", lambda a, lu: None)
     m = _zero_row_matrix(30, 7)
     cert = is_singular_exact(m)
     assert cert.stats.stage == "bareiss"
+    assert len(cert.stats.primes_tried) == exactla._PRIME_BUDGET
     assert cert.kernel_vector == _canonical(m)
+
+
+def _certificate_digest(matrices):
+    """sha256 prefix of (verdict, kernel_vector, prime, residue, det,
+    stage) over every certificate of a seeded matrix sequence."""
+    h = hashlib.sha256()
+    for seed, m in enumerate(matrices):
+        cert = is_singular_exact(m, prime_seed=seed)
+        fields = (cert.verdict, cert.kernel_vector, cert.prime, cert.residue, cert.det)
+        h.update(repr(fields + (cert.stats.stage,)).encode())
+    return h.hexdigest()[:16]
+
+
+def _sweep_matrices(model, n, trials=16):
+    for c in (Fraction(1, 2), Fraction(1), Fraction(2)):
+        for trial in range(trials):
+            seed = derive_seed(n, trial)
+            if model == "bernoulli":
+                yield sample(SampleSpec.bernoulli(n, bernoulli_density(c, n), seed))
+            else:
+                yield sample(SampleSpec.combinatorial(n, combinatorial_density(c, n), seed))
+
+
+# Digests of the certificates this package produced when every residue
+# prime came from a separate determinant screen and every lift ran over
+# the fixed prime list; folding both into one loop must not move them.
+PINNED_DIGESTS = {
+    "bernoulli-16": "277e4db190b76503",
+    "bernoulli-40": "3edf993ca787f0f2",
+    "bernoulli-60": "944e41650dfc9536",
+    "combinatorial-16": "492929164c833024",
+    "combinatorial-40": "a79f2449dcb54715",
+    "combinatorial-60": "cc7ac5220bf1c1f7",
+    "zero-row": "964d8869acac1e22",
+    "other-rows": "63193875f553a034",
+}
+
+
+def test_certificates_match_pinned_digests():
+    got = {
+        f"{model}-{n}": _certificate_digest(_sweep_matrices(model, n))
+        for model in ("bernoulli", "combinatorial")
+        for n in (16, 40, 60)
+    }
+    zero_rows = (_zero_row_matrix(n, seed) for n in (6, 16, 30, 40) for seed in range(3))
+    got["zero-row"] = _certificate_digest(zero_rows)
+    other_rows = (
+        make(n, seed)
+        for make in (_duplicate_row_matrix, _no_line_singular_matrix, _even_det_matrix)
+        for n in (12, 30)
+        for seed in range(2)
+    )
+    got["other-rows"] = _certificate_digest(other_rows)
+    assert got == PINNED_DIGESTS
 
 
 def test_rejected_certificate_raises_under_optimize():

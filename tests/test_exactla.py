@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 
 from oracles import brute_gf2_right_kernel, naive_det, naive_rank_gf2
 from singmat import exactla
-from singmat.errors import DimensionMismatch, NotSquare
+from singmat.errors import NotSquare
 from singmat.exactla import (
     KernelLiftFailed,
-    check_vector_mod,
     det_exact,
     det_mod,
     exact_dot,
     hadamard_bound,
     kernel_gf2,
     kernel_rational,
+    kernel_vector,
     kernel_vector_crt,
     rank_gf2,
     _echelon_bits,
@@ -31,7 +31,7 @@ from singmat.exactla import (
     _lu_solve,
     _lu_solve_py,
 )
-from singmat.matrices import BitMatrix, IntMatrix, RationalVector, unpack_bits
+from singmat.matrices import BitMatrix, IntMatrix, unpack_bits
 from singmat.modular import crt_primes
 
 
@@ -290,7 +290,7 @@ def test_kernel_vector_crt_matches_bareiss_on_singulars():
         m = IntMatrix.from_rows(rows)
         basis = kernel_rational(m, "right")
         try:
-            v = kernel_vector_crt(rows, n)
+            v = kernel_vector_crt(rows, n).vector
         except KernelLiftFailed:
             pytest.fail("lift failed on a small instance")
         if basis.is_trivial():
@@ -308,7 +308,7 @@ def test_kernel_vector_crt_wide_system_always_finds_vector():
     for _ in range(30):
         n = rng.randint(2, 20)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n - 1)]
-        v = kernel_vector_crt(rows, n)
+        v = kernel_vector_crt(rows, n).vector
         assert v is not None
         assert all(sum(r[j] * v[j] for j in range(n)) == 0 for r in rows)
 
@@ -340,7 +340,7 @@ def test_lift_matches_bareiss_on_rank_deficient_numpy_path(deficiency):
         a = _with_dependent_columns(rng, rng.randint(24, 40), deficiency)
         basis = kernel_rational(IntMatrix.from_rows(a.tolist()), "right")
         assert basis.dim >= deficiency
-        assert kernel_vector_crt(a, a.shape[1]) == basis.vectors[0].cleared()
+        assert kernel_vector_crt(a, a.shape[1]).vector == basis.vectors[0].cleared()
 
 
 @pytest.mark.parametrize("zero_row, duplicate_row", [(True, False), (False, True), (True, True)])
@@ -354,7 +354,7 @@ def test_lift_matches_bareiss_on_degenerate_rows(zero_row, duplicate_row):
             a[i] = 0
         if duplicate_row:
             a[j] = a[k]
-        assert kernel_vector_crt(a, n) == _bareiss_vector(a)
+        assert kernel_vector_crt(a, n).vector == _bareiss_vector(a)
 
 
 def test_numpy_and_list_solvers_agree():
@@ -383,7 +383,7 @@ def test_lift_wide_system_numpy_path():
     for _ in range(5):
         n = rng.randint(24, 48)
         a = _sparse_rows(rng, n - 1, n, 0.2)
-        assert kernel_vector_crt(a, n) == _bareiss_vector(a)
+        assert kernel_vector_crt(a, n).vector == _bareiss_vector(a)
 
 
 def test_lift_left_kernel_from_transpose():
@@ -393,31 +393,102 @@ def test_lift_left_kernel_from_transpose():
         a = _sparse_rows(rng, n, n)
         a[:, rng.randrange(n)] = 0  # singular, so the left kernel is nontrivial too
         want = kernel_rational(IntMatrix.from_rows(a.tolist()), "left").vectors[0].cleared()
-        assert kernel_vector_crt(a.T, n) == want
+        assert kernel_vector_crt(a.T, n).vector == want
 
 
 def test_lift_independent_columns_give_none():
     rng = random.Random(25)
     a = np.eye(30, dtype=np.int64)
-    assert kernel_vector_crt(a, 30) is None
+    assert kernel_vector_crt(a, 30).vector is None
     tall = _sparse_rows(rng, 40, 24, 0.5)
     if kernel_rational(IntMatrix.from_rows(tall.tolist()), "right").is_trivial():
-        assert kernel_vector_crt(tall, 24) is None
+        assert kernel_vector_crt(tall, 24).vector is None
 
 
 def test_lift_edge_shapes():
-    assert kernel_vector_crt([], 0) is None
-    assert kernel_vector_crt([[], []], 0) is None
-    assert kernel_vector_crt([], 3) == (1, 0, 0)
-    assert kernel_vector_crt(np.zeros((0, 3), dtype=np.int64), 3) == (1, 0, 0)
-    assert kernel_vector_crt(np.zeros((3, 4), dtype=np.int64), 4) == (1, 0, 0, 0)
-    assert kernel_vector_crt([[0]], 1) == (1,)
-    assert kernel_vector_crt([[1]], 1) is None
+    assert kernel_vector_crt([], 0).vector is None
+    assert kernel_vector_crt([[], []], 0).vector is None
+    assert kernel_vector_crt([], 3).vector == (1, 0, 0)
+    assert kernel_vector_crt(np.zeros((0, 3), dtype=np.int64), 3).vector == (1, 0, 0)
+    assert kernel_vector_crt(np.zeros((3, 4), dtype=np.int64), 4).vector == (1, 0, 0, 0)
+    assert kernel_vector_crt([[0]], 1).vector == (1,)
+    assert kernel_vector_crt([[1]], 1).vector is None
 
 
 def test_lift_rejects_entries_outside_zero_one():
     with pytest.raises(ValueError):
         kernel_vector_crt([[2, 0], [0, 1]], 2)
+
+
+def _drawn(primes, drawn):
+    for p in primes:
+        drawn.append(p)
+        yield p
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_kernel_vector_moves_past_an_unlucky_prime(n):
+    """Each prime is factored once, in order: no kernel vector of these
+    matrices lifts over 2 alone, so the search moves on and the next
+    prime gives the canonical vector."""
+    rng = random.Random(30 + n)
+    q = crt_primes(2)
+    checked = 0
+    while checked < 3:
+        a = np.array(random_bit_rows(rng, n, n), dtype=np.int64)
+        a[rng.randrange(n)] = 0
+        try:
+            kernel_vector_crt(a, n, [2])
+            continue
+        except KernelLiftFailed:
+            checked += 1
+        want = _bareiss_vector(a)
+        drawn = []
+        found = kernel_vector(a, _drawn([2] + q, drawn))
+        assert drawn == [2, q[0]]
+        assert found == (want, "lift", None, None)
+
+
+def test_lift_over_an_unlucky_prime_is_canonical_or_fails():
+    """Two zero rows leave a kernel of dimension two or more, where a
+    prime that loses rank early could lift some other kernel vector;
+    the lift must give the canonical vector or give up on that prime."""
+    rng = random.Random(50)
+    failed = 0
+    for _ in range(150):
+        n = 12
+        a = np.array(random_bit_rows(rng, n, n), dtype=np.int64)
+        a[rng.sample(range(n), 2)] = 0
+        try:
+            assert kernel_vector_crt(a, n, [2]).vector == _bareiss_vector(a)
+        except KernelLiftFailed:
+            failed += 1
+    assert 0 < failed < 150
+
+
+@pytest.mark.parametrize("n", [12, 30])
+def test_kernel_vector_residue_comes_from_the_first_full_rank_prime(n):
+    """A nonsingular matrix with an even determinant: mod 2 it loses
+    rank and the lift finds nothing, the next prime has full rank and
+    its residue is det mod that prime."""
+    rng = random.Random(40 + n)
+    q = crt_primes(2)
+    while True:
+        a = np.array(random_bit_rows(rng, n, n), dtype=np.int64)
+        d = naive_det(a.tolist())
+        if d != 0 and d % 2 == 0:
+            break
+    drawn = []
+    found = kernel_vector(a, _drawn([2] + q, drawn))
+    assert drawn == [2, q[0]]
+    assert found == (None, "lift", q[0], d % q[0])
+    assert kernel_vector_crt(a, n).prime == q[0]  # the fixed list by default
+
+
+def test_kernel_vector_falls_back_to_bareiss_when_the_primes_run_out():
+    a = np.ones((3, 3), dtype=np.int64)
+    assert kernel_vector(a, []) == ((1, -1, 0), "bareiss", None, None)
+    assert kernel_vector(np.eye(3, dtype=np.int64), iter([])) == (None, "bareiss", None, None)
 
 
 def test_kernel_lift_failed_is_a_singmat_error():
@@ -434,47 +505,6 @@ def test_exact_dot_matches_dense_dot():
         v = [rng.randint(-(2**80), 2**80) for _ in range(n)]
         row = sum(b << j for j, b in enumerate(bits))
         assert exact_dot(v, row) == sum(b * x for b, x in zip(bits, v))
-
-
-# -- membership checks mod q ------------------------------------------------
-
-
-def test_check_vector_mod_examples():
-    m = bm([[1, 1, 0], [0, 1, 1]])
-    zero = RationalVector.from_values([0, 0, 0])
-    ones = RationalVector.from_values([1, 1, 1])
-    assert check_vector_mod(m, zero, 7, "right")
-    assert check_vector_mod(m, ones, 2, "right")
-    assert not check_vector_mod(BitMatrix.identity(3), ones, 2, "right")
-
-
-def test_check_vector_mod_left_and_composite():
-    m = bm([[1, 1], [1, 1], [0, 0]])
-    v = RationalVector.from_values([1, 5, 3])
-    # v . M = (6, 6): divisible by 6 (composite modulus allowed)
-    assert check_vector_mod(m, v, 6, "left")
-    assert not check_vector_mod(m, v, 4, "left")
-
-
-def test_check_vector_mod_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        check_vector_mod(BitMatrix.identity(3), RationalVector.from_values([1, 1]), 2, "right")
-
-
-def test_check_vector_mod_consistent_with_dot_products():
-    rng = random.Random(12)
-    for _ in range(50):
-        n_rows, n_cols = rng.randint(1, 6), rng.randint(1, 6)
-        rows = random_bit_rows(rng, n_rows, n_cols)
-        mat = bm(rows)
-        q = rng.randint(2, 9)
-        vec = [rng.randint(-6, 6) for _ in range(n_cols)]
-        expect = all(
-            sum(rows[i][j] * vec[j] for j in range(n_cols)) % q == 0
-            for i in range(n_rows)
-        )
-        got = check_vector_mod(mat, RationalVector.from_values(vec), q, "right")
-        assert got == expect
 
 
 # -- property-based checks --------------------------------------------------
