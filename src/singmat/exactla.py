@@ -7,7 +7,10 @@ XOR either way.  ``rank_gf2`` counts its pivots and ``kernel_gf2``
 back-substitutes one basis vector per free column.  Over a prime field
 it is one LU factorization with row swaps, on int64 arrays for large
 shapes and Python lists for small ones: ``det_mod`` is the signed
-product of its diagonal, and the kernel lift solves through it.
+product of its diagonal, and the kernel lift solves through it.  The
+int64 path needs p < 2**31 (``modular.PRIME_CEILING``) to keep products
+of residues below 2**62, and reduces blocks by floor division,
+t - (t // p) * p, which numpy does several times faster than ``%``.
 Integer determinants use Chinese remaindering of ``det_mod`` against a
 fixed prime list up to twice the Hadamard bound; rational kernels use
 fraction-free (Bareiss) elimination with exact back-substitution.
@@ -34,7 +37,7 @@ import numpy as np
 
 from .errors import KernelLiftFailed, NotSquare, SelfCheckFailed
 from .matrices import BitMatrix, IntMatrix, KernelBasis, RationalVector
-from .modular import crt_pair, crt_primes, rational_reconstruct, symmetric_lift
+from .modular import PRIME_CEILING, crt_pair, crt_primes, rational_reconstruct, symmetric_lift
 
 # Shapes at least this large take the numpy word-matrix path.
 _WORD_PATH_MIN = 192
@@ -170,10 +173,13 @@ class _LU(NamedTuple):
 
 
 def _lu_mod(a: np.ndarray, p: int) -> _LU:
-    """Factor an int64 matrix once mod prime p."""
-    if max(a.shape) < _MOD_NUMPY_MIN:
+    """Factor an int64 matrix once mod prime p.  Small shapes and p >=
+    2**31 go to ``_lu_mod_py``; otherwise residues stay below 2**31, so
+    products below 2**62, and each update is reduced by floor division
+    (a multiply by a precomputed inverse), not by the slower ``%``."""
+    if max(a.shape) < _MOD_NUMPY_MIN or p >= PRIME_CEILING:
         return _lu_mod_py(a.tolist(), a.shape[1], p)
-    M = a % p
+    M = a - a // p * p
     n_rows, n_cols = M.shape
     perm = list(range(n_rows))
     pivots: list[int] = []
@@ -182,7 +188,7 @@ def _lu_mod(a: np.ndarray, p: int) -> _LU:
     for c in range(n_cols):
         if r == n_rows:
             break
-        nz = np.flatnonzero(M[r:, c])
+        nz = M[r:, c].nonzero()[0]
         if nz.size == 0:
             continue
         pivot = r + int(nz[0])
@@ -193,7 +199,10 @@ def _lu_mod(a: np.ndarray, p: int) -> _LU:
         hits = nz[1:] + r
         if hits.size:
             f = M[hits, c] * pow(int(M[r, c]), -1, p) % p
-            M[hits, c + 1 :] = (M[hits, c + 1 :] - f[:, None] * M[r, c + 1 :]) % p
+            t = np.multiply.outer(f, M[r, c + 1 :])
+            np.subtract(M[hits, c + 1 :], t, out=t)
+            t -= t // p * p
+            M[hits, c + 1 :] = t
             M[hits, c] = f  # L, below the pivot
         pivots.append(c)
         r += 1
@@ -243,7 +252,9 @@ def _lu_det(lu: _LU, n: int) -> int:
 
 def det_mod(rows: Sequence[Sequence[int]] | np.ndarray, p: int) -> int:
     """Determinant of a square integer matrix (nested rows or an int64
-    array) modulo prime p."""
+    array) modulo prime p.  Primes below 2**31 use the int64 path with
+    its floor-division reduction (see ``_lu_mod``); larger ones factor
+    on Python integers, which cannot overflow."""
     n = len(rows)
     if n == 0:
         return 1 % p
@@ -544,6 +555,8 @@ def kernel_vector_crt(
     exactly before return.  An unlucky prime moves on to the next; when
     the budget or the sequence is spent this raises KernelLiftFailed
     (``kernel_vector`` then falls back to fraction-free elimination).
+    A prime of 2**31 or more raises ValueError: the lift's residue
+    updates are int64 arithmetic.
     """
     if n_cols == 0:
         return KernelSearch(None, "lift")
@@ -553,6 +566,8 @@ def kernel_vector_crt(
     if primes is None:
         primes = (crt_primes(k + 1)[k] for k in range(_PRIME_BUDGET))
     for p in islice(primes, _PRIME_BUDGET):
+        if p >= PRIME_CEILING:
+            raise ValueError(f"kernel_vector_crt needs primes below 2**31, got {p}")
         lu = _lu_mod(a, p)
         if len(lu.pivots) == n_cols:
             # Independent mod p, so independent over Q.

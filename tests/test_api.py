@@ -4,6 +4,8 @@ import ast
 from pathlib import Path
 
 import singmat
+from singmat.modular import PRIME_CEILING, crt_primes, random_prime
+from singmat.rng import Stream
 
 
 def test_all_names_resolve_without_duplicates():
@@ -20,3 +22,13 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_library_primes_fit_the_int64_eliminations():
+    """The int64 eliminations mod p need every product of two residues
+    below 2**62; every prime the library draws must be below
+    PRIME_CEILING, and PRIME_CEILING small enough for that."""
+    assert (PRIME_CEILING - 1) ** 2 < 2**62
+    stream = Stream(0)
+    primes = crt_primes(50) + [random_prime(stream) for _ in range(200)]
+    assert all(2 < p < PRIME_CEILING for p in primes)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
@@ -10,6 +11,7 @@ from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ import singmat
 from oracles import naive_det
 from singmat import certify, exactla
 from singmat.certify import (
+    CertStats,
     SingularityCertificate,
     is_singular_exact,
     verify_certificate,
@@ -118,6 +121,40 @@ def test_tampered_residue_fails():
     cert = is_singular_exact(m)
     bumped = replace(cert, residue=cert.residue + 1)
     assert not verify_certificate(m, bumped)
+
+
+def test_verifier_checks_primes_past_the_int64_range():
+    """A residue modulo p >= 2**31 is checked on Python integers.  The
+    int64 elimination overflows there; it returned the forged residue
+    below for this singular matrix, and accepted it."""
+    big = 2**61 - 1
+    rng = np.random.default_rng(3)
+    a = rng.integers(0, 2, (30, 30))
+    a[:, 29] = a[:, 28]
+    stats = CertStats(gf2_rank=-1, primes_tried=(big,), elapsed=0.0)
+    forged = SingularityCertificate("nonsingular", None, big, 1102162409910891877, None, stats)
+    assert not verify_certificate(BitMatrix.from_bit_array(a), forged)
+    b = rng.integers(0, 2, (30, 30))
+    det = naive_det(b.tolist()).numerator
+    assert det % big
+    genuine = replace(forged, residue=det % big)
+    assert verify_certificate(BitMatrix.from_bit_array(b), genuine)
+
+
+@pytest.mark.parametrize("n", [24, 40, 64])
+def test_verifier_eliminations_agree_with_naive_det(n):
+    """The verifier's int64 elimination (floor-division reduction) and
+    its Python one give det mod p: at the sweeps' c = 2 density, and
+    dense with a duplicated column."""
+    rng = np.random.default_rng(60 + n)
+    for density, duplicate in ((2 * math.log(n) / n, False), (0.5, True)):
+        a = (rng.random((n, n)) < density).astype(np.int64)
+        if duplicate:
+            a[:, -1] = a[:, rng.integers(n - 1)]
+        want = naive_det(a.tolist()).numerator
+        for p in (3, crt_primes(1)[0]):
+            got = certify._check_det_mod_np(a, p)
+            assert got == certify._check_det_mod_py(a.tolist(), p) == want % p
 
 
 def test_witness_length_mismatch_raises():

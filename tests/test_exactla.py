@@ -1,6 +1,7 @@
 """Exact linear algebra against naive oracles."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -219,6 +220,45 @@ def test_det_mod_matches_naive_det_across_the_cut_over(n):
             assert det_mod(np.array(rows, dtype=np.int64), p) == 0
 
 
+def test_det_mod_array_path_reduces_negative_and_wide_entries():
+    p = crt_primes(1)[0]
+    rng = np.random.default_rng(41)
+    for n, bound in ((24, 9), (24, 2**40), (30, 2**40)):
+        a = rng.integers(-bound, bound, (n, n), endpoint=True)
+        assert det_mod(a, p) == naive_det(a.tolist()).numerator % p
+
+
+# Primes past the int64 eliminations' range: the largest 61-bit prime
+# and the smallest prime above 2**32.
+_WIDE_PRIMES = (2**61 - 1, 4294967311)
+
+
+def _with_duplicate_column(rng, n):
+    a = rng.integers(0, 2, (n, n))
+    a[:, -1] = a[:, -2]
+    return a
+
+
+def test_det_mod_with_primes_past_the_int64_range():
+    rng = np.random.default_rng(3)
+    for a in (rng.integers(0, 2, (30, 30)), rng.integers(-9, 9, (30, 30)), _with_duplicate_column(rng, 30)):
+        want = naive_det(a.tolist()).numerator
+        for p in _WIDE_PRIMES:
+            assert det_mod(a, p) == det_mod(a.tolist(), p) == want % p
+
+
+def test_kernel_vector_crt_rejects_primes_past_the_int64_range():
+    """The lift's residue updates are int64 arithmetic, so a wide prime
+    is refused rather than factored; the default primes find the
+    vector Bareiss finds."""
+    for seed in range(20):
+        a = _with_duplicate_column(np.random.default_rng(seed), 40)
+        with pytest.raises(ValueError):
+            kernel_vector_crt(a, 40, [_WIDE_PRIMES[seed % 2]])
+        if seed < 4:
+            assert kernel_vector(a).vector == _bareiss_vector(a)
+
+
 def test_hadamard_bound_dominates():
     rng = random.Random(7)
     for _ in range(40):
@@ -359,12 +399,16 @@ def test_lift_matches_bareiss_on_degenerate_rows(zero_row, duplicate_row):
 
 def test_numpy_and_list_solvers_agree():
     """The lift factors small shapes on Python lists and larger ones in
-    numpy; both must give the same factorization and the same solutions."""
+    numpy; both must give the same factorization and the same solutions.
+    The larger shapes sit at the sweeps' c = 2 density, where
+    elimination fills in and the numpy path's floor-division reduction
+    sees every residue in [0, p) (p is the largest prime below 2**31)."""
     rng = random.Random(27)
     p = crt_primes(1)[0]
-    for _ in range(6):
-        n_rows, n_cols = rng.randint(24, 36), rng.randint(24, 36)
-        a = _sparse_rows(rng, n_rows, n_cols, 0.2)
+    shapes = [(rng.randint(24, 36), rng.randint(24, 36), 0.2) for _ in range(6)]
+    shapes += [(n + d, n, 2 * math.log(n) / n) for n in (64, 100) for d in (-1, 0, 1)]
+    for n_rows, n_cols, density in shapes:
+        a = _sparse_rows(rng, n_rows, n_cols, density)
         a[rng.randrange(n_rows)] = 0
         lu, lu_py = _lu_mod(a, p), _lu_mod_py(a.tolist(), n_cols, p)
         assert lu.factors.tolist() == lu_py.factors
