@@ -19,12 +19,7 @@ from .bounds import (
     union_bound_comb,
 )
 from .certify import SingularityCertificate, is_singular_exact, verify_certificate
-from .exactla import (
-    det_exact,
-    kernel_gf2,
-    kernel_rational,
-    rank_gf2,
-)
+from .exactla import kernel_gf2, kernel_rational, rank_gf2
 from .harness import (
     AutopsyReport,
     CellAggregate,
@@ -84,7 +79,6 @@ __all__ = [
     "TrialRecord",
     "analyze_vector",
     "binomial_point_mass",
-    "det_exact",
     "enumerate_gf2_kernel_min_support",
     "enumerate_modq_bad_vectors",
     "eval_predicate",

@@ -14,10 +14,10 @@ decides is recorded as ``CertStats.stage``:
    nonsingular with that prime and residue (``random_prime``).  A
    rank drop gives a verified integer kernel vector by p-adic lifting
    on the same factorization (``lift``); an unlucky prime moves on to
-   the next.  When the prime budget is spent, fraction-free
+   the next.  When the prime budget is spent, one fraction-free
    elimination finds the vector (``bareiss``) or a trivial kernel,
-   which means nonsingular, evidenced by the exact determinant
-   (``det_exact``).
+   which means nonsingular, evidenced by the exact determinant read
+   off that elimination's last pivot (``det_exact``).
 
 Stage 3 works on one int64 array built from the matrix.  The line scan
 is returned with the certificate, so callers need not repeat it.
@@ -32,7 +32,11 @@ pivoting rule.  From n = 24 on it runs on int64 arrays and reduces row
 updates by floor division, t - (t // p) * p, several times faster in
 numpy than ``%``; that needs p < 2**31 (``modular.PRIME_CEILING``) to
 keep products of residues below 2**62, so larger primes are checked on
-Python integers.
+Python integers.  An exact determinant is checked by Chinese
+remaindering of those residues over the fixed prime list until the
+modulus passes twice the Hadamard bound of the matrix; a claimed value
+above that bound is rejected outright.  The verifier is the only code
+that computes a determinant this way.
 """
 
 from __future__ import annotations
@@ -40,14 +44,15 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
 from .errors import CertificateRejected, DimensionMismatch, NotSquare
-from .exactla import det_exact, hadamard_bound, kernel_vector, rank_gf2
-from .matrices import BitMatrix, IntMatrix
+from .exactla import kernel_vector, rank_gf2
+from .matrices import BitMatrix
 from .models import LineReport, find_duplicate_or_zero_lines
-from .modular import PRIME_CEILING, crt_primes, is_prime, random_prime
+from .modular import PRIME_CEILING, crt_pair, crt_primes, is_prime, random_prime, symmetric_lift
 from .rng import Stream
 
 # Full GF(2) rank rules out every zero or duplicate line.
@@ -200,7 +205,7 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
         return finish(found.stage, "singular", kernel=found.vector)
     if found.prime is not None:
         return finish("random_prime", "nonsingular", prime=found.prime, residue=found.residue)
-    return finish("det_exact", "nonsingular", det=det_exact(IntMatrix.from_rows(a.tolist())))
+    return finish("det_exact", "nonsingular", det=found.det)
 
 
 # ---------------------------------------------------------------------------
@@ -277,16 +282,26 @@ def _check_det_mod(m: BitMatrix, p: int) -> int:
     return _check_det_mod_py(m.to_lists(), p)
 
 
-def _fresh_check_primes(m: BitMatrix, count: int = 2) -> list[int]:
-    """Primes from the fixed list guaranteed past the ones det_exact
-    consumed for this matrix."""
-    bound = hadamard_bound(m.to_int_matrix())
-    used = 0
-    modulus = 1
+def _check_det_exact(m: BitMatrix, det: int) -> bool:
+    """Whether ``det`` is the determinant of square ``m``, by Chinese
+    remaindering of ``_check_det_mod`` over the fixed primes.  A
+    zero-one row's squared norm is its popcount, so |det m| is at most
+    H = isqrt(product of popcounts) (Hadamard); a claim above H is
+    rejected first, which also caps the work spent on forged claims."""
+    norms = 1
+    for row in m.rows:
+        norms *= row.bit_count()
+    bound = isqrt(norms)
+    if abs(det) > bound:
+        return False
+    residue, modulus = 0, 1
+    k = 0
     while modulus <= 2 * bound:
-        used += 1
-        modulus *= crt_primes(used)[used - 1]
-    return crt_primes(used + count)[used:]
+        p = crt_primes(k + 1)[k]
+        residue = crt_pair(residue, modulus, _check_det_mod(m, p), p)
+        modulus *= p
+        k += 1
+    return symmetric_lift(residue, modulus) == det
 
 
 def verify_certificate(m: BitMatrix, cert: SingularityCertificate) -> bool:
@@ -325,10 +340,7 @@ def verify_certificate(m: BitMatrix, cert: SingularityCertificate) -> bool:
         return False
     if n == 0:
         return cert.det == 1
-    for p in _fresh_check_primes(m):
-        if _check_det_mod(m, p) != cert.det % p:
-            return False
-    return True
+    return _check_det_exact(m, cert.det)
 
 
 def _det_mod2_packed(m: BitMatrix) -> int:

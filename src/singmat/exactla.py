@@ -6,14 +6,14 @@ numpy uint64 word matrix for large ones, a row update being whole-word
 XOR either way.  ``rank_gf2`` counts its pivots and ``kernel_gf2``
 back-substitutes one basis vector per free column.  Over a prime field
 it is one LU factorization with row swaps, on int64 arrays for large
-shapes and Python lists for small ones: ``det_mod`` is the signed
-product of its diagonal, and the kernel lift solves through it.  The
-int64 path needs p < 2**31 (``modular.PRIME_CEILING``) to keep products
-of residues below 2**62, and reduces blocks by floor division,
+shapes and Python lists for small ones: the determinant residue is the
+signed product of its diagonal, and the kernel lift solves through it.
+The int64 path needs p < 2**31 (``modular.PRIME_CEILING``) to keep
+products of residues below 2**62, and reduces blocks by floor division,
 t - (t // p) * p, which numpy does several times faster than ``%``.
-Integer determinants use Chinese remaindering of ``det_mod`` against a
-fixed prime list up to twice the Hadamard bound; rational kernels use
-fraction-free (Bareiss) elimination with exact back-substitution.
+Over the rationals it is fraction-free (Bareiss) elimination: kernels
+come from exact back-substitution, and the last pivot of a square
+matrix of full rank is its determinant up to the row-swap sign.
 
 ``kernel_vector`` owns the prime policy.  It factors the matrix once
 per prime it tries, at most ``_PRIME_BUDGET`` primes drawn from the
@@ -23,7 +23,8 @@ its determinant residue off the same diagonal.  Otherwise Dixon p-adic
 lifting on that factorization takes O(n^2) solve steps until rational
 reconstruction yields a vector that passes an exact check.  An unlucky
 prime moves on to the next one; when the budget is spent the search
-falls back to Bareiss.
+falls back to Bareiss, which yields the canonical kernel vector or, for
+a square matrix, the exact determinant.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import KernelLiftFailed, NotSquare, SelfCheckFailed
+from .errors import KernelLiftFailed, SelfCheckFailed
 from .matrices import BitMatrix, IntMatrix, KernelBasis, RationalVector
-from .modular import PRIME_CEILING, crt_pair, crt_primes, rational_reconstruct, symmetric_lift
+from .modular import PRIME_CEILING, crt_primes, rational_reconstruct, symmetric_lift
 
 # Shapes at least this large take the numpy word-matrix path.
 _WORD_PATH_MIN = 192
@@ -173,11 +174,11 @@ class _LU(NamedTuple):
 
 
 def _lu_mod(a: np.ndarray, p: int) -> _LU:
-    """Factor an int64 matrix once mod prime p.  Small shapes and p >=
-    2**31 go to ``_lu_mod_py``; otherwise residues stay below 2**31, so
-    products below 2**62, and each update is reduced by floor division
-    (a multiply by a precomputed inverse), not by the slower ``%``."""
-    if max(a.shape) < _MOD_NUMPY_MIN or p >= PRIME_CEILING:
+    """Factor an int64 matrix once mod prime p < 2**31.  Small shapes go
+    to ``_lu_mod_py``; otherwise residues stay below 2**31, so products
+    below 2**62, and each update is reduced by floor division (a
+    multiply by a precomputed inverse), not by the slower ``%``."""
+    if max(a.shape) < _MOD_NUMPY_MIN:
         return _lu_mod_py(a.tolist(), a.shape[1], p)
     M = a - a // p * p
     n_rows, n_cols = M.shape
@@ -250,77 +251,25 @@ def _lu_det(lu: _LU, n: int) -> int:
     return det
 
 
-def det_mod(rows: Sequence[Sequence[int]] | np.ndarray, p: int) -> int:
-    """Determinant of a square integer matrix (nested rows or an int64
-    array) modulo prime p.  Primes below 2**31 use the int64 path with
-    its floor-division reduction (see ``_lu_mod``); larger ones factor
-    on Python integers, which cannot overflow."""
-    n = len(rows)
-    if n == 0:
-        return 1 % p
-    if isinstance(rows, np.ndarray) or n >= _MOD_NUMPY_MIN:
-        return _lu_det(_lu_mod(np.asarray(rows, dtype=np.int64), p), n)
-    return _lu_det(_lu_mod_py(rows, n, p), n)
-
-
 # ---------------------------------------------------------------------------
-# Exact integer determinant
+# Rational kernels and exact determinants
 
 
-def hadamard_bound(m: IntMatrix) -> int:
-    """Integer upper bound on |det m|: isqrt of the product of row
-    squared norms, plus one.  For zero-one matrices this is at most
-    n**(n/2) rounded up."""
-    prod = 1
-    for row in m.entries:
-        s = sum(e * e for e in row)
-        prod *= s
-        if prod == 0:
-            return 0
-    return isqrt(prod) + 1
+def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free forward elimination; returns (echelon rows, pivot
+    cols, sign of the row permutation).
 
-
-def det_exact(m: IntMatrix) -> int:
-    """Exact integer determinant by Chinese remaindering.
-
-    Accumulates det mod consecutive primes from the fixed 31-bit list
-    until the combined modulus exceeds twice the Hadamard bound, then
-    lifts symmetrically.  Deterministic: same matrix, same primes, same
-    answer.
-    """
-    if m.n_rows != m.n_cols:
-        raise NotSquare(f"{m.n_rows}x{m.n_cols} matrix has no determinant")
-    if m.n_rows == 0:
-        return 1
-    bound = hadamard_bound(m)
-    if bound == 0:
-        return 0
-    rows = [list(r) for r in m.entries]
-    residue, modulus = 0, 1
-    idx = 0
-    while modulus <= 2 * bound:
-        p = crt_primes(idx + 1)[idx]
-        idx += 1
-        dp = det_mod(rows, p)
-        residue = crt_pair(residue, modulus, dp, p) if modulus > 1 else dp
-        modulus *= p
-    return symmetric_lift(residue, modulus)
-
-
-# ---------------------------------------------------------------------------
-# Rational kernels
-
-
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination; returns (echelon rows, pivot cols).
-
-    All divisions are exact integer divisions by the previous pivot.
+    All divisions are exact integer divisions by the previous pivot, so
+    pivot k is the leading (k+1) x (k+1) minor of the row-permuted
+    matrix; for a square matrix of full rank the last pivot times the
+    sign is its determinant (Bareiss 1968).
     """
     M = [list(r) for r in rows]
     m_rows = len(M)
     n = len(M[0]) if M else 0
     pivots: list[int] = []
     prev = 1
+    sign = 1
     r = 0
     for c in range(n):
         pivot = None
@@ -330,7 +279,9 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
                 break
         if pivot is None:
             continue
-        M[r], M[pivot] = M[pivot], M[r]
+        if pivot != r:
+            M[r], M[pivot] = M[pivot], M[r]
+            sign = -sign
         prc = M[r][c]
         for i in range(r + 1, m_rows):
             mic = M[i][c]
@@ -343,7 +294,7 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
         r += 1
         if r == m_rows:
             break
-    return M, pivots
+    return M, pivots, sign
 
 
 def _kernel_from_echelon(
@@ -383,7 +334,7 @@ def kernel_rational(m: IntMatrix, side: str = "right") -> KernelBasis:
         ambient = m.n_cols
     else:
         raise ValueError("side must be 'left' or 'right'")
-    ech, pivots = _bareiss_echelon([list(r) for r in src.entries])
+    ech, pivots, _ = _bareiss_echelon([list(r) for r in src.entries])
     basis = _kernel_from_echelon(ech, pivots, src.n_cols)
     if any(sum(e * xi for e, xi in zip(row, x)) for x in basis for row in src.entries):
         raise SelfCheckFailed("rational kernel vector fails its check")
@@ -533,12 +484,15 @@ class KernelSearch(NamedTuple):
     right-kernel vector, or None when the columns are independent;
     ``stage`` is "lift" or "bareiss".  When a prime's factorization had
     full column rank, ``prime`` is that prime and, for a square matrix,
-    ``residue`` is the determinant modulo it (nonzero)."""
+    ``residue`` is the determinant modulo it (nonzero).  When Bareiss
+    found the columns independent, ``det`` is the exact determinant of a
+    square matrix (nonzero)."""
 
     vector: tuple[int, ...] | None
     stage: str
     prime: int | None = None
     residue: int | None = None
+    det: int | None = None
 
 
 def kernel_vector_crt(
@@ -581,13 +535,25 @@ def kernel_vector_crt(
 
 def kernel_vector(a: np.ndarray, primes: Iterable[int] | None = None) -> KernelSearch:
     """Kernel search of a zero-one int64 array: ``kernel_vector_crt``
-    over ``primes`` or, when it raises KernelLiftFailed, fraction-free
-    elimination (stage "bareiss")."""
+    over ``primes`` or, when it raises KernelLiftFailed, one
+    fraction-free elimination (stage "bareiss").  That elimination gives
+    the canonical kernel vector, verified exactly (SelfCheckFailed
+    otherwise), or, when the columns are independent and the matrix is
+    square, its determinant."""
     try:
         return kernel_vector_crt(a, a.shape[1], primes)
     except KernelLiftFailed:
-        basis = kernel_rational(IntMatrix.from_rows(a.tolist()), side="right")
-        return KernelSearch(None if basis.is_trivial() else basis.vectors[0].cleared(), "bareiss")
+        pass
+    rows = a.tolist()
+    n_rows, n_cols = a.shape
+    ech, pivots, sign = _bareiss_echelon(rows)
+    if len(pivots) == n_cols:
+        det = sign * ech[n_cols - 1][n_cols - 1] if n_rows == n_cols else None
+        return KernelSearch(None, "bareiss", det=det)
+    v = RationalVector(_kernel_from_echelon(ech, pivots, n_cols)[0]).cleared()
+    if any(sum(e * x for e, x in zip(row, v)) for row in rows):
+        raise SelfCheckFailed("rational kernel vector fails its check")
+    return KernelSearch(v, "bareiss")
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 Deliberately naive: unpacked lists, textbook elimination, exhaustive
 enumeration.  These share no code with the package internals.
+``chi_square_uniform`` wraps scipy; only the tests use it.
 """
 
 from __future__ import annotations
@@ -9,8 +10,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from math import comb
+from typing import Sequence
 
 import numpy as np
+from scipy import stats as _sp
 
 
 def naive_rank_gf2(rows: list[list[int]]) -> int:
@@ -98,3 +101,10 @@ def brute_atom_bernoulli(xs: list[Fraction], p: Fraction) -> Fraction:
             prob *= p if b else 1 - p
         masses[value] = masses.get(value, Fraction(0)) + prob
     return max(masses.values())
+
+
+def chi_square_uniform(counts: Sequence[int]) -> tuple[float, float]:
+    """Chi-square goodness-of-fit statistic and p-value against the
+    uniform distribution over len(counts) categories."""
+    stat, pvalue = _sp.chisquare(list(counts))
+    return float(stat), float(pvalue)

@@ -1,6 +1,9 @@
 """The package's export list and source-wide rules."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import singmat
@@ -32,3 +35,12 @@ def test_library_primes_fit_the_int64_eliminations():
     stream = Stream(0)
     primes = crt_primes(50) + [random_prime(stream) for _ in range(200)]
     assert all(2 < p < PRIME_CEILING for p in primes)
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    """scipy is most of the import time; only clopper_pearson needs it."""
+    code = "import sys, singmat.cli\nprint('scipy' in sys.modules)\n"
+    src = str(Path(singmat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == ["False"], proc.stderr

@@ -157,6 +157,58 @@ def test_verifier_eliminations_agree_with_naive_det(n):
             assert got == certify._check_det_mod_py(a.tolist(), p) == want % p
 
 
+def _det_certificate(det):
+    stats = CertStats(gf2_rank=-1, primes_tried=(), elapsed=0.0)
+    return SingularityCertificate("nonsingular", None, None, None, det, stats)
+
+
+def test_forged_det_divisible_by_fixed_primes_is_rejected():
+    """A singular matrix with a claimed determinant that vanishes modulo
+    the first two fixed primes: checking the claim modulo those primes
+    alone accepted it."""
+    m = bm([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
+    forged = _det_certificate(2147483629 * 2147483587)
+    assert not verify_certificate(m, forged)
+    assert not verify_certificate(m, _det_certificate(-2147483629 * 2147483587))
+
+
+def test_det_above_the_hadamard_bound_is_rejected_unchecked(monkeypatch):
+    """|det| of a zero-one matrix is at most the square root of the
+    product of its row weights; a larger claim is rejected before any
+    modular elimination, even one congruent to the true determinant."""
+    m = bm([[1, 1, 0], [0, 1, 1], [1, 0, 1]])  # det 2, row weights 2, 2, 2
+    p = crt_primes(1)[0]
+    calls = []
+    check = certify._check_det_mod
+    monkeypatch.setattr(certify, "_check_det_mod", lambda m, p: calls.append(p) or check(m, p))
+    for claim in (3, -3, 2 + p, 2 - p, 2**4000):
+        assert not verify_certificate(m, _det_certificate(claim))
+    assert calls == []
+    assert verify_certificate(m, _det_certificate(2))
+    assert calls == [p]
+
+
+def test_genuine_det_certificates_verify():
+    """Nonsingular zero-one matrices up to n = 30, the identity among
+    them (|det| equal to the bound): the true determinant is accepted,
+    also after a JSON round trip, and its negation is rejected."""
+    rng = random.Random(9)
+    matrices = [BitMatrix.identity(n) for n in (1, 4)]
+    while len(matrices) < 12:
+        n = rng.randint(1, 30)
+        rows = [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)]
+        if naive_det(rows) != 0:
+            matrices.append(bm(rows))
+    for m in matrices:
+        det = naive_det(m.to_lists()).numerator
+        cert = _det_certificate(det)
+        assert verify_certificate(m, cert)
+        back = SingularityCertificate.from_json(cert.to_json())
+        assert back.det == det and back.prime is None
+        assert verify_certificate(m, back)
+        assert not verify_certificate(m, _det_certificate(-det))
+
+
 def test_witness_length_mismatch_raises():
     m = bm([[1, 0], [1, 0]])
     cert = is_singular_exact(m)
@@ -407,6 +459,30 @@ def test_tiny_primes_only_still_certify(prime_source):
         assert verify_certificate(m, cert)
         assert cert.kernel_vector == _canonical(m)
     assert stages == {"lift", "bareiss"}
+
+
+def test_det_exact_stage_reads_the_bareiss_determinant(prime_source):
+    """Blocks of determinant 2, -3 and 5 beat the primes 2, 3 and 5, and
+    no kernel vector exists, so the one Bareiss elimination gives the
+    exact determinant; row shuffles flip its sign."""
+    det2 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    det3 = [[int(i != j) for j in range(4)] for i in range(4)]
+    det5 = [[0, 1, 1, 1, 0], [1, 1, 1, 0, 1], [1, 1, 0, 1, 1], [1, 0, 1, 1, 0], [0, 0, 1, 1, 1]]
+    rows = _block_diagonal(det2, det3, det5).to_lists()
+    assert naive_det(rows) == -30
+    rng = random.Random(8)
+    dets = set()
+    for _ in range(6):
+        m = BitMatrix.from_rows(rows)
+        prime_source.primes = iter([2, 3, 5])
+        cert = is_singular_exact(m)
+        assert cert.stats.stage == "det_exact"
+        assert cert.stats.primes_tried == (2, 3, 5)
+        assert cert.det == naive_det(rows)
+        assert verify_certificate(m, cert)
+        dets.add(cert.det)
+        rng.shuffle(rows)
+    assert dets == {-30, 30}
 
 
 def test_failed_lift_falls_back_to_bareiss(monkeypatch):

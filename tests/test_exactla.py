@@ -13,20 +13,18 @@ from hypothesis import strategies as st
 
 from oracles import brute_gf2_right_kernel, naive_det, naive_rank_gf2
 from singmat import exactla
-from singmat.errors import NotSquare
 from singmat.exactla import (
     KernelLiftFailed,
-    det_exact,
-    det_mod,
     exact_dot,
-    hadamard_bound,
     kernel_gf2,
     kernel_rational,
     kernel_vector,
     kernel_vector_crt,
     rank_gf2,
+    _bareiss_echelon,
     _echelon_bits,
     _echelon_words,
+    _lu_det,
     _lu_mod,
     _lu_mod_py,
     _lu_solve,
@@ -156,26 +154,57 @@ def test_kernel_gf2_basis_is_pinned_canonical(key):
 # -- exact determinants -----------------------------------------------------
 
 
+def _det(rows):
+    """The determinant the Bareiss fallback of kernel_vector reports."""
+    return kernel_vector(np.array(rows, dtype=np.int64).reshape(len(rows), -1), []).det
+
+
 def test_det_examples():
-    assert det_exact(IntMatrix.from_rows([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])) == 1
-    assert det_exact(IntMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])) == 2
-    assert det_exact(IntMatrix.from_rows([[1, 1], [1, 1]])) == 0
-    assert det_exact(IntMatrix.from_rows([])) == 1
+    assert _det([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == 1
+    assert _det([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 2
+    assert _det([[0, 1], [1, 0]]) == -1
+    assert _det([[1, 1], [1, 1]]) is None
 
 
 def test_det_not_square():
-    with pytest.raises(NotSquare):
-        det_exact(IntMatrix.from_rows([[1, 0]]))
+    """Independent columns of a tall matrix: no vector and no determinant."""
+    assert kernel_vector(np.array([[1, 0], [0, 1], [1, 1]]), []) == (None, "bareiss", None, None, None)
 
 
 def test_det_matches_fraction_elimination():
+    """The last Bareiss pivot times the row-swap sign, on integer entries."""
     rng = random.Random(5)
     for _ in range(60):
         n = rng.randint(1, 8)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         expect = naive_det(rows)
         assert expect.denominator == 1
-        assert det_exact(IntMatrix.from_rows(rows)) == expect.numerator
+        ech, pivots, sign = _bareiss_echelon(rows)
+        if len(pivots) == n:
+            assert sign * ech[n - 1][n - 1] == expect.numerator
+        else:
+            assert expect == 0
+
+
+@pytest.mark.parametrize("n", [3, 5, 12, exactla._MOD_NUMPY_MIN, 30])
+def test_bareiss_det_matches_naive_det_with_row_swaps(n):
+    """Nonsingular zero-one matrices whose first column starts with a
+    zero, so the elimination swaps rows; odd and even swap counts both
+    occur.  An empty prime sequence sends kernel_vector straight to
+    Bareiss."""
+    rng = random.Random(90 + n)
+    signs = set()
+    checked = 0
+    while checked < 12:
+        rows = random_bit_rows(rng, n, n)
+        rows[0][0] = 0
+        want = naive_det(rows)
+        if want == 0:
+            continue
+        checked += 1
+        signs.add(_bareiss_echelon(rows)[2])
+        assert _det(rows) == want
+    assert signs == {1, -1}
 
 
 def test_det_mod_p_agrees_for_twenty_random_primes():
@@ -188,9 +217,9 @@ def test_det_mod_p_agrees_for_twenty_random_primes():
     for _ in range(10):
         n = rng.randint(1, 12)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        d = det_exact(IntMatrix.from_rows(rows))
+        d = naive_det(rows).numerator
         for p in primes:
-            assert det_mod(rows, p) == d % p
+            assert _lu_det(_lu_mod(np.array(rows, dtype=np.int64), p), n) == d % p
 
 
 def _late_pivotless(rng, n, p):
@@ -204,6 +233,12 @@ def _late_pivotless(rng, n, p):
     return rows
 
 
+def _dets_mod(rows, n, p):
+    """Determinant residues from the int64 factorization and the list one."""
+    a = np.array(rows, dtype=np.int64).reshape(n, n)
+    return _lu_det(_lu_mod(a, p), n), _lu_det(_lu_mod_py(rows, n, p), n)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5, exactla._MOD_NUMPY_MIN - 1, exactla._MOD_NUMPY_MIN, 30])
 def test_det_mod_matches_naive_det_across_the_cut_over(n):
     rng = random.Random(40 + n)
@@ -211,13 +246,11 @@ def test_det_mod_matches_naive_det_across_the_cut_over(n):
         for _ in range(4):
             rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
             want = naive_det(rows)
-            assert det_mod(rows, p) == want.numerator % p
-            assert det_mod(np.array(rows, dtype=np.int64).reshape(n, n), p) == want.numerator % p
+            assert _dets_mod(rows, n, p) == (want.numerator % p,) * 2
         if n >= 3:
             rows = _late_pivotless(rng, n, p)
             assert naive_det(rows) == 0
-            assert det_mod(rows, p) == 0
-            assert det_mod(np.array(rows, dtype=np.int64), p) == 0
+            assert _dets_mod(rows, n, p) == (0, 0)
 
 
 def test_det_mod_array_path_reduces_negative_and_wide_entries():
@@ -225,7 +258,7 @@ def test_det_mod_array_path_reduces_negative_and_wide_entries():
     rng = np.random.default_rng(41)
     for n, bound in ((24, 9), (24, 2**40), (30, 2**40)):
         a = rng.integers(-bound, bound, (n, n), endpoint=True)
-        assert det_mod(a, p) == naive_det(a.tolist()).numerator % p
+        assert _lu_det(_lu_mod(a, p), n) == naive_det(a.tolist()).numerator % p
 
 
 # Primes past the int64 eliminations' range: the largest 61-bit prime
@@ -240,11 +273,13 @@ def _with_duplicate_column(rng, n):
 
 
 def test_det_mod_with_primes_past_the_int64_range():
+    """The list factorization works on Python integers, so it stays
+    exact where the int64 one would overflow."""
     rng = np.random.default_rng(3)
-    for a in (rng.integers(0, 2, (30, 30)), rng.integers(-9, 9, (30, 30)), _with_duplicate_column(rng, 30)):
+    for a in (rng.integers(0, 2, (30, 30)), _with_duplicate_column(rng, 30)):
         want = naive_det(a.tolist()).numerator
         for p in _WIDE_PRIMES:
-            assert det_mod(a, p) == det_mod(a.tolist(), p) == want % p
+            assert _lu_det(_lu_mod_py(a.tolist(), 30, p), 30) == want % p
 
 
 def test_kernel_vector_crt_rejects_primes_past_the_int64_range():
@@ -257,15 +292,6 @@ def test_kernel_vector_crt_rejects_primes_past_the_int64_range():
             kernel_vector_crt(a, 40, [_WIDE_PRIMES[seed % 2]])
         if seed < 4:
             assert kernel_vector(a).vector == _bareiss_vector(a)
-
-
-def test_hadamard_bound_dominates():
-    rng = random.Random(7)
-    for _ in range(40):
-        n = rng.randint(1, 7)
-        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        m = IntMatrix.from_rows(rows)
-        assert abs(det_exact(m)) <= hadamard_bound(m)
 
 
 # -- rational kernels -------------------------------------------------------
@@ -302,7 +328,7 @@ def test_det_zero_iff_kernel_nonempty():
         n = rng.randint(1, 7)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         m = IntMatrix.from_rows(rows)
-        assert (det_exact(m) != 0) == kernel_rational(m, "right").is_trivial()
+        assert (naive_det(rows) != 0) == kernel_rational(m, "right").is_trivial()
 
 
 def test_gf2_rank_never_exceeds_rational_rank():
@@ -315,7 +341,7 @@ def test_gf2_rank_never_exceeds_rational_rank():
         q_rank = n - kernel_rational(bit.to_int_matrix(), "right").dim
         assert g <= q_rank <= n
         if g < n:
-            assert det_exact(bit.to_int_matrix()) % 2 == 0
+            assert naive_det(rows) % 2 == 0
 
 
 # -- CRT kernel vector lift -------------------------------------------------
@@ -490,7 +516,7 @@ def test_kernel_vector_moves_past_an_unlucky_prime(n):
         drawn = []
         found = kernel_vector(a, _drawn([2] + q, drawn))
         assert drawn == [2, q[0]]
-        assert found == (want, "lift", None, None)
+        assert found == (want, "lift", None, None, None)
 
 
 def test_lift_over_an_unlucky_prime_is_canonical_or_fails():
@@ -525,14 +551,14 @@ def test_kernel_vector_residue_comes_from_the_first_full_rank_prime(n):
     drawn = []
     found = kernel_vector(a, _drawn([2] + q, drawn))
     assert drawn == [2, q[0]]
-    assert found == (None, "lift", q[0], d % q[0])
+    assert found == (None, "lift", q[0], d % q[0], None)
     assert kernel_vector_crt(a, n).prime == q[0]  # the fixed list by default
 
 
 def test_kernel_vector_falls_back_to_bareiss_when_the_primes_run_out():
     a = np.ones((3, 3), dtype=np.int64)
-    assert kernel_vector(a, []) == ((1, -1, 0), "bareiss", None, None)
-    assert kernel_vector(np.eye(3, dtype=np.int64), iter([])) == (None, "bareiss", None, None)
+    assert kernel_vector(a, []) == ((1, -1, 0), "bareiss", None, None, None)
+    assert kernel_vector(np.eye(3, dtype=np.int64), iter([])) == (None, "bareiss", None, None, 1)
 
 
 def test_kernel_lift_failed_is_a_singmat_error():

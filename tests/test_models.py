@@ -7,6 +7,7 @@ from math import comb, sqrt
 
 import pytest
 
+from oracles import chi_square_uniform
 from singmat.certify import is_singular_exact
 from singmat.errors import PairingInfeasible
 from singmat.matrices import BitMatrix
@@ -19,7 +20,6 @@ from singmat.models import (
     sample_pairing,
     sample_row,
 )
-from singmat.stats import chi_square_uniform
 
 
 def test_bernoulli_degenerate_densities():

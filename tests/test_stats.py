@@ -2,7 +2,8 @@
 
 import pytest
 
-from singmat.stats import binomial_sigma, chi_square_uniform, clopper_pearson
+from oracles import chi_square_uniform
+from singmat.stats import binomial_sigma, clopper_pearson
 
 
 def test_clopper_pearson_edges():
