@@ -8,7 +8,6 @@ evaluation; and a Monte Carlo threshold harness.
 
 from .bounds import (
     AtomResult,
-    BoundParams,
     DisagreementEstimate,
     binomial_point_mass,
     max_atom_bernoulli,
@@ -60,7 +59,6 @@ __all__ = [
     "AtomResult",
     "AutopsyReport",
     "BitMatrix",
-    "BoundParams",
     "CellAggregate",
     "ComplementReport",
     "DecompositionReport",

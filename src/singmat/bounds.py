@@ -26,36 +26,6 @@ ATOM_DP_MAP_BUDGET = 2_000_000
 ATOM_COMB_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Parameter bundle for threshold-regime bound evaluation."""
-
-    n: int
-    eps: Fraction
-    p: Fraction | None = None
-    d: int | None = None
-    c: Fraction | None = None
-    delta: Fraction | None = None
-
-    def __post_init__(self):
-        if not 0 < self.eps < 1:
-            raise ValueError("eps must lie strictly between 0 and 1")
-        if self.p is not None and not 0 <= self.p <= 1:
-            raise ValueError("p must lie in [0, 1]")
-
-    @property
-    def p_star(self) -> Fraction:
-        if self.p is None:
-            raise ValueError("p_star needs p")
-        return min(self.p, 1 - self.p)
-
-    @property
-    def r(self) -> Fraction:
-        if self.delta is None:
-            raise ValueError("r needs delta")
-        return self.delta / self.p_star
-
-
 def p_even(s: int, p) -> Fraction:
     """Probability that a Binomial(s, p) variable is even:
     1/2 + (1-2p)**s / 2, exactly."""

@@ -19,8 +19,8 @@ decides is recorded as ``CertStats.stage``:
    which means nonsingular, evidenced by the exact determinant read
    off that elimination's last pivot (``det_exact``).
 
-Stage 3 works on one int64 array built from the matrix.  The line scan
-is returned with the certificate, so callers need not repeat it.
+The line scan is returned with the certificate, so callers need not
+repeat it.
 
 Every certificate is checked with :func:`verify_certificate` before it
 is returned, by an explicit test that survives ``python -O``; a failure
@@ -199,8 +199,7 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
                 primes_tried.append(p)
                 yield p
 
-    a = m.to_bit_array().astype(np.int64)
-    found = kernel_vector(a, seeded_primes())
+    found = kernel_vector(m, seeded_primes())
     if found.vector is not None:
         return finish(found.stage, "singular", kernel=found.vector)
     if found.prime is not None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -230,7 +229,6 @@ def cmd_sweep(args) -> int:
     for key, value in overrides.items():
         if value is not None:
             cfg_dict[key] = value
-    cfg_dict.setdefault("jobs", int(os.environ.get("SINGMAT_JOBS", "1")))
     missing = [k for k in ("model", "n_grid", "c_grid", "trials_per_cell", "master_seed", "output") if k not in cfg_dict]
     if missing:
         print(f"sweep: missing configuration: {', '.join(missing)}", file=sys.stderr)
@@ -257,8 +255,10 @@ def cmd_sweep(args) -> int:
 
 def cmd_analyze(args) -> int:
     matrix = matio.read_matrix(args.infile)
-    report = enumerate_gf2_kernel_min_support(matrix, args.side, max_dim=args.max_dim)
-    basis = kernel_rational(matrix.to_int_matrix(), side=args.side)
+    if args.side == "left":
+        matrix = matrix.transpose()
+    report = enumerate_gf2_kernel_min_support(matrix, max_dim=args.max_dim)
+    basis = kernel_rational(matrix.to_int_matrix())
     vectors = []
     for vec in basis.vectors:
         struct = analyze_vector(vec)

@@ -15,8 +15,10 @@ Over the rationals it is fraction-free (Bareiss) elimination: kernels
 come from exact back-substitution, and the last pivot of a square
 matrix of full rank is its determinant up to the row-swap sign.
 
-``kernel_vector`` owns the prime policy.  It factors the matrix once
-per prime it tries, at most ``_PRIME_BUDGET`` primes drawn from the
+``kernel_vector`` is the one kernel search.  It takes the BitMatrix to
+solve; only ``kernel_vector_crt`` builds the int64 array the prime-field
+elimination runs on, once per search.  It factors the matrix once per
+prime it tries, at most ``_PRIME_BUDGET`` primes drawn from the
 caller's sequence (the fixed list by default).  Full column rank mod p
 ends the search: the columns are independent, and a square matrix gets
 its determinant residue off the same diagonal.  Otherwise Dixon p-adic
@@ -24,7 +26,9 @@ lifting on that factorization takes O(n^2) solve steps until rational
 reconstruction yields a vector that passes an exact check.  An unlucky
 prime moves on to the next one; when the budget is spent the search
 falls back to Bareiss, which yields the canonical kernel vector or, for
-a square matrix, the exact determinant.
+a square matrix, the exact determinant.  Every kernel here is a right
+kernel; the left kernel of ``m`` is the right kernel of
+``m.transpose()``.
 """
 
 from __future__ import annotations
@@ -138,23 +142,16 @@ def _gf2_right_kernel_vectors(rows: Sequence[int], n_cols: int) -> list[int]:
     return basis
 
 
-def kernel_gf2(m: BitMatrix, side: str = "right") -> KernelBasis:
-    """Basis of the left or right kernel over GF(2), packed bit vectors.
+def kernel_gf2(m: BitMatrix) -> KernelBasis:
+    """Basis of the right kernel over GF(2), packed bit vectors.
 
     Every returned vector is checked against the matrix before return;
     a failure raises SelfCheckFailed.
     """
-    if side == "right":
-        rows, ambient = m.rows, m.n_cols
-    elif side == "left":
-        mt = m.transpose()
-        rows, ambient = mt.rows, m.n_rows
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    basis = _gf2_right_kernel_vectors(rows, ambient)
-    if any((row & v).bit_count() & 1 for v in basis for row in rows):
+    basis = _gf2_right_kernel_vectors(m.rows, m.n_cols)
+    if any((row & v).bit_count() & 1 for v in basis for row in m.rows):
         raise SelfCheckFailed("GF(2) kernel vector fails its check")
-    return KernelBasis("gf2", tuple(basis), ambient, side)
+    return KernelBasis("gf2", tuple(basis), m.n_cols)
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +317,18 @@ def _kernel_from_echelon(
     return basis
 
 
-def kernel_rational(m: IntMatrix, side: str = "right") -> KernelBasis:
-    """Exact rational kernel basis via fraction-free elimination.
+def kernel_rational(m: IntMatrix) -> KernelBasis:
+    """Exact rational right-kernel basis via fraction-free elimination.
 
     Each basis vector is verified against the matrix in exact
     arithmetic before return; a failure raises SelfCheckFailed.
     """
-    if side == "left":
-        src = m.transpose()
-        ambient = m.n_rows
-    elif side == "right":
-        src = m
-        ambient = m.n_cols
-    else:
-        raise ValueError("side must be 'left' or 'right'")
-    ech, pivots, _ = _bareiss_echelon([list(r) for r in src.entries])
-    basis = _kernel_from_echelon(ech, pivots, src.n_cols)
-    if any(sum(e * xi for e, xi in zip(row, x)) for x in basis for row in src.entries):
+    ech, pivots, _ = _bareiss_echelon([list(r) for r in m.entries])
+    basis = _kernel_from_echelon(ech, pivots, m.n_cols)
+    if any(sum(e * xi for e, xi in zip(row, x)) for x in basis for row in m.entries):
         raise SelfCheckFailed("rational kernel vector fails its check")
     vectors = tuple(RationalVector(x) for x in basis)
-    return KernelBasis("rational", vectors, ambient, side)
+    return KernelBasis("rational", vectors, m.n_cols)
 
 
 # Solves A[:, pivots] y = b mod p for an integer vector b: y, or None when
@@ -426,22 +415,21 @@ def _reconstruct(residues: list[int], modulus: int) -> tuple[int, list[int]] | N
     return den, nums
 
 
-def _padic_kernel_vector(a: np.ndarray, lu: _LU) -> tuple[int, ...] | None:
+def _padic_kernel_vector(a: np.ndarray, rows: Sequence[int], lu: _LU) -> tuple[int, ...] | None:
     """Dixon lifting of the canonical kernel vector over one prime p,
-    with ``lu = _lu_mod(a, p)``.
+    with ``lu = _lu_mod(a, p)`` and ``rows`` the packed rows of ``a``.
 
     With pivots P and first free column f mod p, solves a[:, P] y =
     -a[:, f] p-adically; the kernel vector has y on P, 1 at f and 0 on
     the other free columns.  Returns it, cleared, once rational
     reconstruction gives a vector that is zero past f and passes the
-    exact check against the rows of ``a``; None when the system is
+    exact check against ``rows``; None when the system is
     inconsistent mod p or the modulus passes the reconstruction target
     first (both mean p is unlucky).  The columns before f are pivots,
     so independent over Q: a kernel vector that is zero past f makes f
     the first rational free column, and the vector does not depend on
     p.
     """
-    rows = BitMatrix.from_bit_array(a).rows
     # Numerators and denominators are r x r minors, at most the
     # Hadamard bound of the nonzero rows; reconstruction needs a
     # modulus past twice its square.
@@ -495,13 +483,11 @@ class KernelSearch(NamedTuple):
     det: int | None = None
 
 
-def kernel_vector_crt(
-    rows: Sequence[Sequence[int]] | np.ndarray, n_cols: int, primes: Iterable[int] | None = None
-) -> KernelSearch:
+def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> KernelSearch:
     """Kernel search of a zero-one matrix by p-adic lifting.
 
-    ``rows`` is an int64 array (or nested rows) of zeros and ones.  The
-    matrix is factored once per prime, for at most ``_PRIME_BUDGET``
+    The int64 array the factorizations run on is built here, once, from
+    ``m``.  It is factored once per prime, for at most ``_PRIME_BUDGET``
     primes drawn lazily from ``primes`` (default: the fixed list).  Full
     column rank mod p proves the columns independent.  Otherwise the
     vector is the canonical one -- first free column 1, the other free
@@ -512,45 +498,42 @@ def kernel_vector_crt(
     A prime of 2**31 or more raises ValueError: the lift's residue
     updates are int64 arithmetic.
     """
-    if n_cols == 0:
-        return KernelSearch(None, "lift")
-    a = np.asarray(rows, dtype=np.int64).reshape(-1, n_cols)
-    if a.size and (a.min() < 0 or a.max() > 1):
-        raise ValueError("kernel_vector_crt needs a zero-one matrix")
+    a = m.to_bit_array().astype(np.int64)
     if primes is None:
         primes = (crt_primes(k + 1)[k] for k in range(_PRIME_BUDGET))
     for p in islice(primes, _PRIME_BUDGET):
         if p >= PRIME_CEILING:
             raise ValueError(f"kernel_vector_crt needs primes below 2**31, got {p}")
         lu = _lu_mod(a, p)
-        if len(lu.pivots) == n_cols:
+        if len(lu.pivots) == m.n_cols:
             # Independent mod p, so independent over Q.
-            residue = _lu_det(lu, n_cols) if a.shape[0] == n_cols else None
+            residue = _lu_det(lu, m.n_cols) if m.n_rows == m.n_cols else None
             return KernelSearch(None, "lift", p, residue)
-        v = _padic_kernel_vector(a, lu)
+        v = _padic_kernel_vector(a, m.rows, lu)
         if v is not None:
             return KernelSearch(v, "lift")
     raise KernelLiftFailed("no verified kernel vector within the prime budget")
 
 
-def kernel_vector(a: np.ndarray, primes: Iterable[int] | None = None) -> KernelSearch:
-    """Kernel search of a zero-one int64 array: ``kernel_vector_crt``
-    over ``primes`` or, when it raises KernelLiftFailed, one
+def kernel_vector(m: BitMatrix, primes: Iterable[int] | None = None) -> KernelSearch:
+    """Kernel search of a zero-one matrix: ``kernel_vector_crt`` over
+    ``primes`` or, when it raises KernelLiftFailed, one
     fraction-free elimination (stage "bareiss").  That elimination gives
     the canonical kernel vector, verified exactly (SelfCheckFailed
     otherwise), or, when the columns are independent and the matrix is
     square, its determinant."""
     try:
-        return kernel_vector_crt(a, a.shape[1], primes)
+        return kernel_vector_crt(m, primes)
     except KernelLiftFailed:
         pass
-    rows = a.tolist()
-    n_rows, n_cols = a.shape
+    rows = m.to_lists()
     ech, pivots, sign = _bareiss_echelon(rows)
-    if len(pivots) == n_cols:
-        det = sign * ech[n_cols - 1][n_cols - 1] if n_rows == n_cols else None
+    if len(pivots) == m.n_cols:
+        det = None
+        if m.n_rows == m.n_cols:
+            det = sign * ech[-1][-1] if ech else 1  # the empty matrix has det 1
         return KernelSearch(None, "bareiss", det=det)
-    v = RationalVector(_kernel_from_echelon(ech, pivots, n_cols)[0]).cleared()
+    v = RationalVector(_kernel_from_echelon(ech, pivots, m.n_cols)[0]).cleared()
     if any(sum(e * x for e, x in zip(row, v)) for row in rows):
         raise SelfCheckFailed("rational kernel vector fails its check")
     return KernelSearch(v, "bareiss")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import decimal
+import io
 import logging
 import os
 import time
@@ -24,15 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
 from pathlib import Path
-from typing import Sequence
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .bounds import ATOM_BERNOULLI_MAX_LEN, ATOM_COMB_BUDGET, max_atom_bernoulli, max_atom_combinatorial
 from .certify import is_singular_exact
 from .errors import BudgetExceeded, InfeasibleDensity, KernelLiftFailed, KernelTooLarge
 from .exactla import exact_dot, kernel_vector
-from .matrices import RationalVector
+from .matrices import BitMatrix, RationalVector
 from .models import SampleSpec, sample, sample_row
 from .rng import derive_seed
 from .stats import binomial_sigma, clopper_pearson
@@ -220,8 +219,23 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[CellAggregate], list[TrialRecord]]
                 explained_fraction=explained, master_seed=cfg.master_seed,
             ))
 
-    _write_aggregate_csv(aggregates, Path(cfg.output))
-    _write_trials_csv(records, Path(cfg.output).with_suffix(".trials.csv"))
+    _write_csv(Path(cfg.output), AGGREGATE_HEADER, (
+        [
+            a.model, a.n, str(a.c), _density_str(a.density), a.trials, a.singular_count,
+            repr(a.fraction), repr(a.ci_low), repr(a.ci_high),
+            "" if a.explained_fraction is None else repr(a.explained_fraction),
+            a.master_seed,
+        ]
+        for a in aggregates
+    ))
+    _write_csv(Path(cfg.output).with_suffix(".trials.csv"), TRIALS_HEADER, (
+        [
+            r.model, r.n, str(r.c), _density_str(r.density), r.trial_index,
+            r.derived_seed, r.verdict, r.gf2_rank, int(r.had_zero_line),
+            int(r.had_duplicate_line), repr(r.elapsed),
+        ]
+        for r in records
+    ))
     if cfg.svg:
         _write_svg(aggregates, Path(cfg.svg))
     return aggregates, records
@@ -247,37 +261,17 @@ AGGREGATE_HEADER = [
 ]
 
 
-def _write_aggregate_csv(aggregates: Sequence[CellAggregate], path: Path) -> None:
-    import io
+TRIALS_HEADER = [
+    "model", "n", "c", "density", "trial_index", "derived_seed",
+    "verdict", "gf2_rank", "had_zero_line", "had_duplicate_line", "elapsed",
+]
 
+
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(AGGREGATE_HEADER)
-    for a in aggregates:
-        w.writerow([
-            a.model, a.n, str(a.c), _density_str(a.density), a.trials, a.singular_count,
-            repr(a.fraction), repr(a.ci_low), repr(a.ci_high),
-            "" if a.explained_fraction is None else repr(a.explained_fraction),
-            a.master_seed,
-        ])
-    _atomic_write_text(path, buf.getvalue())
-
-
-def _write_trials_csv(records: Sequence[TrialRecord], path: Path) -> None:
-    import io
-
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow([
-        "model", "n", "c", "density", "trial_index", "derived_seed",
-        "verdict", "gf2_rank", "had_zero_line", "had_duplicate_line", "elapsed",
-    ])
-    for r in records:
-        w.writerow([
-            r.model, r.n, str(r.c), _density_str(r.density), r.trial_index,
-            r.derived_seed, r.verdict, r.gf2_rank, int(r.had_zero_line),
-            int(r.had_duplicate_line), repr(r.elapsed),
-        ])
+    w.writerow(header)
+    w.writerows(rows)
     _atomic_write_text(path, buf.getvalue())
 
 
@@ -404,12 +398,12 @@ class DecompositionReport:
         )
 
 
-def _kernel_vector(a: np.ndarray) -> tuple[int, ...]:
-    """Verified integer right-kernel vector of a zero-one int64 array
-    whose kernel is known to be nontrivial."""
-    v = kernel_vector(a).vector
+def _kernel_vector(m: BitMatrix) -> tuple[int, ...]:
+    """Verified integer right-kernel vector of a zero-one matrix whose
+    kernel is known to be nontrivial."""
+    v = kernel_vector(m).vector
     if v is None:
-        shape = f"{a.shape[0]}x{a.shape[1]}"
+        shape = f"{m.n_rows}x{m.n_cols}"
         raise KernelLiftFailed(f"no kernel vector for a {shape} matrix that must have one")
     return v
 
@@ -480,18 +474,18 @@ def verify_lemma21(
         trial_seed = derive_seed(seed, i)
         matrix = sample(_make_spec(model, n, density, trial_seed))
         cert = is_singular_exact(matrix, prime_seed=derive_seed(trial_seed, PRIME_SEED_SALT))
-        a = matrix.to_bit_array().astype(np.int64)
         singular = cert.is_singular
         singular_hits += singular
 
         # Term (1): some nonzero rational left-kernel vector with support < t.
         if singular:
+            mt = matrix.transpose()
             try:
-                screen = enumerate_gf2_kernel_min_support(matrix, "left", max_dim=max_kernel_dim)
+                screen = enumerate_gf2_kernel_min_support(mt, max_dim=max_kernel_dim)
                 if screen.trivial or screen.min_support >= t:
                     pass  # a small-support rational vector would show up mod 2
                 else:
-                    v1 = _kernel_vector(a.T)
+                    v1 = _kernel_vector(mt)
                     if sum(1 for e in v1 if e) < t:
                         ev1_hits += 1
                     elif screen.kernel_dim > 1:
@@ -501,7 +495,7 @@ def verify_lemma21(
                 ev1_hits += 1  # conservative
 
         # Terms (2) and (3): kernel vector of the first n-1 rows vs the last.
-        x = _kernel_vector(a[: n - 1])
+        x = _kernel_vector(BitMatrix(n - 1, n, matrix.rows[:-1]))
         xvec = RationalVector.from_values(x)
         if eval_predicate(pred, xvec):
             in_property_trials += 1

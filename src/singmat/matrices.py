@@ -9,7 +9,7 @@ certification.  All types are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -102,7 +102,10 @@ class BitMatrix:
 
     @classmethod
     def from_bit_array(cls, a: np.ndarray) -> BitMatrix:
-        a = np.asarray(a, dtype=np.uint8)
+        a = np.asarray(a)
+        if a.size and (a.min() < 0 or a.max() > 1):
+            raise ValueError("entries must be 0 or 1")
+        a = a.astype(np.uint8, copy=False)
         n_rows, n_cols = a.shape
         packed = np.packbits(a, axis=1, bitorder="little")
         rows = tuple(int.from_bytes(packed[i].tobytes(), "little") for i in range(n_rows))
@@ -138,13 +141,6 @@ class IntMatrix:
         rows = tuple(tuple(int(e) for e in r) for r in rows)
         n_cols = len(rows[0]) if rows else 0
         return cls(len(rows), n_cols, rows)
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix(
-            self.n_cols,
-            self.n_rows,
-            tuple(tuple(self.entries[i][j] for i in range(self.n_rows)) for j in range(self.n_cols)),
-        )
 
 
 @dataclass(frozen=True)
@@ -195,20 +191,16 @@ class RationalVector:
 
 @dataclass(frozen=True)
 class KernelBasis:
-    """Basis of a left or right kernel over a tagged field.
+    """Basis of the right kernel of a matrix over a tagged field.
 
     ``field_tag`` is "gf2" or "rational".  GF(2) basis vectors are
-    packed bit integers; rational ones are RationalVector.
+    packed bit integers; rational ones are RationalVector.  The left
+    kernel of a matrix is the right kernel of its transpose.
     """
 
     field_tag: str
     vectors: tuple
     ambient_dim: int
-    side: str = field(default="right")
-
-    def __post_init__(self):
-        if self.side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
 
     @property
     def dim(self) -> int:

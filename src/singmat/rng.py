@@ -100,12 +100,6 @@ class Stream:
         """A fair coin: the top bit of the next output."""
         return self.next_u64() >> 63
 
-    def bernoulli(self, threshold: int) -> bool:
-        """True with probability threshold / 2**64 (threshold in [0, 2**64])."""
-        if threshold > MASK64:
-            return True
-        return self.next_u64() < threshold
-
 
 def bernoulli_threshold(num: int, den: int) -> int:
     """floor(p * 2**64) for p = num/den; realizes Bernoulli(p) from one u64.

@@ -109,16 +109,15 @@ class MinSupportReport:
     witness: tuple[int, ...] | None
 
 
-def enumerate_gf2_kernel_min_support(
-    m: BitMatrix, side: str = "right", max_dim: int = 20
-) -> MinSupportReport:
-    """Minimum Hamming weight over the 2**k - 1 nonzero kernel vectors.
+def enumerate_gf2_kernel_min_support(m: BitMatrix, max_dim: int = 20) -> MinSupportReport:
+    """Minimum Hamming weight over the 2**k - 1 nonzero right-kernel
+    vectors (pass ``m.transpose()`` for the left kernel).
 
     Walks the kernel span in Gray-code order (one basis XOR per step).
     Raises KernelTooLarge when the kernel dimension exceeds max_dim, and
     SelfCheckFailed if the lightest vector fails its kernel check.
     """
-    basis = kernel_gf2(m, side)
+    basis = kernel_gf2(m)
     k = basis.dim
     if k == 0:
         return MinSupportReport(0, True, None, None)
@@ -133,11 +132,10 @@ def enumerate_gf2_kernel_min_support(
         w = current.bit_count()
         if best_weight is None or w < best_weight:
             best_weight, best_vector = w, current
-    rows = m.rows if side == "right" else m.transpose().rows
     if (
         not best_vector
         or best_vector.bit_count() != best_weight
-        or any((row & best_vector).bit_count() & 1 for row in rows)
+        or any((row & best_vector).bit_count() & 1 for row in m.rows)
     ):
         raise SelfCheckFailed("lightest GF(2) kernel vector fails its check")
     return MinSupportReport(

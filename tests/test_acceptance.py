@@ -204,7 +204,7 @@ def test_criterion_09_gf2_kernel_exact_span():
         m_rows = 1 + stream.below(10)
         rows = [stream.next_u64() & ((1 << n) - 1) for _ in range(m_rows)]
         mat = BitMatrix(m_rows, n, tuple(rows))
-        basis = kernel_gf2(mat, "right")
+        basis = kernel_gf2(mat)
         span = {0}
         for v in basis.vectors:
             span |= {s ^ v for s in span}

@@ -224,16 +224,6 @@ def test_atom_combinatorial_monotone_in_fibre_deficiency():
     assert all(a >= b for a, b in zip(atoms, atoms[1:]))
 
 
-def test_bound_params_derived_quantities():
-    from singmat.bounds import BoundParams
-
-    params = BoundParams(n=100, eps=Fraction(1, 10), p=Fraction(7, 10), delta=Fraction(1, 100))
-    assert params.p_star == Fraction(3, 10)
-    assert params.r == Fraction(1, 100) / Fraction(3, 10)
-    with pytest.raises(ValueError):
-        BoundParams(n=10, eps=Fraction(2))
-
-
 # -- binomial point mass -----------------------------------------------------
 
 

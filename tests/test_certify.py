@@ -394,7 +394,7 @@ def test_line_report_rides_on_the_certificate():
 
 
 def _canonical(m):
-    return kernel_rational(m.to_int_matrix(), "right").vectors[0].cleared()
+    return kernel_rational(m.to_int_matrix()).vectors[0].cleared()
 
 
 @pytest.fixture
@@ -417,9 +417,8 @@ def test_unlucky_first_lift_prime_moves_on(prime_source):
     checked = 0
     for seed in range(40):
         m = _zero_row_matrix(30, 100 + seed)
-        a = m.to_bit_array().astype("int64")
         try:
-            exactla.kernel_vector_crt(a, 30, [2])
+            exactla.kernel_vector_crt(m, [2])
             continue
         except KernelLiftFailed:
             checked += 1
@@ -488,7 +487,7 @@ def test_det_exact_stage_reads_the_bareiss_determinant(prime_source):
 def test_failed_lift_falls_back_to_bareiss(monkeypatch):
     """Every prime unlucky: the loop spends its whole budget, then
     fraction-free elimination gives the canonical vector."""
-    monkeypatch.setattr(exactla, "_padic_kernel_vector", lambda a, lu: None)
+    monkeypatch.setattr(exactla, "_padic_kernel_vector", lambda a, rows, lu: None)
     m = _zero_row_matrix(30, 7)
     cert = is_singular_exact(m)
     assert cert.stats.stage == "bareiss"
@@ -584,7 +583,7 @@ def test_self_checks_raise_under_optimize():
         "m = BitMatrix.from_rows([[1, 1], [1, 1]])\n"
         "e._gf2_right_kernel_vectors = lambda rows, n: [1]\n"
         "e._kernel_from_echelon = lambda ech, pivots, n: [(1, 0)]\n"
-        "s.kernel_gf2 = lambda m, side: KernelBasis('gf2', (1,), 2, side)\n"
+        "s.kernel_gf2 = lambda m: KernelBasis('gf2', (1,), 2)\n"
         "calls = (lambda: e.kernel_gf2(m), lambda: s.enumerate_gf2_kernel_min_support(m),\n"
         "         lambda: e.kernel_rational(IntMatrix.from_rows([[1, 1], [1, 1]])))\n"
         "for call in calls:\n"

@@ -197,6 +197,29 @@ def test_cli_analyze_duplicate_columns(tmp_path, capsys):
     assert vec["support_size"] == 2
 
 
+def test_cli_analyze_left_side(tmp_path, capsys):
+    """Row 2 is row 0 plus row 1, so (-1, -1, 1, 0) spans the left
+    kernel; the right kernel is spanned by a different vector."""
+    path = tmp_path / "m.txt"
+    write_matrix(BitMatrix.from_rows([[1, 0, 0, 0], [0, 1, 1, 0], [1, 1, 1, 0], [0, 0, 1, 1]]), path)
+    assert main(["analyze", "--in", str(path), "--side", "left"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "side": "left",
+        "gf2": {"kernel_dim": 1, "trivial": False, "min_support": 3, "witness": [1, 1, 1, 0]},
+        "rational": {
+            "kernel_dim": 1,
+            "vectors": [{
+                "n": 4,
+                "support_size": 3,
+                "fibre_histogram": [["-1", 2], ["0", 1], ["1", 1]],
+                "largest_fibre_size": 2,
+                "s": 2,
+                "entries": ["-1", "-1", "1", "0"],
+            }],
+        },
+    }
+
+
 def test_cli_analyze_identity(tmp_path, capsys):
     path = tmp_path / "id.txt"
     write_matrix(BitMatrix.identity(4), path)

@@ -38,6 +38,10 @@ def bm(rows):
     return BitMatrix.from_rows(rows)
 
 
+def bma(a: np.ndarray) -> BitMatrix:
+    return BitMatrix.from_bit_array(a)
+
+
 def random_bit_rows(rng, n_rows, n_cols, density=0.5):
     return [[1 if rng.random() < density else 0 for _ in range(n_cols)] for _ in range(n_rows)]
 
@@ -89,10 +93,10 @@ def test_rank_degenerate_shapes():
 
 
 def test_kernel_gf2_examples():
-    assert kernel_gf2(BitMatrix.identity(4), "right").is_trivial()
-    left = kernel_gf2(bm([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), "left")
+    assert kernel_gf2(BitMatrix.identity(4)).is_trivial()
+    left = kernel_gf2(bm([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).transpose())
     assert left.vectors_as_tuples() == [(1, 1, 1)]
-    full = kernel_gf2(BitMatrix.zeros(2, 2), "right")
+    full = kernel_gf2(BitMatrix.zeros(2, 2))
     assert full.dim == 2
 
 
@@ -102,7 +106,7 @@ def test_kernel_gf2_span_equals_brute_force():
         n = rng.randint(1, 8)
         m = rng.randint(1, 8)
         rows = random_bit_rows(rng, m, n)
-        basis = kernel_gf2(bm(rows), "right")
+        basis = kernel_gf2(bm(rows))
         span = {0}
         for v in basis.vectors:
             span |= {s ^ v for s in span}
@@ -116,8 +120,8 @@ def test_kernel_gf2_dimension_identity():
         n_rows, n_cols = rng.randint(1, 30), rng.randint(1, 30)
         mat = bm(random_bit_rows(rng, n_rows, n_cols))
         r = rank_gf2(mat)
-        assert kernel_gf2(mat, "right").dim == n_cols - r
-        assert kernel_gf2(mat, "left").dim == n_rows - r
+        assert kernel_gf2(mat).dim == n_cols - r
+        assert kernel_gf2(mat.transpose()).dim == n_rows - r
 
 
 # Digests of the bases the former Gauss-Jordan (RREF) eliminations
@@ -142,7 +146,7 @@ def test_kernel_gf2_basis_is_pinned_canonical(key):
     rows = [sum(1 << j for j in range(n_cols) if rng.random() < density) for _ in range(n_rows)]
     m = BitMatrix(n_rows, n_cols, tuple(rows))
     for side, (dim, digest) in _GF2_PINNED[key].items():
-        basis = kernel_gf2(m, side)
+        basis = kernel_gf2(m if side == "right" else m.transpose())
         free = [v.bit_length() - 1 for v in basis.vectors]
         assert free == sorted(set(free))
         free_mask = sum(1 << f for f in free)
@@ -156,7 +160,7 @@ def test_kernel_gf2_basis_is_pinned_canonical(key):
 
 def _det(rows):
     """The determinant the Bareiss fallback of kernel_vector reports."""
-    return kernel_vector(np.array(rows, dtype=np.int64).reshape(len(rows), -1), []).det
+    return kernel_vector(bm(rows), []).det
 
 
 def test_det_examples():
@@ -168,7 +172,7 @@ def test_det_examples():
 
 def test_det_not_square():
     """Independent columns of a tall matrix: no vector and no determinant."""
-    assert kernel_vector(np.array([[1, 0], [0, 1], [1, 1]]), []) == (None, "bareiss", None, None, None)
+    assert kernel_vector(bm([[1, 0], [0, 1], [1, 1]]), []) == (None, "bareiss", None, None, None)
 
 
 def test_det_matches_fraction_elimination():
@@ -289,9 +293,9 @@ def test_kernel_vector_crt_rejects_primes_past_the_int64_range():
     for seed in range(20):
         a = _with_duplicate_column(np.random.default_rng(seed), 40)
         with pytest.raises(ValueError):
-            kernel_vector_crt(a, 40, [_WIDE_PRIMES[seed % 2]])
+            kernel_vector_crt(bma(a), [_WIDE_PRIMES[seed % 2]])
         if seed < 4:
-            assert kernel_vector(a).vector == _bareiss_vector(a)
+            assert kernel_vector(bma(a)).vector == _bareiss_vector(a)
 
 
 # -- rational kernels -------------------------------------------------------
@@ -299,12 +303,12 @@ def test_kernel_vector_crt_rejects_primes_past_the_int64_range():
 
 def test_kernel_rational_examples():
     assert kernel_rational(IntMatrix.from_rows([[1, 0], [0, 1]])).is_trivial()
-    basis = kernel_rational(IntMatrix.from_rows([[1, 2], [2, 4]]), "right")
+    basis = kernel_rational(IntMatrix.from_rows([[1, 2], [2, 4]]))
     assert basis.dim == 1
     v = basis.vectors[0].entries
     # spans (2, -1)
     assert v[0] * (-1) == v[1] * 2
-    basis2 = kernel_rational(IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, -1]]), "right")
+    basis2 = kernel_rational(IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, -1]]))
     assert basis2.dim == 1
     w = basis2.vectors[0].cleared()
     assert w in ((-1, 1, 1), (1, -1, -1))
@@ -314,7 +318,7 @@ def test_kernel_rational_examples():
 
 def test_kernel_rational_left_side():
     m = IntMatrix.from_rows([[1, 1, 0], [2, 2, 0], [0, 0, 1]])
-    basis = kernel_rational(m, "left")
+    basis = kernel_rational(IntMatrix.from_rows(zip(*m.entries)))
     assert basis.dim == 1
     v = basis.vectors[0].entries
     assert all(
@@ -328,7 +332,7 @@ def test_det_zero_iff_kernel_nonempty():
         n = rng.randint(1, 7)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         m = IntMatrix.from_rows(rows)
-        assert (naive_det(rows) != 0) == kernel_rational(m, "right").is_trivial()
+        assert (naive_det(rows) != 0) == kernel_rational(m).is_trivial()
 
 
 def test_gf2_rank_never_exceeds_rational_rank():
@@ -338,7 +342,7 @@ def test_gf2_rank_never_exceeds_rational_rank():
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         bit = bm(rows)
         g = rank_gf2(bit)
-        q_rank = n - kernel_rational(bit.to_int_matrix(), "right").dim
+        q_rank = n - kernel_rational(bit.to_int_matrix()).dim
         assert g <= q_rank <= n
         if g < n:
             assert naive_det(rows) % 2 == 0
@@ -354,9 +358,9 @@ def test_kernel_vector_crt_matches_bareiss_on_singulars():
         n = rng.randint(2, 12)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         m = IntMatrix.from_rows(rows)
-        basis = kernel_rational(m, "right")
+        basis = kernel_rational(m)
         try:
-            v = kernel_vector_crt(rows, n).vector
+            v = kernel_vector_crt(bm(rows)).vector
         except KernelLiftFailed:
             pytest.fail("lift failed on a small instance")
         if basis.is_trivial():
@@ -374,13 +378,13 @@ def test_kernel_vector_crt_wide_system_always_finds_vector():
     for _ in range(30):
         n = rng.randint(2, 20)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n - 1)]
-        v = kernel_vector_crt(rows, n).vector
+        v = kernel_vector_crt(bm(rows)).vector
         assert v is not None
         assert all(sum(r[j] * v[j] for j in range(n)) == 0 for r in rows)
 
 
 def _bareiss_vector(a: np.ndarray) -> tuple[int, ...]:
-    return kernel_rational(IntMatrix.from_rows(a.tolist()), "right").vectors[0].cleared()
+    return kernel_rational(IntMatrix.from_rows(a.tolist())).vectors[0].cleared()
 
 
 def _sparse_rows(rng, n_rows, n_cols, density=0.15):
@@ -404,9 +408,9 @@ def test_lift_matches_bareiss_on_rank_deficient_numpy_path(deficiency):
     rng = random.Random(20 + deficiency)
     for _ in range(4):
         a = _with_dependent_columns(rng, rng.randint(24, 40), deficiency)
-        basis = kernel_rational(IntMatrix.from_rows(a.tolist()), "right")
+        basis = kernel_rational(IntMatrix.from_rows(a.tolist()))
         assert basis.dim >= deficiency
-        assert kernel_vector_crt(a, a.shape[1]).vector == basis.vectors[0].cleared()
+        assert kernel_vector_crt(bma(a)).vector == basis.vectors[0].cleared()
 
 
 @pytest.mark.parametrize("zero_row, duplicate_row", [(True, False), (False, True), (True, True)])
@@ -420,7 +424,7 @@ def test_lift_matches_bareiss_on_degenerate_rows(zero_row, duplicate_row):
             a[i] = 0
         if duplicate_row:
             a[j] = a[k]
-        assert kernel_vector_crt(a, n).vector == _bareiss_vector(a)
+        assert kernel_vector_crt(bma(a)).vector == _bareiss_vector(a)
 
 
 def test_numpy_and_list_solvers_agree():
@@ -453,7 +457,7 @@ def test_lift_wide_system_numpy_path():
     for _ in range(5):
         n = rng.randint(24, 48)
         a = _sparse_rows(rng, n - 1, n, 0.2)
-        assert kernel_vector_crt(a, n).vector == _bareiss_vector(a)
+        assert kernel_vector_crt(bma(a)).vector == _bareiss_vector(a)
 
 
 def test_lift_left_kernel_from_transpose():
@@ -462,32 +466,35 @@ def test_lift_left_kernel_from_transpose():
         n = rng.randint(24, 40)
         a = _sparse_rows(rng, n, n)
         a[:, rng.randrange(n)] = 0  # singular, so the left kernel is nontrivial too
-        want = kernel_rational(IntMatrix.from_rows(a.tolist()), "left").vectors[0].cleared()
-        assert kernel_vector_crt(a.T, n).vector == want
+        want = kernel_rational(IntMatrix.from_rows(a.T.tolist())).vectors[0].cleared()
+        assert kernel_vector_crt(bma(a).transpose()).vector == want
 
 
 def test_lift_independent_columns_give_none():
     rng = random.Random(25)
     a = np.eye(30, dtype=np.int64)
-    assert kernel_vector_crt(a, 30).vector is None
+    assert kernel_vector_crt(bma(a)).vector is None
     tall = _sparse_rows(rng, 40, 24, 0.5)
-    if kernel_rational(IntMatrix.from_rows(tall.tolist()), "right").is_trivial():
-        assert kernel_vector_crt(tall, 24).vector is None
+    if kernel_rational(IntMatrix.from_rows(tall.tolist())).is_trivial():
+        assert kernel_vector_crt(bma(tall)).vector is None
 
 
 def test_lift_edge_shapes():
-    assert kernel_vector_crt([], 0).vector is None
-    assert kernel_vector_crt([[], []], 0).vector is None
-    assert kernel_vector_crt([], 3).vector == (1, 0, 0)
-    assert kernel_vector_crt(np.zeros((0, 3), dtype=np.int64), 3).vector == (1, 0, 0)
-    assert kernel_vector_crt(np.zeros((3, 4), dtype=np.int64), 4).vector == (1, 0, 0, 0)
-    assert kernel_vector_crt([[0]], 1).vector == (1,)
-    assert kernel_vector_crt([[1]], 1).vector is None
+    assert kernel_vector_crt(BitMatrix.zeros(0, 0)).vector is None
+    assert kernel_vector_crt(BitMatrix.zeros(2, 0)).vector is None
+    assert kernel_vector_crt(BitMatrix.zeros(0, 3)).vector == (1, 0, 0)
+    assert kernel_vector_crt(bma(np.zeros((0, 3), dtype=np.int64))).vector == (1, 0, 0)
+    assert kernel_vector_crt(bma(np.zeros((3, 4), dtype=np.int64))).vector == (1, 0, 0, 0)
+    assert kernel_vector_crt(bm([[0]])).vector == (1,)
+    assert kernel_vector_crt(bm([[1]])).vector is None
 
 
 def test_lift_rejects_entries_outside_zero_one():
+    """The lift takes a BitMatrix, whose constructors refuse a 2."""
     with pytest.raises(ValueError):
-        kernel_vector_crt([[2, 0], [0, 1]], 2)
+        bm([[2, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        bma(np.array([[2, 0], [0, 1]]))
 
 
 def _drawn(primes, drawn):
@@ -508,13 +515,13 @@ def test_kernel_vector_moves_past_an_unlucky_prime(n):
         a = np.array(random_bit_rows(rng, n, n), dtype=np.int64)
         a[rng.randrange(n)] = 0
         try:
-            kernel_vector_crt(a, n, [2])
+            kernel_vector_crt(bma(a), [2])
             continue
         except KernelLiftFailed:
             checked += 1
         want = _bareiss_vector(a)
         drawn = []
-        found = kernel_vector(a, _drawn([2] + q, drawn))
+        found = kernel_vector(bma(a), _drawn([2] + q, drawn))
         assert drawn == [2, q[0]]
         assert found == (want, "lift", None, None, None)
 
@@ -530,7 +537,7 @@ def test_lift_over_an_unlucky_prime_is_canonical_or_fails():
         a = np.array(random_bit_rows(rng, n, n), dtype=np.int64)
         a[rng.sample(range(n), 2)] = 0
         try:
-            assert kernel_vector_crt(a, n, [2]).vector == _bareiss_vector(a)
+            assert kernel_vector_crt(bma(a), [2]).vector == _bareiss_vector(a)
         except KernelLiftFailed:
             failed += 1
     assert 0 < failed < 150
@@ -549,16 +556,16 @@ def test_kernel_vector_residue_comes_from_the_first_full_rank_prime(n):
         if d != 0 and d % 2 == 0:
             break
     drawn = []
-    found = kernel_vector(a, _drawn([2] + q, drawn))
+    found = kernel_vector(bma(a), _drawn([2] + q, drawn))
     assert drawn == [2, q[0]]
     assert found == (None, "lift", q[0], d % q[0], None)
-    assert kernel_vector_crt(a, n).prime == q[0]  # the fixed list by default
+    assert kernel_vector_crt(bma(a)).prime == q[0]  # the fixed list by default
 
 
 def test_kernel_vector_falls_back_to_bareiss_when_the_primes_run_out():
-    a = np.ones((3, 3), dtype=np.int64)
-    assert kernel_vector(a, []) == ((1, -1, 0), "bareiss", None, None, None)
-    assert kernel_vector(np.eye(3, dtype=np.int64), iter([])) == (None, "bareiss", None, None, 1)
+    assert kernel_vector(bm([[1, 1, 1]] * 3), []) == ((1, -1, 0), "bareiss", None, None, None)
+    assert kernel_vector(BitMatrix.identity(3), iter([])) == (None, "bareiss", None, None, 1)
+    assert kernel_vector(BitMatrix.zeros(0, 0), []) == (None, "bareiss", None, None, 1)
 
 
 def test_kernel_lift_failed_is_a_singmat_error():
@@ -603,7 +610,7 @@ def test_rank_transpose_invariant(m):
 @given(bit_matrices())
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_always_verify(m):
-    basis = kernel_gf2(m, "right")
+    basis = kernel_gf2(m)
     for v in basis.vectors:
         assert all((row & v).bit_count() % 2 == 0 for row in m.rows)
     assert basis.dim == m.n_cols - rank_gf2(m)

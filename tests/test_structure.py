@@ -90,21 +90,21 @@ def test_predicate_validation():
 
 
 def test_min_support_trivial_kernel():
-    rep = enumerate_gf2_kernel_min_support(BitMatrix.identity(4), "right")
+    rep = enumerate_gf2_kernel_min_support(BitMatrix.identity(4))
     assert rep.trivial and rep.kernel_dim == 0
     assert rep.min_support is None and rep.witness is None
 
 
 def test_min_support_left_example():
     m = BitMatrix.from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    rep = enumerate_gf2_kernel_min_support(m, "left")
+    rep = enumerate_gf2_kernel_min_support(m.transpose())
     assert rep.min_support == 3
     assert rep.witness == (1, 1, 1)
 
 
 def test_min_support_duplicate_columns():
     m = BitMatrix.from_rows([[1, 1, 0], [0, 0, 1], [1, 1, 1]])
-    rep = enumerate_gf2_kernel_min_support(m, "right")
+    rep = enumerate_gf2_kernel_min_support(m)
     assert rep.min_support == 2
     assert rep.witness == (1, 1, 0)
 
@@ -117,13 +117,13 @@ def test_min_support_zero_column_gives_one():
         col = rng.randrange(n)
         for r in rows:
             r[col] = 0
-        rep = enumerate_gf2_kernel_min_support(BitMatrix.from_rows(rows), "right")
+        rep = enumerate_gf2_kernel_min_support(BitMatrix.from_rows(rows))
         assert rep.min_support == 1
 
 
 def test_min_support_budget():
     with pytest.raises(KernelTooLarge):
-        enumerate_gf2_kernel_min_support(BitMatrix.zeros(25, 25), "right", max_dim=20)
+        enumerate_gf2_kernel_min_support(BitMatrix.zeros(25, 25), max_dim=20)
 
 
 def test_min_support_exhaustive_cross_check():
@@ -132,7 +132,7 @@ def test_min_support_exhaustive_cross_check():
         n = rng.randint(1, 6)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(rng.randint(1, 6))]
         m = BitMatrix.from_rows(rows)
-        rep = enumerate_gf2_kernel_min_support(m, "right")
+        rep = enumerate_gf2_kernel_min_support(m)
         weights = [
             sum(bits)
             for bits in product((0, 1), repeat=n)
