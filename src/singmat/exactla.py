@@ -3,14 +3,19 @@
 Each field has one elimination.  Over GF(2) it is forward elimination
 to echelon form on packed rows: Python bit-integers for small shapes, a
 numpy uint64 word matrix for large ones, a row update being whole-word
-XOR either way.  ``rank_gf2`` counts its pivots and ``kernel_gf2``
-back-substitutes one basis vector per free column.  Over a prime field
-it is one LU factorization with row swaps, on int64 arrays for large
-shapes and Python lists for small ones: the determinant residue is the
-signed product of its diagonal, and the kernel lift solves through it.
-The int64 path needs p < 2**31 (``modular.PRIME_CEILING``) to keep
-products of residues below 2**62, and reduces blocks by floor division,
-t - (t // p) * p, which numpy does several times faster than ``%``.
+XOR either way.  ``kernel_gf2`` back-substitutes one basis vector per
+free column of that echelon, whose leftmost pivots give the canonical
+basis.  ``rank_gf2`` needs no pivot order: below 1000 rows and columns
+it reduces each packed row against a basis keyed by highest set bit
+(one dictionary lookup and one XOR per step) and counts the basis;
+from 1000 on it counts the pivots of the word-matrix echelon.  Over a
+prime field it is one LU factorization with row swaps, on int64 arrays
+for large shapes and Python lists for small ones: the determinant
+residue is the signed product of its diagonal, and the kernel lift
+solves through it.  The int64 path needs p < 2**31
+(``modular.PRIME_CEILING``) to keep products of residues below 2**62,
+and reduces blocks by floor division, t - (t // p) * p, which numpy
+does several times faster than ``%``.
 Over the rationals it is fraction-free (Bareiss) elimination: kernels
 come from exact back-substitution, and the last pivot of a square
 matrix of full rank is its determinant up to the row-swap sign.
@@ -44,8 +49,10 @@ from .errors import KernelLiftFailed, SelfCheckFailed
 from .matrices import BitMatrix, IntMatrix, KernelBasis, RationalVector
 from .modular import PRIME_CEILING, crt_primes, rational_reconstruct, symmetric_lift
 
-# Shapes at least this large take the numpy word-matrix path.
+# Shapes at least this large take the numpy word-matrix path: for the
+# echelon behind kernel_gf2 from 192 on, for rank_gf2 from 1000 on.
 _WORD_PATH_MIN = 192
+_RANK_WORD_PATH_MIN = 1000
 _MOD_NUMPY_MIN = 24
 # Primes one kernel search factors before falling back to Bareiss.
 _PRIME_BUDGET = 3
@@ -116,9 +123,17 @@ def _echelon_words(rows: Sequence[int], n_cols: int) -> tuple[np.ndarray, list[i
 
 def rank_gf2(m: BitMatrix) -> int:
     """Rank of a zero-one matrix over GF(2)."""
-    if max(m.n_rows, m.n_cols, 1) >= _WORD_PATH_MIN:
+    if max(m.n_rows, m.n_cols) >= _RANK_WORD_PATH_MIN:
         return len(_echelon_words(m.rows, m.n_cols)[1])
-    return len(_echelon_bits(m.rows, m.n_cols)[1])
+    basis: dict[int, int] = {}
+    for row in m.rows:
+        while row:
+            top = row.bit_length()
+            if top not in basis:
+                basis[top] = row
+                break
+            row ^= basis[top]
+    return len(basis)
 
 
 def _gf2_right_kernel_vectors(rows: Sequence[int], n_cols: int) -> list[int]:

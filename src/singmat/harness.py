@@ -29,11 +29,11 @@ from typing import Iterable, Sequence
 
 from .bounds import ATOM_BERNOULLI_MAX_LEN, ATOM_COMB_BUDGET, max_atom_bernoulli, max_atom_combinatorial
 from .certify import is_singular_exact
-from .errors import BudgetExceeded, InfeasibleDensity, KernelLiftFailed, KernelTooLarge
+from .errors import InfeasibleDensity, KernelLiftFailed, KernelTooLarge
 from .exactla import exact_dot, kernel_vector
 from .matrices import BitMatrix, RationalVector
-from .models import SampleSpec, sample, sample_row
-from .rng import derive_seed
+from .models import SampleSpec, sample, sample_rows
+from .rng import derive_seed, derive_seeds
 from .stats import binomial_sigma, clopper_pearson
 from .structure import PropertyPredicate, enumerate_gf2_kernel_min_support, eval_predicate
 
@@ -426,11 +426,10 @@ def _atom_proxy(
         atom = max_atom_combinatorial(x, int(density))
         return float(atom.max_prob), 0.0, True
     ints = x.integer_entries()
-    hits = 0
-    for k in range(ATOM_MC_INNER):
-        row = sample_row(_make_spec(model, x.length, density, derive_seed(seed, k)))
-        if exact_dot(ints, row) == 0:
-            hits += 1
+    # Fresh row k is sample_row of the child spec seeded derive_seed(seed, k).
+    row_seeds = derive_seeds(derive_seeds(seed, ATOM_MC_INNER), 1)[:, 0]
+    rows = sample_rows(_make_spec(model, x.length, density, seed), row_seeds)
+    hits = sum(exact_dot(ints, row) == 0 for row in rows)
     return hits / ATOM_MC_INNER, binomial_sigma(max(hits, 1), ATOM_MC_INNER), False
 
 

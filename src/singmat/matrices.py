@@ -33,6 +33,19 @@ def unpack_bits(word: int, width: int) -> tuple[int, ...]:
     return tuple((word >> j) & 1 for j in range(width))
 
 
+def pack_rows(a: np.ndarray) -> tuple[int, ...]:
+    """Rows of a 2-D 0/1 (or bool) array packed into ints, entry j ->
+    bit j, with one ``packbits`` call.  The entries are not checked."""
+    packed = np.packbits(a, axis=1, bitorder="little")
+    n_rows, width = packed.shape
+    if width == 0:
+        return (0,) * n_rows
+    buf = packed.tobytes()
+    return tuple(
+        int.from_bytes(buf[k : k + width], "little") for k in range(0, n_rows * width, width)
+    )
+
+
 @dataclass(frozen=True)
 class BitMatrix:
     """Dense zero-one matrix with rows stored as packed bit integers."""
@@ -46,10 +59,9 @@ class BitMatrix:
             raise ValueError("negative dimensions")
         if len(self.rows) != self.n_rows:
             raise ValueError("row count does not match n_rows")
-        mask = (1 << self.n_cols) - 1
-        for i, r in enumerate(self.rows):
-            if r < 0 or r & ~mask:
-                raise ValueError(f"row {i} has bits outside the logical width")
+        if self.rows and (min(self.rows) < 0 or max(self.rows).bit_length() > self.n_cols):
+            bad = next(i for i, r in enumerate(self.rows) if r < 0 or r.bit_length() > self.n_cols)
+            raise ValueError(f"row {bad} has bits outside the logical width")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], n_cols: int | None = None) -> BitMatrix:
@@ -83,8 +95,9 @@ class BitMatrix:
     def transpose(self) -> BitMatrix:
         if self.n_rows == 0 or self.n_cols == 0:
             return BitMatrix(self.n_cols, self.n_rows, (0,) * self.n_cols)
-        a = self.to_bit_array()
-        return BitMatrix.from_bit_array(a.T)
+        # Packing a contiguous copy is faster than packing the strided view.
+        columns = np.ascontiguousarray(self.to_bit_array().T)
+        return BitMatrix(self.n_cols, self.n_rows, pack_rows(columns))
 
     def complement(self) -> BitMatrix:
         """Entrywise 1 - entry (bitwise NOT within the logical width)."""
@@ -105,11 +118,7 @@ class BitMatrix:
         a = np.asarray(a)
         if a.size and (a.min() < 0 or a.max() > 1):
             raise ValueError("entries must be 0 or 1")
-        a = a.astype(np.uint8, copy=False)
-        n_rows, n_cols = a.shape
-        packed = np.packbits(a, axis=1, bitorder="little")
-        rows = tuple(int.from_bytes(packed[i].tobytes(), "little") for i in range(n_rows))
-        return cls(n_rows, n_cols, rows)
+        return cls(a.shape[0], a.shape[1], pack_rows(a.astype(np.uint8, copy=False)))
 
     def to_int_matrix(self) -> IntMatrix:
         """Lift to an exact integer matrix (entries 0/1 as Python ints)."""

@@ -6,6 +6,13 @@ the counter-based generator in :mod:`singmat.rng`, with row i of a
 matrix read from the child stream ``derive_seed(seed, i)``, so matrices
 are reproducible bit for bit and rows can be generated in parallel.
 
+A matrix is drawn in bulk: one ``u64_block`` grid holds every row's
+stream outputs, Bernoulli rows are that grid compared with the
+threshold, and combinatorial rows run their partial Fisher-Yates swaps
+on all rows at once.  A combinatorial draw that ``Stream.below`` would
+reject (probability below n / 2**64 per row) sends its row to the scalar
+sampler, so every row equals the scalar one.
+
 Probabilities are exact rationals realized by comparing a 64-bit draw
 against floor(p * 2**64); the resulting bias is below 2**-64 and is
 ignored.
@@ -19,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PairingInfeasible
-from .matrices import BitMatrix
-from .rng import MASK64, Stream, bernoulli_threshold, derive_seed, u64_block
+from .matrices import BitMatrix, pack_rows
+from .rng import MASK64, Stream, bernoulli_threshold, derive_seeds, u64_block
 
 
 @dataclass(frozen=True)
@@ -91,9 +98,9 @@ class PairingSample:
 
 
 def sample(spec: SampleSpec) -> BitMatrix:
-    if spec.model == "bernoulli":
-        return sample_bernoulli(spec)
-    return sample_combinatorial(spec)
+    """n x n matrix of the spec's model, row i drawn from the stream
+    ``derive_seed(spec.seed, i)``."""
+    return BitMatrix(spec.n, spec.n, sample_rows(spec, derive_seeds(spec.seed, spec.n)))
 
 
 def sample_bernoulli(spec: SampleSpec) -> BitMatrix:
@@ -104,19 +111,70 @@ def sample_bernoulli(spec: SampleSpec) -> BitMatrix:
     """
     if spec.model != "bernoulli":
         raise ValueError("spec is not a bernoulli spec")
+    return sample(spec)
+
+
+def sample_combinatorial(spec: SampleSpec) -> BitMatrix:
+    """n x n matrix with independent rows, each a uniform d-subset indicator."""
+    if spec.model != "combinatorial":
+        raise ValueError("spec is not a combinatorial spec")
+    return sample(spec)
+
+
+def sample_row(spec: SampleSpec) -> int:
+    """Packed first row of sample(spec): one draw from the row law."""
+    return sample_rows(spec, derive_seeds(spec.seed, 1))[0]
+
+
+def sample_rows(spec: SampleSpec, row_seeds: np.ndarray) -> tuple[int, ...]:
+    """Packed rows of the row law of ``spec`` (model, n and density; its
+    seed is not read), row i drawn from the stream ``row_seeds[i]``.
+
+    All rows come from one ``u64_block`` call.
+    """
     n = spec.n
+    if spec.model == "combinatorial":
+        return _subset_rows(u64_block(row_seeds, spec.d), row_seeds, n)
     threshold = bernoulli_threshold(spec.p.numerator, spec.p.denominator)
     if threshold == 0:
-        return BitMatrix.zeros(n, n)
+        return (0,) * len(row_seeds)
     if threshold > MASK64:
-        return BitMatrix(n, n, ((1 << n) - 1,) * n)
-    thr = np.uint64(threshold)
-    rows = []
-    for i in range(n):
-        words = u64_block(derive_seed(spec.seed, i), 0, n)
-        bits = np.packbits(words < thr, bitorder="little")
-        rows.append(int.from_bytes(bits.tobytes(), "little"))
-    return BitMatrix(n, n, tuple(rows))
+        return ((1 << n) - 1,) * len(row_seeds)
+    return pack_rows(u64_block(row_seeds, n) < np.uint64(threshold))
+
+
+def _subset_rows(draws: np.ndarray, row_seeds: np.ndarray, n: int) -> tuple[int, ...]:
+    """Packed uniform d-subsets of [0, n), d = draws.shape[1]: the
+    partial Fisher-Yates pass of ``_uniform_subset_row`` run on all rows
+    at once, step k of row i taking ``draws[i, k] % (n - k)``.
+
+    ``Stream.below(m)``, m = n - k, rejects a draw at or above
+    2**64 - (2**64 mod m), which happens with probability below n / 2**64
+    per draw; such a row is recomputed by the scalar path from its stream,
+    which draws past the rejected value.  The limit is 2**64 itself
+    (nothing rejects) when m is a power of two.
+    """
+    n_rows, d = draws.shape
+    at = np.arange(n_rows)
+    idx = np.tile(np.arange(n), (n_rows, 1))
+    rejected = np.zeros(n_rows, dtype=bool)
+    for k in range(d):
+        m = n - k
+        if (1 << 64) % m:
+            rejected |= draws[:, k] >= np.uint64((1 << 64) - (1 << 64) % m)
+        j = k + (draws[:, k] % np.uint64(m)).astype(np.intp)
+        picked = idx[at, j]
+        idx[at, j] = idx[:, k]
+        idx[:, k] = picked
+    bits = np.zeros((n_rows, n), dtype=np.uint8)
+    bits[at[:, None], idx[:, :d]] = 1
+    rows = pack_rows(bits)
+    if not rejected.any():
+        return rows
+    return tuple(
+        _uniform_subset_row(Stream(int(row_seeds[i])), n, d) if rejected[i] else row
+        for i, row in enumerate(rows)
+    )
 
 
 def _uniform_subset_row(stream: Stream, n: int, d: int) -> int:
@@ -129,31 +187,6 @@ def _uniform_subset_row(stream: Stream, n: int, d: int) -> int:
     for b in idx[:d]:
         row |= 1 << b
     return row
-
-
-def sample_combinatorial(spec: SampleSpec) -> BitMatrix:
-    """n x n matrix with independent rows, each a uniform d-subset indicator."""
-    if spec.model != "combinatorial":
-        raise ValueError("spec is not a combinatorial spec")
-    n, d = spec.n, spec.d
-    rows = tuple(
-        _uniform_subset_row(Stream(derive_seed(spec.seed, i)), n, d) for i in range(n)
-    )
-    return BitMatrix(n, n, rows)
-
-
-def sample_row(spec: SampleSpec) -> int:
-    """Packed first row of sample(spec): one draw from the row law."""
-    if spec.model == "bernoulli":
-        threshold = bernoulli_threshold(spec.p.numerator, spec.p.denominator)
-        if threshold == 0:
-            return 0
-        if threshold > MASK64:
-            return (1 << spec.n) - 1
-        words = u64_block(derive_seed(spec.seed, 0), 0, spec.n)
-        bits = np.packbits(words < np.uint64(threshold), bitorder="little")
-        return int.from_bytes(bits.tobytes(), "little")
-    return _uniform_subset_row(Stream(derive_seed(spec.seed, 0)), spec.n, spec.d)
 
 
 def sample_pairing(n: int, d: int, seed: int) -> PairingSample:

@@ -9,7 +9,10 @@ where ``mix64`` is the SplitMix64 finalizer (Steele, Lea & Flood's
 constants).  Because each output is a pure function of (seed, counter),
 streams can be evaluated out of order, in parallel, or in bulk with
 numpy, and any implementation in any language that follows the formula
-reproduces them bit for bit.
+reproduces them bit for bit.  :func:`u64_block` evaluates the first
+``count`` outputs of many streams as one uint64 grid, and
+:func:`derive_seeds` does the same for child seeds; both equal the
+scalar functions entry for entry.
 
 Child streams are derived with :func:`derive_seed`, which mixes the
 parent seed with the child index under distinct constants so that child
@@ -55,17 +58,37 @@ def derive_seed(seed: int, index: int) -> int:
     return mix64(((seed ^ DERIVE_XOR) + (index + 1) * DERIVE_GAMMA) & MASK64)
 
 
-def u64_block(seed: int, start: int, count: int) -> np.ndarray:
-    """Vectorized stream outputs [start, start+count) as uint64.
+def _counter_grid(seeds, count: int, gamma: int) -> np.ndarray:
+    """mix64(seeds[i] + (k+1) * gamma) over the grid of seeds by k in
+    [0, count), mixed in place on one uint64 array plus one scratch
+    array of the same shape; numpy uint64 arithmetic wraps modulo 2**64
+    exactly as the scalar path does."""
+    z = np.add.outer(
+        np.asarray(seeds, dtype=np.uint64),
+        np.arange(1, count + 1, dtype=np.uint64) * np.uint64(gamma),
+    )
+    t = np.empty_like(z)
+    for shift, mult in ((30, MIX_C1), (27, MIX_C2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
-    Identical values to repeated :func:`value_at` calls; numpy uint64
-    arithmetic wraps modulo 2**64 exactly as the scalar path does.
-    """
-    k = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    z = (np.uint64(seed & MASK64) + k * np.uint64(GAMMA))
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(MIX_C1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(MIX_C2)
-    return z ^ (z >> np.uint64(31))
+
+def u64_block(seeds, count: int) -> np.ndarray:
+    """Outputs [0, count) of every stream in ``seeds``, as uint64 of
+    shape ``np.shape(seeds) + (count,)``: entry [i, k] is
+    ``value_at(seeds[i], k)``."""
+    return _counter_grid(seeds, count, GAMMA)
+
+
+def derive_seeds(seeds, count: int) -> np.ndarray:
+    """Child seeds [0, count) of every seed in ``seeds``, shaped like
+    :func:`u64_block`: entry [i, k] is ``derive_seed(seeds[i], k)``."""
+    salted = np.asarray(seeds, dtype=np.uint64) ^ np.uint64(DERIVE_XOR)
+    return _counter_grid(salted, count, DERIVE_GAMMA)
 
 
 class Stream:

@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
 Deliberately naive: unpacked lists, textbook elimination, exhaustive
-enumeration.  These share no code with the package internals.
+enumeration.  These share no code with the package internals; the
+sampler oracles read the streams only through the scalar definitions
+``value_at``, ``derive_seed`` and ``Stream.below`` of ``singmat.rng``.
 ``chi_square_uniform`` wraps scipy; only the tests use it.
 """
 
@@ -14,6 +16,8 @@ from typing import Sequence
 
 import numpy as np
 from scipy import stats as _sp
+
+from singmat.rng import Stream, derive_seed, value_at
 
 
 def naive_rank_gf2(rows: list[list[int]]) -> int:
@@ -37,6 +41,31 @@ def naive_rank_gf2(rows: list[list[int]]) -> int:
                 R[row] ^= R[rank]
         rank += 1
     return rank
+
+
+def naive_bernoulli_rows(n: int, p: Fraction, seed: int) -> list[list[int]]:
+    """Bernoulli(p) matrix entry by entry: (i, j) is 1 iff output j of
+    row stream i is below floor(p * 2**64)."""
+    threshold = (p.numerator << 64) // p.denominator
+    return [
+        [int(value_at(derive_seed(seed, i), j) < threshold) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def naive_combinatorial_rows(n: int, d: int, seed: int) -> list[list[int]]:
+    """Weight-d rows by a partial Fisher-Yates pass per row stream, one
+    ``Stream.below`` draw per step."""
+    rows = []
+    for i in range(n):
+        stream = Stream(derive_seed(seed, i))
+        idx = list(range(n))
+        for k in range(d):
+            j = k + stream.below(n - k)
+            idx[k], idx[j] = idx[j], idx[k]
+        ones = set(idx[:d])
+        rows.append([int(j in ones) for j in range(n)])
+    return rows
 
 
 def naive_det(rows: list[list]) -> Fraction:

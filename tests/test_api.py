@@ -44,3 +44,28 @@ def test_importing_the_cli_leaves_scipy_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert proc.stdout.split() == ["False"], proc.stderr
+
+
+def _unused_imports(path: Path, exported: frozenset[str] = frozenset()) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    imported: dict[str, int] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | exported
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_unused_imports():
+    """No linter runs on this repository, so an import nothing references
+    would go unnoticed; names exported through __all__ count as used."""
+    package = Path(singmat.__file__).parent
+    found = _unused_imports(package / "__init__.py", frozenset(singmat.__all__))
+    for path in sorted([*package.rglob("*.py"), *Path(__file__).parent.rglob("*.py")]):
+        if path != package / "__init__.py":
+            found += _unused_imports(path)
+    assert found == []

@@ -3,8 +3,6 @@
 import hashlib
 import math
 import random
-from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -84,9 +82,19 @@ def test_rank_word_path_matches_bit_path():
 
 
 def test_rank_degenerate_shapes():
-    assert rank_gf2(BitMatrix(0, 0, ())) == 0
-    assert rank_gf2(BitMatrix.zeros(3, 0)) == 0
-    assert rank_gf2(BitMatrix.zeros(0, 3)) == 0
+    # Empty, wide and tall shapes, on both sides of the rank cut-over at 1000.
+    rng = random.Random(5)
+    for shape in [(0, 0), (3, 0), (0, 3), (0, 1200), (1200, 0), (5, 90), (90, 5), (4, 1100), (1100, 4)]:
+        rows = random_bit_rows(rng, *shape)
+        assert rank_gf2(BitMatrix.from_rows(rows, shape[1])) == naive_rank_gf2(rows), shape
+
+
+@pytest.mark.parametrize("n", [999, 1000])
+def test_rank_matches_naive_across_the_basis_cut_over(n):
+    # About seven ones per row: some zero lines, rank a little below n.
+    rng = random.Random(n)
+    rows = random_bit_rows(rng, n, n, 7 / n)
+    assert rank_gf2(bm(rows)) == naive_rank_gf2(rows)
 
 
 # -- kernels over GF(2) -----------------------------------------------------

@@ -3,7 +3,6 @@
 import csv
 import logging
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 

@@ -7,12 +7,15 @@ from math import comb, sqrt
 
 import pytest
 
-from oracles import chi_square_uniform
+from oracles import chi_square_uniform, naive_bernoulli_rows, naive_combinatorial_rows
 from singmat.certify import is_singular_exact
 from singmat.errors import PairingInfeasible
+from singmat.harness import bernoulli_density
 from singmat.matrices import BitMatrix
 from singmat.models import (
     SampleSpec,
+    _subset_rows,
+    _uniform_subset_row,
     find_duplicate_or_zero_lines,
     sample,
     sample_bernoulli,
@@ -20,6 +23,7 @@ from singmat.models import (
     sample_pairing,
     sample_row,
 )
+from singmat.rng import MASK64, Stream, derive_seeds, u64_block
 
 
 def test_bernoulli_degenerate_densities():
@@ -75,6 +79,61 @@ def test_sample_row_matches_matrix_first_row():
         SampleSpec.combinatorial(17, 5, 123),
     ):
         assert sample_row(spec) == sample(spec).rows[0]
+
+
+_ORACLE_SIZES = [0, 1, 2, 16, 50, 300]
+
+
+def _packed_first_row(rows: list[list[int]]) -> int:
+    return sum(b << j for j, b in enumerate(rows[0])) if rows else 0
+
+
+@pytest.mark.parametrize("n", _ORACLE_SIZES)
+def test_bernoulli_matches_entrywise_oracle(n):
+    ps = {Fraction(0), Fraction(1, 3), Fraction(1)}
+    if n >= 2:
+        ps.add(bernoulli_density(Fraction(1), n))
+    for p in sorted(ps):
+        spec = SampleSpec.bernoulli(n, p, 1000 + n)
+        rows = naive_bernoulli_rows(n, p, spec.seed)
+        assert sample(spec).to_lists() == rows, p
+        assert sample_row(spec) == _packed_first_row(rows)
+
+
+@pytest.mark.parametrize("n", _ORACLE_SIZES)
+def test_combinatorial_matches_fisher_yates_oracle(n):
+    for d in sorted({d for d in (0, 1, n - 1, n) if 0 <= d <= n}):
+        spec = SampleSpec.combinatorial(n, d, 2000 + n)
+        rows = naive_combinatorial_rows(n, d, spec.seed)
+        assert sample(spec).to_lists() == rows, d
+        assert sample_row(spec) == _packed_first_row(rows)
+
+
+def _fisher_yates_row(draws, n: int) -> int:
+    idx = list(range(n))
+    for k, u in enumerate(draws):
+        j = k + int(u) % (n - k)
+        idx[k], idx[j] = idx[j], idx[k]
+    return sum(1 << b for b in idx[: len(draws)])
+
+
+def test_rejected_draw_falls_back_to_the_scalar_row():
+    # Step 1 of n = 12 draws below 11, whose rejection limit is
+    # 2**64 - 5: a crafted draw of MASK64 must send row 1 to the scalar
+    # path.  Steps of n = 16, d = 16 draw below 16, a power of two whose
+    # limit is 2**64 itself: MASK64 is an ordinary draw there.
+    for n, d, step, fallback in ((12, 4, 1, True), (16, 16, 0, False)):
+        seeds = derive_seeds(77, 3)
+        draws = u64_block(seeds, d)
+        draws[1, step] = MASK64
+        rows = _subset_rows(draws, seeds, n)
+        for i in (0, 2):
+            assert rows[i] == _uniform_subset_row(Stream(int(seeds[i])), n, d)
+        crafted = _fisher_yates_row(draws[1], n)
+        if fallback:
+            assert rows[1] == _uniform_subset_row(Stream(int(seeds[1])), n, d) != crafted
+        else:
+            assert rows[1] == crafted
 
 
 def test_bernoulli_mean_entry_count():

@@ -7,6 +7,7 @@ from singmat.rng import (
     Stream,
     bernoulli_threshold,
     derive_seed,
+    derive_seeds,
     mix64,
     u64_block,
     value_at,
@@ -24,9 +25,17 @@ def test_stream_matches_value_at():
 
 
 def test_u64_block_matches_scalar():
-    block = u64_block(987654321, 3, 16)
-    assert [int(v) for v in block] == [value_at(987654321, 3 + k) for k in range(16)]
-    assert block.dtype == np.uint64
+    seeds = [987654321, 0, MASK64]
+    block = u64_block(seeds, 16)
+    assert block.shape == (3, 16) and block.dtype == np.uint64
+    assert block.tolist() == [[value_at(s, k) for k in range(16)] for s in seeds]
+    assert u64_block(seeds, 0).shape == (3, 0)
+
+
+def test_derive_seeds_matches_scalar():
+    seeds = [42, 0, MASK64]
+    assert derive_seeds(seeds, 9).tolist() == [[derive_seed(s, k) for k in range(9)] for s in seeds]
+    assert derive_seeds(7, 4).tolist() == [derive_seed(7, k) for k in range(4)]
 
 
 def test_derive_seed_changes_stream():
