@@ -24,14 +24,23 @@ matrix of full rank is its determinant up to the row-swap sign.
 solve; only ``kernel_vector_crt`` builds the int64 array the prime-field
 elimination runs on, once per search.  It factors the matrix once per
 prime it tries, at most ``_PRIME_BUDGET`` primes drawn from the
-caller's sequence (the fixed list by default).  Full column rank mod p
+caller's sequence (the fixed list by default), with the columns in
+ascending column-count order: sparse columns first delay the fill-in
+(a static Markowitz order), which cuts the update work of a c = 2
+sweep matrix at n = 300 by about a quarter.  Full column rank mod p
 ends the search: the columns are independent, and a square matrix gets
-its determinant residue off the same diagonal.  Otherwise Dixon p-adic
-lifting on that factorization takes O(n^2) solve steps until rational
-reconstruction yields a vector that passes an exact check.  An unlucky
-prime moves on to the next one; when the budget is spent the search
-falls back to Bareiss, which yields the canonical kernel vector or, for
-a square matrix, the exact determinant.  Every kernel here is a right
+its determinant residue off the same diagonal, times the sign of the
+column order.  Rank n_cols - 1 runs Dixon p-adic lifting on that
+factorization, O(n^2) solve steps until rational reconstruction yields
+a vector that passes an exact check; the rational kernel is then
+one-dimensional, so that vector, mapped back and cleared, is the
+canonical one.  Lower rank refactors in natural order, where the lift's
+first free column makes the vector canonical.  A matrix with fewer
+than n_cols - 1 distinct nonzero rows has lower rank for every prime,
+so it is factored in natural order from the start.  An unlucky prime
+moves on to the next one; when the budget is spent the search falls
+back to Bareiss, which yields the canonical kernel vector or, for a
+square matrix, the exact determinant.  Every kernel here is a right
 kernel; the left kernel of ``m`` is the right kernel of
 ``m.transpose()``.
 """
@@ -46,7 +55,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import KernelLiftFailed, SelfCheckFailed
-from .matrices import BitMatrix, IntMatrix, KernelBasis, RationalVector
+from .matrices import BitMatrix, IntMatrix, KernelBasis, RationalVector, pack_rows
 from .modular import PRIME_CEILING, crt_primes, rational_reconstruct, symmetric_lift
 
 # Shapes at least this large take the numpy word-matrix path: for the
@@ -443,7 +452,11 @@ def _padic_kernel_vector(a: np.ndarray, rows: Sequence[int], lu: _LU) -> tuple[i
     first (both mean p is unlucky).  The columns before f are pivots,
     so independent over Q: a kernel vector that is zero past f makes f
     the first rational free column, and the vector does not depend on
-    p.
+    p.  With rank n_cols - 1 mod p, the column order does not matter:
+    the rational kernel is then one-dimensional, so a verified vector
+    spans it; ``kernel_vector_crt`` lifts on its sparse-first
+    factorization then, passing the column-permuted array and its
+    packed rows, and maps the vector back.
     """
     # Numerators and denominators are r x r minors, at most the
     # Hadamard bound of the nonzero rows; reconstruction needs a
@@ -498,32 +511,69 @@ class KernelSearch(NamedTuple):
     det: int | None = None
 
 
+def _permutation_sign(order: Sequence[int]) -> int:
+    """Sign of a permutation: (-1) ** (length - number of cycles)."""
+    seen = [False] * len(order)
+    cycles = 0
+    for start in range(len(order)):
+        if not seen[start]:
+            cycles += 1
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                j = order[j]
+    return -1 if (len(order) - cycles) & 1 else 1
+
+
 def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> KernelSearch:
     """Kernel search of a zero-one matrix by p-adic lifting.
 
     The int64 array the factorizations run on is built here, once, from
     ``m``.  It is factored once per prime, for at most ``_PRIME_BUDGET``
-    primes drawn lazily from ``primes`` (default: the fixed list).  Full
-    column rank mod p proves the columns independent.  Otherwise the
-    vector is the canonical one -- first free column 1, the other free
-    columns 0, then cleared -- lifted on that factorization and verified
-    exactly before return.  An unlucky prime moves on to the next; when
-    the budget or the sequence is spent this raises KernelLiftFailed
-    (``kernel_vector`` then falls back to fraction-free elimination).
-    A prime of 2**31 or more raises ValueError: the lift's residue
-    updates are int64 arithmetic.
+    primes drawn lazily from ``primes`` (default: the fixed list), in
+    sparse-first column order (see the module docstring).  Full column
+    rank mod p proves the columns independent.  Otherwise the vector is
+    the canonical one -- first free column 1, the other free columns 0,
+    then cleared -- lifted and verified exactly before return.  An
+    unlucky prime moves on to the next; when the budget or the sequence
+    is spent this raises KernelLiftFailed (``kernel_vector`` then falls
+    back to fraction-free elimination).  A prime of 2**31 or more raises
+    ValueError: the lift's residue updates are int64 arithmetic.
     """
     a = m.to_bit_array().astype(np.int64)
+    n_cols = m.n_cols
+    # Fewer distinct nonzero rows than n_cols - 1 bound the rank below it.
+    sparse_first = len(set(m.rows) - {0}) >= n_cols - 1
+    if sparse_first:
+        order = np.argsort(a.sum(axis=0), kind="stable")
+        # take keeps rows contiguous; a[:, order] is column-major, and
+        # the row updates on it cost as much as the fill-in saves.
+        a_sparse = a.take(order, axis=1)
     if primes is None:
         primes = (crt_primes(k + 1)[k] for k in range(_PRIME_BUDGET))
     for p in islice(primes, _PRIME_BUDGET):
         if p >= PRIME_CEILING:
             raise ValueError(f"kernel_vector_crt needs primes below 2**31, got {p}")
+        if sparse_first:
+            lu = _lu_mod(a_sparse, p)
+            rank = len(lu.pivots)
+            if rank == n_cols:
+                # Independent mod p, so independent over Q.
+                residue = None
+                if m.n_rows == n_cols:
+                    residue = _lu_det(lu, n_cols) * _permutation_sign(order.tolist()) % p
+                return KernelSearch(None, "lift", p, residue)
+            if rank == n_cols - 1:
+                v = _padic_kernel_vector(a_sparse, pack_rows(a_sparse), lu)
+                if v is None:
+                    continue
+                w = [0] * n_cols
+                for k, c in enumerate(order.tolist()):
+                    w[c] = v[k]
+                return KernelSearch(RationalVector.from_values(w).cleared(), "lift")
+        # Nullity two or more mod p: the lift needs the natural order's
+        # first free column for the canonical vector.
         lu = _lu_mod(a, p)
-        if len(lu.pivots) == m.n_cols:
-            # Independent mod p, so independent over Q.
-            residue = _lu_det(lu, m.n_cols) if m.n_rows == m.n_cols else None
-            return KernelSearch(None, "lift", p, residue)
         v = _padic_kernel_vector(a, m.rows, lu)
         if v is not None:
             return KernelSearch(v, "lift")

@@ -88,6 +88,22 @@ def naive_det(rows: list[list]) -> Fraction:
     return det
 
 
+def naive_rank(rows: list[list], n_cols: int) -> int:
+    """Rank over the rationals by Fraction Gaussian elimination."""
+    M = [[Fraction(e) for e in row] for row in rows]
+    rank = 0
+    for c in range(n_cols):
+        pivot = next((i for i in range(rank, len(M)) if M[i][c] != 0), None)
+        if pivot is None:
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        for i in range(rank + 1, len(M)):
+            f = M[i][c] / M[rank][c]
+            M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
+        rank += 1
+    return rank
+
+
 def brute_gf2_right_kernel(rows: list[list[int]]) -> set[tuple[int, ...]]:
     """All v (including 0) with A v = 0 mod 2, by trying every vector."""
     if not rows:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singmat
-from oracles import naive_det
+from oracles import naive_det, naive_rank
 from singmat import certify, exactla
 from singmat.certify import (
     CertStats,
@@ -314,6 +314,20 @@ def _zero_row_matrix(n, seed):
             return m
 
 
+def _two_zero_row_matrix(n, seed):
+    """Two zero rows, so a kernel of dimension two or more, with no zero
+    or duplicate column."""
+    rng = random.Random(seed)
+    while True:
+        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+        for i in rng.sample(range(n), 2):
+            rows[i] = [0] * n
+        m = BitMatrix.from_rows(rows)
+        lines = find_duplicate_or_zero_lines(m)
+        if not (lines.zero_cols or lines.duplicate_col_pairs):
+            return m
+
+
 def _duplicate_row_matrix(n, seed):
     """Singular through a duplicate row, with no zero or duplicate column."""
     rng = random.Random(seed)
@@ -375,6 +389,7 @@ def test_one_factorization_per_prime_tried(n, lu_calls):
         (_zero_row_matrix(n, 2), "lift"),
         (_duplicate_row_matrix(n, 3), "lift"),
         (_no_line_singular_matrix(n, 4), "lift"),
+        (_two_zero_row_matrix(n, 5), "lift"),
     )
     for seed, (m, stage) in enumerate(cases):
         lu_calls.clear()
@@ -382,6 +397,109 @@ def test_one_factorization_per_prime_tried(n, lu_calls):
         assert cert.stats.stage == stage
         assert lu_calls == list(cert.stats.primes_tried)
         assert len(set(lu_calls)) == len(lu_calls) == 1
+
+
+def _sparse_first(a):
+    """The column order of the mod-p factorizations: ascending column
+    count, ties in column order."""
+    return np.argsort(a.sum(axis=0), kind="stable")
+
+
+def _is_odd(order):
+    """Parity of a permutation by counting its inversions."""
+    order = list(order)
+    return sum(x > y for i, x in enumerate(order) for y in order[i + 1 :]) % 2 == 1
+
+
+@pytest.mark.parametrize("n", [12, exactla._MOD_NUMPY_MIN - 1, exactla._MOD_NUMPY_MIN, 40])
+def test_residues_carry_the_column_order_sign(n):
+    """Producer and verifier both eliminate in sparse-first column order
+    and must undo its sign: row and column shuffles of a nonsingular
+    matrix reach both parities of that order and both signs of det."""
+    rng = np.random.default_rng(70 + n)
+    while True:
+        a = (rng.random((n, n)) < 0.3).astype(np.int64)
+        det = naive_det(a.tolist()).numerator
+        if det:
+            break
+    p = crt_primes(1)[0]
+    seen = set()
+    for _ in range(12):
+        a = a[rng.permutation(n)][:, rng.permutation(n)]
+        det = naive_det(a.tolist()).numerator
+        seen.add((_is_odd(_sparse_first(a)), det > 0))
+        m = BitMatrix.from_bit_array(a)
+        assert exactla.kernel_vector_crt(m, [p]).residue == det % p
+        assert certify._check_det_mod(m, p) == det % p
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.fixture
+def lu_arrays(monkeypatch):
+    """(array, prime) of every exactla._lu_mod factorization, in call order."""
+    calls = []
+    lu_mod = exactla._lu_mod
+
+    def recording(a, p):
+        calls.append((a.copy(), p))
+        return lu_mod(a, p)
+
+    monkeypatch.setattr(exactla, "_lu_mod", recording)
+    return calls
+
+
+def _wide_matrix(n, seed):
+    """The first n - 1 rows of a sweep matrix at c = 2: the shape the
+    lemma 2.1 check takes its kernel vector from."""
+    m = sample(SampleSpec.bernoulli(n, bernoulli_density(Fraction(2), n), seed))
+    return BitMatrix(n - 1, n, m.rows[:-1])
+
+
+@pytest.mark.parametrize("n", [12, 40])
+def test_sparse_first_lift_gives_the_canonical_vector(n, lu_arrays):
+    """With a one-dimensional kernel the lift runs on the sparse-first
+    factorization, the only one made, and maps back to the canonical
+    vector."""
+    matrices = (
+        _zero_row_matrix(n, 2),
+        _duplicate_row_matrix(n, 3),
+        _no_line_singular_matrix(n, 4),
+        _wide_matrix(n, 6),
+    )
+    for m in matrices:
+        a = m.to_bit_array().astype(np.int64)
+        order = _sparse_first(a)
+        assert naive_rank(a.tolist(), m.n_cols) == m.n_cols - 1
+        assert order.tolist() != list(range(m.n_cols))
+        lu_arrays.clear()
+        found = exactla.kernel_vector_crt(m)
+        assert len(lu_arrays) == 1
+        assert np.array_equal(lu_arrays[0][0], a[:, order])
+        assert found.vector == _canonical(m)
+
+
+def test_edge_shapes_through_the_sparse_first_order():
+    """n in {0, 1}, 0 x 1 and 1 x 0 through the kernel search, the
+    certificate and its verifier, against the Fraction oracles."""
+    p = crt_primes(1)[0]
+    shapes = (BitMatrix.zeros(0, 0), bm([[0]]), bm([[1]]), BitMatrix.zeros(0, 1), BitMatrix.zeros(1, 0))
+    for m in shapes:
+        rows = m.to_lists()
+        found = exactla.kernel_vector(m)
+        nullity = m.n_cols - naive_rank(rows, m.n_cols)
+        assert found.vector == ((1,) if nullity else None)
+        if m.n_rows == m.n_cols:
+            det = naive_det(rows).numerator
+            cert = is_singular_exact(m)
+            assert cert.is_singular == (det == 0)
+            assert verify_certificate(m, cert)
+            assert certify._check_det_mod(m, p) == det % p
+            if det:
+                assert found.residue == det % p
+        elif found.vector is not None:
+            stats = CertStats(gf2_rank=0, primes_tried=(), elapsed=0.0)
+            cert = SingularityCertificate("singular", found.vector, None, None, None, stats)
+            assert verify_certificate(m, cert)
 
 
 def test_line_report_rides_on_the_certificate():
