@@ -27,16 +27,18 @@ is returned, by an explicit test that survives ``python -O``; a failure
 raises CertificateRejected.  Verification deliberately shares no code
 with the elimination that produced the witness: kernel witnesses are
 checked by direct integer matrix-vector multiplication, determinant
-residues by an independent modular elimination with a different
-pivoting rule.  From n = 24 on it runs on int64 arrays and reduces row
-updates by floor division, t - (t // p) * p, several times faster in
-numpy than ``%``; that needs p < 2**31 (``modular.PRIME_CEILING``) to
-keep products of residues below 2**62, so larger primes are checked on
-Python integers.  The int64 path counts the columns of its own unpacked
-array and eliminates them in ascending count order, which delays the
-fill-in of sparse matrices, then multiplies by that order's sign, found
-by its own transposition count.  An exact determinant is checked by
-Chinese remaindering of those residues over the fixed prime list until the
+residues by an independent modular elimination with a different pivoting
+rule.  Mod 2 that is a basis keyed by lowest set bit, where ``rank_gf2``
+keys by highest, and a row that reduces to zero ends it.  From n = 24 on
+the odd-prime elimination runs on int64 arrays and reduces row updates
+by floor division, t - (t // p) * p, several times faster in numpy than
+``%``; that needs p < 2**31 (``modular.PRIME_CEILING``) to keep products
+of residues below 2**62, so larger primes are checked on Python
+integers.  The int64 path counts the columns of its own unpacked array
+and eliminates them in ascending count order, which delays the fill-in
+of sparse matrices, then multiplies by that order's sign, found by its
+own transposition count.  An exact determinant is checked by Chinese
+remaindering of those residues over the fixed prime list until the
 modulus passes twice the Hadamard bound of the matrix; a claimed value
 above that bound is rejected outright.  The verifier is the only code
 that computes a determinant this way.
@@ -351,7 +353,7 @@ def verify_certificate(m: BitMatrix, cert: SingularityCertificate) -> bool:
         if cert.residue is None or cert.residue % cert.prime == 0:
             return False
         if cert.prime == 2:
-            # Mod-2 determinant via packed elimination is its own path.
+            # Its own GF(2) basis, keyed unlike rank_gf2's.
             return _det_mod2_packed(m) == cert.residue % 2
         if not is_prime(cert.prime):
             return False
@@ -364,21 +366,17 @@ def verify_certificate(m: BitMatrix, cert: SingularityCertificate) -> bool:
 
 
 def _det_mod2_packed(m: BitMatrix) -> int:
-    """det mod 2 by packed-int elimination (full rank test over GF(2))."""
-    work = list(m.rows)
-    n = m.n_cols
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> c) & 1:
-                pivot = i
+    """det mod 2 of a square matrix: 1 iff its rows are independent over
+    GF(2), found by reducing each row against a basis keyed by lowest
+    set bit, and 0 at the first row that reduces to zero."""
+    basis: dict[int, int] = {}
+    for row in m.rows:
+        while row:
+            low = (row & -row).bit_length()
+            if low not in basis:
+                basis[low] = row
                 break
-        if pivot is None:
+            row ^= basis[low]
+        else:
             return 0
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(r + 1, len(work)):
-            if (work[i] >> c) & 1:
-                work[i] ^= work[r]
-        r += 1
     return 1

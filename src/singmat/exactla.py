@@ -1,18 +1,18 @@
 """Exact linear algebra over GF(2), prime fields, and the rationals.
 
-Each field has one elimination.  Over GF(2) it is forward elimination
-to echelon form on packed rows: Python bit-integers for small shapes, a
-numpy uint64 word matrix for large ones, a row update being whole-word
-XOR either way.  ``kernel_gf2`` back-substitutes one basis vector per
-free column of that echelon, whose leftmost pivots give the canonical
-basis.  ``rank_gf2`` needs no pivot order: below 1000 rows and columns
-it reduces each packed row against a basis keyed by highest set bit
-(one dictionary lookup and one XOR per step) and counts the basis;
-from 1000 on it counts the pivots of the word-matrix echelon.  Over a
-prime field it is one LU factorization with row swaps, on int64 arrays
-for large shapes and Python lists for small ones: the determinant
-residue is the signed product of its diagonal, and the kernel lift
-solves through it.  The int64 path needs p < 2**31
+Each field has one elimination.  Over GF(2) it reduces each packed
+row (a Python bit-integer, so a row update is one bignum XOR) against
+a dictionary basis of the rows seen so far, one lookup and one XOR per
+step, and the job picks the key.  ``rank_gf2`` needs no pivot order:
+it keys by highest set bit, the cheaper reduction on sweep matrices,
+and counts the basis.  ``kernel_gf2`` keys by lowest set bit; the
+pivot set of a row space does not depend on the elimination, so the
+sorted keys are the leftmost pivots, and back-substituting one vector
+per free column through the basis rows gives the canonical basis.
+Over a prime field it is one LU factorization with row swaps, on int64
+arrays for large shapes and Python lists for small ones: the
+determinant residue is the signed product of its diagonal, and the
+kernel lift solves through it.  The int64 path needs p < 2**31
 (``modular.PRIME_CEILING``) to keep products of residues below 2**62,
 and reduces blocks by floor division, t - (t // p) * p, which numpy
 does several times faster than ``%``.
@@ -58,10 +58,7 @@ from .errors import KernelLiftFailed, SelfCheckFailed
 from .matrices import BitMatrix, IntMatrix, KernelBasis, RationalVector, pack_rows
 from .modular import PRIME_CEILING, crt_primes, rational_reconstruct, symmetric_lift
 
-# Shapes at least this large take the numpy word-matrix path: for the
-# echelon behind kernel_gf2 from 192 on, for rank_gf2 from 1000 on.
-_WORD_PATH_MIN = 192
-_RANK_WORD_PATH_MIN = 1000
+# Shapes at least this large take _lu_mod's int64 numpy path.
 _MOD_NUMPY_MIN = 24
 # Primes one kernel search factors before falling back to Bareiss.
 _PRIME_BUDGET = 3
@@ -71,69 +68,8 @@ _PRIME_BUDGET = 3
 # GF(2) elimination
 
 
-def _echelon_bits(rows: Sequence[int], n_cols: int) -> tuple[list[int], list[int]]:
-    """Forward elimination on packed bit rows; returns (echelon rows,
-    pivot cols).  Echelon row k has no bits below pivot col k."""
-    work = list(rows)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        pivot = None
-        for i in range(r, len(work)):
-            if (work[i] >> c) & 1:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(r + 1, len(work)):
-            if (work[i] >> c) & 1:
-                work[i] ^= work[r]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivot_cols
-
-
-def _word_matrix(rows: Sequence[int], n_cols: int) -> np.ndarray:
-    n_words = max(1, (n_cols + 63) // 64)
-    buf = b"".join(r.to_bytes(n_words * 8, "little") for r in rows)
-    return np.frombuffer(buf, dtype="<u8").reshape(len(rows), n_words).copy()
-
-
-def _echelon_words(rows: Sequence[int], n_cols: int) -> tuple[np.ndarray, list[int]]:
-    """_echelon_bits on the word matrix; returns (echelon word matrix,
-    pivot cols)."""
-    W = _word_matrix(rows, n_cols)
-    n = W.shape[0]
-    one = np.uint64(1)
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(n_cols):
-        if r == n:
-            break
-        w, b = c >> 6, np.uint64(c & 63)
-        col = (W[r:, w] >> b) & one
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            W[[r, pivot], w:] = W[[pivot, r], w:]
-        hits = nz[1:] + r
-        if hits.size:
-            # Columns left of c are zero in rows r and below, so XOR from word w on.
-            W[hits, w:] ^= W[r, w:]
-        pivot_cols.append(c)
-        r += 1
-    return W, pivot_cols
-
-
 def rank_gf2(m: BitMatrix) -> int:
     """Rank of a zero-one matrix over GF(2)."""
-    if max(m.n_rows, m.n_cols) >= _RANK_WORD_PATH_MIN:
-        return len(_echelon_words(m.rows, m.n_cols)[1])
     basis: dict[int, int] = {}
     for row in m.rows:
         while row:
@@ -147,23 +83,27 @@ def rank_gf2(m: BitMatrix) -> int:
 
 def _gf2_right_kernel_vectors(rows: Sequence[int], n_cols: int) -> list[int]:
     """One basis vector per free column f: bit f set, the other free
-    bits clear, pivot bits back-substituted from the echelon."""
-    if max(len(rows), n_cols, 1) >= _WORD_PATH_MIN:
-        W, pivots = _echelon_words(rows, n_cols)
-        ech = [int.from_bytes(W[k].tobytes(), "little") for k in range(len(pivots))]
-    else:
-        ech, pivots = _echelon_bits(rows, n_cols)
-    pivot_set = set(pivots)
-    basis = []
+    bits clear, pivot bits back-substituted from a basis of the row
+    space keyed by lowest set bit, whose keys are the leftmost pivots."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = (row & -row).bit_length() - 1
+            if low not in basis:
+                basis[low] = row
+                break
+            row ^= basis[low]
+    pivots = sorted(basis, reverse=True)
+    vectors = []
     for f in range(n_cols):
-        if f in pivot_set:
+        if f in basis:
             continue
         v = 1 << f
-        for k in range(len(pivots) - 1, -1, -1):
-            if (ech[k] & v).bit_count() & 1:
-                v |= 1 << pivots[k]
-        basis.append(v)
-    return basis
+        for c in pivots:
+            if (basis[c] & v).bit_count() & 1:
+                v |= 1 << c
+        vectors.append(v)
+    return vectors
 
 
 def kernel_gf2(m: BitMatrix) -> KernelBasis:

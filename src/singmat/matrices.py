@@ -81,11 +81,6 @@ class BitMatrix:
     def identity(cls, n: int) -> BitMatrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    def get(self, i: int, j: int) -> int:
-        if not (0 <= i < self.n_rows and 0 <= j < self.n_cols):
-            raise IndexError("entry out of range")
-        return (self.rows[i] >> j) & 1
-
     def row_sum(self, i: int) -> int:
         return self.rows[i].bit_count()
 
@@ -166,9 +161,6 @@ class RationalVector:
     def length(self) -> int:
         return len(self.entries)
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
-
     def integer_entries(self) -> tuple[int, ...]:
         """Entries as ints; raises if any entry is not an integer."""
         out = []
@@ -217,9 +209,3 @@ class KernelBasis:
 
     def is_trivial(self) -> bool:
         return not self.vectors
-
-    def vectors_as_tuples(self) -> list[tuple]:
-        """Basis vectors as plain entry tuples regardless of field."""
-        if self.field_tag == "gf2":
-            return [unpack_bits(v, self.ambient_dim) for v in self.vectors]
-        return [tuple(v.entries) for v in self.vectors]

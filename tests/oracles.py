@@ -104,14 +104,11 @@ def naive_rank(rows: list[list], n_cols: int) -> int:
     return rank
 
 
-def brute_gf2_right_kernel(rows: list[list[int]]) -> set[tuple[int, ...]]:
+def brute_gf2_right_kernel(rows: list[list[int]], n_cols: int) -> set[tuple[int, ...]]:
     """All v (including 0) with A v = 0 mod 2, by trying every vector."""
-    if not rows:
-        return set()
-    n = len(rows[0])
     out = set()
-    for bits in product((0, 1), repeat=n):
-        if all(sum(r[j] * bits[j] for j in range(n)) % 2 == 0 for r in rows):
+    for bits in product((0, 1), repeat=n_cols):
+        if all(sum(r[j] * bits[j] for j in range(n_cols)) % 2 == 0 for r in rows):
             out.add(bits)
     return out
 

@@ -69,3 +69,23 @@ def test_no_unused_imports():
         if path != package / "__init__.py":
             found += _unused_imports(path)
     assert found == []
+
+
+def test_no_unreferenced_private_functions():
+    """A module-level function whose name starts with ``_`` serves only
+    the package, so one that no name or attribute in the package
+    references is dead code left behind by a deleted caller."""
+    package = Path(singmat.__file__).parent
+    defined: dict[str, str] = {}
+    referenced: set[str] = set()
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("_"):
+                defined[node.name] = f"{path.name}:{node.lineno}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert sorted(loc + " " + name for name, loc in defined.items() if name not in referenced) == []

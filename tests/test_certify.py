@@ -123,6 +123,24 @@ def test_tampered_residue_fails():
     assert not verify_certificate(m, bumped)
 
 
+def test_prime_2_certificate_is_checked_to_the_last_row():
+    """("nonsingular", prime 2, residue 1) claims full GF(2) rank.  The
+    verifier stops at the first row that reduces to zero, so a
+    dependency it finds there must reject, at the first row as at the
+    last."""
+    stats = CertStats(gf2_rank=-1, primes_tried=(2,), elapsed=0.0)
+    cert = SingularityCertificate("nonsingular", None, 2, 1, None, stats)
+    assert verify_certificate(BitMatrix.identity(6), cert)
+    assert verify_certificate(BitMatrix.zeros(0, 0), cert)
+    # Rows 0-4 are e_i + e_(i+1), independent; row 5 is rows 0 + 2 + 4.
+    rows = [[int(j in (i, i + 1)) for j in range(6)] for i in range(5)]
+    rows.append([1] * 6)
+    assert naive_det(rows) % 2 == 0
+    assert not verify_certificate(bm(rows), cert)
+    zero_first = [[0] * 6] + BitMatrix.identity(6).to_lists()[1:]
+    assert not verify_certificate(bm(zero_first), cert)
+
+
 def test_verifier_checks_primes_past_the_int64_range():
     """A residue modulo p >= 2**31 is checked on Python integers.  The
     int64 elimination overflows there; it returned the forged residue
