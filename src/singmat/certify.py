@@ -25,23 +25,41 @@ repeat it.
 Every certificate is checked with :func:`verify_certificate` before it
 is returned, by an explicit test that survives ``python -O``; a failure
 raises CertificateRejected.  Verification deliberately shares no code
-with the elimination that produced the witness: kernel witnesses are
-checked by direct integer matrix-vector multiplication, determinant
-residues by an independent modular elimination with a different pivoting
-rule.  Mod 2 that is a basis keyed by lowest set bit, where ``rank_gf2``
-keys by highest, and a row that reduces to zero ends it.  From n = 24 on
-the odd-prime elimination runs on int64 arrays and reduces row updates
-by floor division, t - (t // p) * p, several times faster in numpy than
-``%``; that needs p < 2**31 (``modular.PRIME_CEILING``) to keep products
-of residues below 2**62, so larger primes are checked on Python
-integers.  The int64 path counts the columns of its own unpacked array
-and eliminates them in ascending count order, which delays the fill-in
-of sparse matrices, then multiplies by that order's sign, found by its
-own transposition count.  An exact determinant is checked by Chinese
-remaindering of those residues over the fixed prime list until the
-modulus passes twice the Hadamard bound of the matrix; a claimed value
-above that bound is rejected outright.  The verifier is the only code
-that computes a determinant this way.
+with the code that produced the witness.  Kernel witnesses are checked
+by direct integer matrix-vector multiplication.  A residue certificate
+from ``is_singular_exact`` comes with the factorization the producer
+read it off, m[perm][:, order] = L U mod p, handed over in memory and
+never serialized.  The verifier checks that factorization instead of
+eliminating again: ``perm`` and ``order`` are permutations, every
+factor entry is an int64 residue and U's diagonal has no zero, the
+product L U equals the permuted matrix entry by entry, and the signs of
+both permutations, found by its own transposition count, times the
+diagonal's product give the residue.  The product runs in 64 x 64
+tiles, over the tiles below the diagonal of L and above that of U
+only, as float64 GEMMs of L against U split into 16-bit halves: 64
+terms below 2**31 * 2**16 keep every partial sum below 2**53, so exact,
+and OpenBLAS keeps GEMMs that small on the calling thread, where larger
+ones spread over idle cores and cost more CPU time than they save.  At
+n = 300 that is about a quarter of the cost of an elimination.
+
+A residue certificate with no factorization is checked by an
+independent modular elimination with a different pivoting rule: read
+back from JSON, built by hand, for a prime of 2**31 or more, or past
+n = 2**16, where the tile sums could pass 2**63.  Mod 2 that is a basis
+keyed by lowest set bit, where ``rank_gf2`` keys by highest, and a row
+that reduces to zero ends it.  From n = 24 on the odd-prime elimination
+runs on int64 arrays and reduces row updates by floor division, t - (t
+// p) * p, several times faster in numpy than ``%``; that needs p <
+2**31 (``modular.PRIME_CEILING``) to keep products of residues below
+2**62, so larger primes are checked on Python integers.  The int64 path
+counts the columns of its own unpacked array and eliminates them in
+ascending count order, which delays the fill-in of sparse matrices,
+then multiplies by that order's sign, found by its own transposition
+count.  An exact determinant is checked by Chinese remaindering of
+those residues over the fixed prime list until the modulus passes
+twice the Hadamard bound of the matrix; a claimed value above that
+bound is rejected outright.  The verifier is the only code that
+computes a determinant this way.
 """
 
 from __future__ import annotations
@@ -54,7 +72,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import CertificateRejected, DimensionMismatch, NotSquare
-from .exactla import kernel_vector, rank_gf2
+from .exactla import Factorization, kernel_vector, rank_gf2
 from .matrices import BitMatrix
 from .models import LineReport, find_duplicate_or_zero_lines
 from .modular import PRIME_CEILING, crt_pair, crt_primes, is_prime, random_prime, symmetric_lift
@@ -179,11 +197,11 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
     primes_tried: list[int] = []
     lines = _NO_LINES
 
-    def finish(stage, verdict, kernel=None, prime=None, residue=None, det=None):
+    def finish(stage, verdict, kernel=None, prime=None, residue=None, det=None, factorization=None):
         elapsed = time.perf_counter() - start
         stats = CertStats(g, tuple(primes_tried), elapsed, stage, lines)
         cert = SingularityCertificate(verdict, kernel, prime, residue, det, stats)
-        if not verify_certificate(m, cert):
+        if not verify_certificate(m, cert, factorization):
             raise CertificateRejected(f"{stage} certificate failed verification")
         return cert
 
@@ -208,7 +226,13 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
     if found.vector is not None:
         return finish(found.stage, "singular", kernel=found.vector)
     if found.prime is not None:
-        return finish("random_prime", "nonsingular", prime=found.prime, residue=found.residue)
+        return finish(
+            "random_prime",
+            "nonsingular",
+            prime=found.prime,
+            residue=found.residue,
+            factorization=found.factorization,
+        )
     return finish("det_exact", "nonsingular", det=found.det)
 
 
@@ -304,6 +328,84 @@ def _check_det_mod(m: BitMatrix, p: int) -> int:
     return _check_det_mod_py(m.to_lists(), p)
 
 
+# Side of the square tiles the factor check multiplies in, and the part
+# of a tile strictly below its diagonal.
+_TILE = 64
+_BELOW = np.tri(_TILE, k=-1, dtype=bool)
+# Largest n whose tile sums, at most n / 64 products below 2**53 each,
+# stay below 2**63; larger factorizations are checked by eliminating.
+_FACTOR_CHECK_MAX = 1 << 16
+
+
+def _lu_product_mod(f: np.ndarray, p: int) -> np.ndarray:
+    """L U mod p, where L is the strict lower part of the square int64
+    array ``f`` plus the identity, U is its upper part, every entry is in
+    [0, p), p < 2**31 and n <= 2**16.
+
+    The product runs over 64 x 64 tiles (i, j) of the result, and over
+    the tiles k <= min(i, j) of the inner dimension only, since the
+    triangles are zero elsewhere.  Each step multiplies an L tile, whole,
+    by the U tile split into 16-bit halves side by side, in float64:
+    every partial sum is an integer below 64 * 2**31 * 2**16 = 2**53, so
+    exact under any BLAS summation order.  The steps are summed in
+    int64, at most n / 64 <= 2**10 of them below 2**63, then reduced by
+    floor division and recombined, hi * 2**16 + lo.  Tiles of 64 also
+    keep every GEMM on the calling thread; OpenBLAS threads larger ones.
+    """
+    n = f.shape[0]
+    # Only the diagonal tiles mix L and U; the steps read no tile right
+    # of them in L or below them in U.
+    lower = f.astype(np.float64)
+    for i in range(0, n, _TILE):
+        diag = lower[i : i + _TILE, i : i + _TILE]
+        below = _BELOW[: diag.shape[0], : diag.shape[0]]
+        diag[...] = np.where(below, diag, np.eye(diag.shape[0]))
+    out = np.empty((n, n), dtype=np.int64)
+    for j in range(0, n, _TILE):
+        upper = f[: j + _TILE, j : j + _TILE].copy()
+        w = upper.shape[1]
+        upper[j:][_BELOW[:w, :w]] = 0
+        halves = np.concatenate((upper >> 16, upper & 0xFFFF), axis=1).astype(np.float64)
+        for i in range(0, n, _TILE):
+            acc = 0
+            for k in range(0, min(i, j) + 1, _TILE):
+                step = lower[i : i + _TILE, k : k + _TILE] @ halves[k : k + _TILE]
+                acc = acc + step.astype(np.int64)
+            acc -= acc // p * p
+            t = acc[:, :w] * 65536 + acc[:, w:]
+            out[i : i + _TILE, j : j + _TILE] = t - t // p * p
+    return out
+
+
+def _as_permutation(seq, n: int) -> list[int] | None:
+    """``seq`` as a list of ints if it is a permutation of range(n)."""
+    if len(seq) != n or sorted(seq) != list(range(n)):
+        return None
+    return [int(i) for i in seq]
+
+
+def _check_factorization(m: BitMatrix, p: int, residue: int, fac: Factorization) -> bool:
+    """Whether ``fac`` proves det m = residue mod p, for a prime p <
+    2**31, without an elimination: ``perm`` and ``order`` are
+    permutations, the factors are int64 residues with no zero on U's
+    diagonal, m[perm][:, order] = L U mod p entry by entry, and
+    sign(perm) sign(order) times the diagonal's product is the residue."""
+    n = m.n_rows
+    perm = _as_permutation(fac.perm, n)
+    order = _as_permutation(fac.order, n)
+    if perm is None or order is None:
+        return False
+    f = np.asarray(fac.lu)
+    if f.dtype != np.int64 or f.shape != (n, n) or (f.size and (f.min() < 0 or f.max() >= p)):
+        return False
+    det = _sign_by_transpositions(perm) * _sign_by_transpositions(order)
+    for u in np.diagonal(f).tolist():
+        det = det * u % p
+    if det == 0 or det != residue % p:
+        return False
+    return np.array_equal(_lu_product_mod(f, p), _unpack_int64(m)[np.ix_(perm, order)])
+
+
 def _check_det_exact(m: BitMatrix, det: int) -> bool:
     """Whether ``det`` is the determinant of square ``m``, by Chinese
     remaindering of ``_check_det_mod`` over the fixed primes.  A
@@ -326,8 +428,13 @@ def _check_det_exact(m: BitMatrix, det: int) -> bool:
     return symmetric_lift(residue, modulus) == det
 
 
-def verify_certificate(m: BitMatrix, cert: SingularityCertificate) -> bool:
-    """Independently check a certificate against its matrix."""
+def verify_certificate(
+    m: BitMatrix, cert: SingularityCertificate, factorization: Factorization | None = None
+) -> bool:
+    """Independently check a certificate against its matrix.  A residue
+    certificate for a prime below 2**31 that comes with the
+    ``factorization`` it was read off is checked against those factors;
+    without one, it is checked by eliminating."""
     n = m.n_rows
     if cert.verdict == "singular":
         v = cert.kernel_vector
@@ -357,6 +464,8 @@ def verify_certificate(m: BitMatrix, cert: SingularityCertificate) -> bool:
             return _det_mod2_packed(m) == cert.residue % 2
         if not is_prime(cert.prime):
             return False
+        if factorization is not None and cert.prime < PRIME_CEILING and n <= _FACTOR_CHECK_MAX:
+            return _check_factorization(m, cert.prime, cert.residue, factorization)
         return _check_det_mod(m, cert.prime) == cert.residue % cert.prime
     if cert.det is None or cert.det == 0:
         return False

@@ -30,7 +30,8 @@ ascending column-count order: sparse columns first delay the fill-in
 sweep matrix at n = 300 by about a quarter.  Full column rank mod p
 ends the search: the columns are independent, and a square matrix gets
 its determinant residue off the same diagonal, times the sign of the
-column order.  Rank n_cols - 1 runs Dixon p-adic lifting on that
+column order, returned with the factorization for the verifier to
+check.  Rank n_cols - 1 runs Dixon p-adic lifting on that
 factorization, O(n^2) solve steps until rational reconstruction yields
 a vector that passes an exact check; the rational kernel is then
 one-dimensional, so that vector, mapped back and cleared, is the
@@ -435,20 +436,33 @@ def _padic_kernel_vector(a: np.ndarray, rows: Sequence[int], lu: _LU) -> tuple[i
     return None
 
 
+class Factorization(NamedTuple):
+    """a[perm][:, order] = L U mod p for a square zero-one matrix ``a``
+    of full rank mod p: ``lu`` holds U on and above the diagonal and the
+    multipliers of L below it; L's diagonal is all ones."""
+
+    lu: np.ndarray | list[list[int]]
+    perm: list[int]
+    order: list[int]
+
+
 class KernelSearch(NamedTuple):
     """What one kernel search found.  ``vector`` is a verified integer
     right-kernel vector, or None when the columns are independent;
     ``stage`` is "lift" or "bareiss".  When a prime's factorization had
     full column rank, ``prime`` is that prime and, for a square matrix,
-    ``residue`` is the determinant modulo it (nonzero).  When Bareiss
-    found the columns independent, ``det`` is the exact determinant of a
-    square matrix (nonzero)."""
+    ``residue`` is the determinant modulo it (nonzero) and
+    ``factorization`` the factors it was read off, which let a verifier
+    check the residue without eliminating again; they stay in memory and
+    are never serialized.  When Bareiss found the columns independent,
+    ``det`` is the exact determinant of a square matrix (nonzero)."""
 
     vector: tuple[int, ...] | None
     stage: str
     prime: int | None = None
     residue: int | None = None
     det: int | None = None
+    factorization: Factorization | None = None
 
 
 def _permutation_sign(order: Sequence[int]) -> int:
@@ -499,10 +513,12 @@ def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> Kern
             rank = len(lu.pivots)
             if rank == n_cols:
                 # Independent mod p, so independent over Q.
-                residue = None
-                if m.n_rows == n_cols:
-                    residue = _lu_det(lu, n_cols) * _permutation_sign(order.tolist()) % p
-                return KernelSearch(None, "lift", p, residue)
+                if m.n_rows != n_cols:
+                    return KernelSearch(None, "lift", p)
+                cols = order.tolist()
+                residue = _lu_det(lu, n_cols) * _permutation_sign(cols) % p
+                found = Factorization(lu.factors, lu.perm, cols)
+                return KernelSearch(None, "lift", p, residue, factorization=found)
             if rank == n_cols - 1:
                 v = _padic_kernel_vector(a_sparse, pack_rows(a_sparse), lu)
                 if v is None:

@@ -104,6 +104,15 @@ def naive_rank(rows: list[list], n_cols: int) -> int:
     return rank
 
 
+def naive_lu_product(packed: list[list[int]], p: int) -> list[list[int]]:
+    """L U mod p on Python integers, where L is the strict lower part of
+    the square ``packed`` plus the identity and U its upper part."""
+    n = len(packed)
+    L = [[packed[i][k] if k < i else int(k == i) for k in range(n)] for i in range(n)]
+    U = [[packed[k][j] if k <= j else 0 for j in range(n)] for k in range(n)]
+    return [[sum(L[i][k] * U[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
+
+
 def brute_gf2_right_kernel(rows: list[list[int]], n_cols: int) -> set[tuple[int, ...]]:
     """All v (including 0) with A v = 0 mod 2, by trying every vector."""
     out = set()

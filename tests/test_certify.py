@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singmat
-from oracles import naive_det, naive_rank
+from oracles import naive_det, naive_lu_product, naive_rank
 from singmat import certify, exactla
 from singmat.certify import (
     CertStats,
@@ -30,7 +30,7 @@ from singmat.exactla import kernel_rational
 from singmat.harness import bernoulli_density, combinatorial_density
 from singmat.matrices import BitMatrix
 from singmat.models import SampleSpec, find_duplicate_or_zero_lines, sample
-from singmat.modular import crt_primes
+from singmat.modular import PRIME_CEILING, crt_primes, is_prime
 from singmat.rng import derive_seed
 
 
@@ -157,6 +157,116 @@ def test_verifier_checks_primes_past_the_int64_range():
     assert det % big
     genuine = replace(forged, residue=det % big)
     assert verify_certificate(BitMatrix.from_bit_array(b), genuine)
+
+
+def _factored(n, seed):
+    """A nonsingular n x n zero-one matrix, its residue certificate for
+    the first fixed prime, and the factorization that residue was read
+    off."""
+    rng = np.random.default_rng(seed)
+    p = crt_primes(1)[0]
+    while True:
+        m = BitMatrix.from_bit_array((rng.random((n, n)) < 0.3).astype(np.int64))
+        found = exactla.kernel_vector_crt(m, [p])
+        if found.factorization is not None:
+            break
+    stats = CertStats(gf2_rank=-1, primes_tried=(p,), elapsed=0.0)
+    cert = SingularityCertificate("nonsingular", None, p, found.residue, None, stats)
+    return m, cert, found.factorization
+
+
+def _forgeries(cert, found):
+    """(name, certificate, factorization) for each way of forging the
+    factor witness; the entries sit in different tiles when n > 64."""
+    p, n = cert.prime, len(found.perm)
+    lu = np.asarray(found.lu)
+    last, mid = n - 1, n // 2
+
+    def entry(i, j, value):
+        forged = lu.copy()
+        forged[i, j] = value
+        return found._replace(lu=forged)
+
+    def reindexed(name, change):
+        seq = list(getattr(found, name))
+        change(seq)
+        return found._replace(**{name: seq})
+
+    def swap(seq):
+        seq[0], seq[1] = seq[1], seq[0]
+
+    def repeat(seq):
+        seq[1] = seq[0]
+
+    forged = {
+        "L entry off by one": entry(last, mid, (lu[last, mid] + 1) % p),
+        "U entry off by one": entry(mid, last, (lu[mid, last] + 1) % p),
+        "zero on U's diagonal": entry(mid, mid, 0),
+        # The same residues mod p: only the range check sees these two.
+        "entry of p or more": entry(mid, mid, lu[mid, mid] + p),
+        "negative entry": entry(last, 0, lu[last, 0] - p),
+        "perm repeats an index": reindexed("perm", repeat),
+        "order repeats an index": reindexed("order", repeat),
+        "perm too short": reindexed("perm", list.pop),
+        "order too long": reindexed("order", lambda seq: seq.append(n)),
+        "two perm entries swapped": reindexed("perm", swap),
+    }
+    for name, factorization in forged.items():
+        yield name, cert, factorization
+    yield "residue off by one", replace(cert, residue=cert.residue % p + 1), found
+    yield "residue negated", replace(cert, residue=-cert.residue % p), found
+
+
+@pytest.mark.parametrize("n", [12, 40, 130])
+def test_forged_factorizations_are_rejected(n):
+    """The factor check accepts the genuine factorization (Python lists
+    below the int64 cut-over, one tile at n = 40, three at n = 130) and
+    rejects every forgery of it."""
+    m, cert, found = _factored(n, 80 + n)
+    assert isinstance(found.lu, list) == (n < exactla._MOD_NUMPY_MIN)
+    assert verify_certificate(m, cert, found)
+    rejected = [name for name, c, f in _forgeries(cert, found) if not verify_certificate(m, c, f)]
+    assert rejected == [name for name, _, _ in _forgeries(cert, found)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 130])
+def test_lu_product_is_exact_at_the_largest_admissible_prime(n):
+    """Every L and U entry at p - 1 for the largest prime below 2**31
+    makes the float64 partial sums as large as they get; random entries
+    catch a misplaced tile.  Both match Python integers."""
+    p = PRIME_CEILING - 1
+    assert is_prime(p)
+    rng = np.random.default_rng(n)
+    for f in (np.full((n, n), p - 1, dtype=np.int64), rng.integers(0, p, (n, n))):
+        assert certify._lu_product_mod(f, p).tolist() == naive_lu_product(f.tolist(), p)
+
+
+def test_factor_check_and_elimination_agree_on_sweep_certificates(monkeypatch):
+    """n = 300, c = 2 residue certificates of both models: the factor
+    check accepts each with no elimination, inside is_singular_exact and
+    again when handed the factorization; the JSON round trip carries no
+    factors and verifies by eliminating."""
+    calls = []
+    check = certify._check_det_mod
+    monkeypatch.setattr(certify, "_check_det_mod", lambda m, p: calls.append(p) or check(m, p))
+    n, checked = 300, 0
+    for seed in range(8):
+        for m in (
+            sample(SampleSpec.bernoulli(n, bernoulli_density(Fraction(2), n), seed)),
+            sample(SampleSpec.combinatorial(n, combinatorial_density(Fraction(2), n), seed)),
+        ):
+            cert = is_singular_exact(m, prime_seed=seed)
+            if cert.stats.stage != "random_prime":
+                continue
+            found = exactla.kernel_vector_crt(m, [cert.prime])
+            assert found.residue == cert.residue
+            assert verify_certificate(m, cert, found.factorization)
+            assert calls == []
+            assert verify_certificate(m, SingularityCertificate.from_json(cert.to_json()))
+            assert calls == [cert.prime]
+            calls.clear()
+            checked += 1
+    assert checked >= 8
 
 
 @pytest.mark.parametrize("n", [24, 40, 64])
@@ -692,9 +802,43 @@ def test_rejected_certificate_raises_under_optimize():
         "from singmat.errors import CertificateRejected\n"
         "from singmat.matrices import BitMatrix\n"
         "assert False, 'asserts must be stripped'\n"
-        "c.verify_certificate = lambda m, cert: False\n"
+        "c.verify_certificate = lambda m, cert, factorization=None: False\n"
         "try:\n"
         "    c.is_singular_exact(BitMatrix.identity(3))\n"
+        "except CertificateRejected:\n"
+        "    print('rejected', sys.flags.optimize)\n"
+    )
+    src = str(Path(singmat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.stdout.split() == ["rejected", "1"], proc.stderr
+
+
+def test_forged_factorization_raises_under_optimize():
+    """A residue certificate whose L factor was corrupted after the
+    residue was read off is rejected by an explicit test that survives
+    python -O.  The matrix is the CI smoke step's."""
+    m = sample(SampleSpec.bernoulli(60, Fraction(1, 4), 3))
+    assert is_singular_exact(m).stats.stage == "random_prime"
+    code = (
+        "import sys\n"
+        "from fractions import Fraction\n"
+        "import numpy as np\n"
+        "import singmat.certify as c\n"
+        "from singmat.errors import CertificateRejected\n"
+        "from singmat.models import SampleSpec, sample\n"
+        "assert False, 'asserts must be stripped'\n"
+        "search = c.kernel_vector\n"
+        "def forged(m, primes):\n"
+        "    found = search(m, primes)\n"
+        "    lu = np.array(found.factorization.lu)\n"
+        "    lu[-1, 0] = (lu[-1, 0] + 1) % found.prime\n"
+        "    return found._replace(factorization=found.factorization._replace(lu=lu))\n"
+        "c.kernel_vector = forged\n"
+        "try:\n"
+        "    c.is_singular_exact(sample(SampleSpec.bernoulli(60, Fraction(1, 4), 3)))\n"
         "except CertificateRejected:\n"
         "    print('rejected', sys.flags.optimize)\n"
     )

@@ -88,7 +88,7 @@ def test_cli_certify_exit_codes(tmp_path, capsys):
 
 
 def test_cli_certify_rejected_certificate_is_an_internal_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(certify, "verify_certificate", lambda m, cert: False)
+    monkeypatch.setattr(certify, "verify_certificate", lambda m, cert, factorization=None: False)
     ident = tmp_path / "id.txt"
     write_matrix(BitMatrix.identity(2), ident)
     assert main(["certify", "--in", str(ident)]) == EXIT_INTERNAL

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_gf2_right_kernel, naive_det, naive_rank_gf2
+from oracles import brute_gf2_right_kernel, naive_det, naive_lu_product, naive_rank_gf2
 from singmat import exactla
 from singmat.exactla import (
     KernelLiftFailed,
@@ -173,7 +173,8 @@ def test_det_examples():
 
 def test_det_not_square():
     """Independent columns of a tall matrix: no vector and no determinant."""
-    assert kernel_vector(bm([[1, 0], [0, 1], [1, 1]]), []) == (None, "bareiss", None, None, None)
+    found = kernel_vector(bm([[1, 0], [0, 1], [1, 1]]), [])
+    assert found == (None, "bareiss", None, None, None, None)
 
 
 def test_det_matches_fraction_elimination():
@@ -524,7 +525,7 @@ def test_kernel_vector_moves_past_an_unlucky_prime(n):
         drawn = []
         found = kernel_vector(bma(a), _drawn([2] + q, drawn))
         assert drawn == [2, q[0]]
-        assert found == (want, "lift", None, None, None)
+        assert found == (want, "lift", None, None, None, None)
 
 
 def test_lift_over_an_unlucky_prime_is_canonical_or_fails():
@@ -559,14 +560,16 @@ def test_kernel_vector_residue_comes_from_the_first_full_rank_prime(n):
     drawn = []
     found = kernel_vector(bma(a), _drawn([2] + q, drawn))
     assert drawn == [2, q[0]]
-    assert found == (None, "lift", q[0], d % q[0], None)
+    assert found[:5] == (None, "lift", q[0], d % q[0], None)
+    lu, perm, order = found.factorization
+    assert naive_lu_product(np.asarray(lu).tolist(), q[0]) == a[perm][:, order].tolist()
     assert kernel_vector_crt(bma(a)).prime == q[0]  # the fixed list by default
 
 
 def test_kernel_vector_falls_back_to_bareiss_when_the_primes_run_out():
-    assert kernel_vector(bm([[1, 1, 1]] * 3), []) == ((1, -1, 0), "bareiss", None, None, None)
-    assert kernel_vector(BitMatrix.identity(3), iter([])) == (None, "bareiss", None, None, 1)
-    assert kernel_vector(BitMatrix.zeros(0, 0), []) == (None, "bareiss", None, None, 1)
+    assert kernel_vector(bm([[1, 1, 1]] * 3), []) == ((1, -1, 0), "bareiss", None, None, None, None)
+    assert kernel_vector(BitMatrix.identity(3), iter([])) == (None, "bareiss", None, None, 1, None)
+    assert kernel_vector(BitMatrix.zeros(0, 0), []) == (None, "bareiss", None, None, 1, None)
 
 
 def test_kernel_lift_failed_is_a_singmat_error():
