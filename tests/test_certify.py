@@ -795,6 +795,40 @@ def test_certificates_match_pinned_digests():
     assert got == PINNED_DIGESTS
 
 
+# (n, trial) of seeded Bernoulli c = 1 matrices decided by a lift, each
+# with a zero or duplicate row: sparse-first lifts, a natural-order
+# start (two zero rows, n = 300, trial 8) and the natural-order refactor
+# after a sparse-first factorization of nullity two (trials 867, 1176).
+# Each has more than one 64-pivot block.
+_LIFT_CASES = ((100, 25), (100, 39), (100, 867), (150, 13), (150, 21), (150, 1176))
+_LIFT_CASES += ((300, 8), (300, 15), (300, 22))
+# Recorded when every lift solved one pivot at a time.
+LIFT_DIGEST = "96581b83f1774cae"
+
+
+def test_lift_certificates_above_one_block_match_pinned_digest(lu_calls):
+    """Every certificate field and the kernel vector of the first n - 1
+    rows, for lifts at n = 100, 150 and 300."""
+    h = hashlib.sha256()
+    refactored = 0
+    for n, trial in _LIFT_CASES:
+        spec = SampleSpec.bernoulli(n, bernoulli_density(Fraction(1), n), derive_seed(n, trial))
+        m = sample(spec)
+        lines = find_duplicate_or_zero_lines(m)
+        assert lines.zero_rows or lines.duplicate_row_pairs
+        lu_calls.clear()
+        cert = is_singular_exact(m, prime_seed=trial)
+        assert cert.stats.stage == "lift"
+        refactored += len(lu_calls) == 2 and lu_calls[0] == lu_calls[1]
+        s = cert.stats
+        fields = (cert.verdict, cert.kernel_vector, cert.prime, cert.residue, cert.det)
+        fields += (s.gf2_rank, s.primes_tried, s.stage, s.lines)
+        wide = exactla.kernel_vector(BitMatrix.from_rows(m.to_lists()[:-1]))
+        h.update(repr(fields + (wide.vector, wide.stage)).encode())
+    assert refactored == 2
+    assert h.hexdigest()[:16] == LIFT_DIGEST
+
+
 def test_rejected_certificate_raises_under_optimize():
     code = (
         "import sys\n"
