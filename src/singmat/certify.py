@@ -293,15 +293,14 @@ def _check_det_mod_np(a: np.ndarray, p: int) -> int:
 
 
 def _unpack_int64(m: BitMatrix) -> np.ndarray:
-    """The entries as an int64 array, shifted out of 64-bit words sliced
-    off each packed row (independent of ``BitMatrix.to_bit_array``)."""
+    """The entries as an int64 array, shifted out of the little-endian
+    64-bit words of each packed row's bytes (independent of
+    ``BitMatrix.to_bit_array``)."""
     n_words = (m.n_cols + 63) // 64
-    mask = (1 << 64) - 1
-    words = np.array(
-        [[(row >> (64 * k)) & mask for k in range(n_words)] for row in m.rows], dtype=np.uint64
-    )
+    packed = b"".join(row.to_bytes(8 * n_words, "little") for row in m.rows)
+    words = np.frombuffer(packed, dtype="<u8").reshape(m.n_rows, n_words)
     bits = (words[:, :, None] >> np.arange(64, dtype=np.uint64)) & np.uint64(1)
-    return bits.reshape(m.n_rows, -1)[:, : m.n_cols].astype(np.int64)
+    return bits.reshape(m.n_rows, 64 * n_words)[:, : m.n_cols].astype(np.int64)
 
 
 def _sign_by_transpositions(order: list[int]) -> int:

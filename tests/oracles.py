@@ -113,6 +113,30 @@ def naive_lu_product(packed: list[list[int]], p: int) -> list[list[int]]:
     return [[sum(L[i][k] * U[k][j] for k in range(n)) % p for j in range(n)] for i in range(n)]
 
 
+def naive_lu_solve(
+    packed: list[list[int]], perm: list[int], pivots: list[int], p: int, b: list[int]
+) -> list[int] | None:
+    """y with (L U)[:, :r] y = b[perm] mod p on Python integers, or None
+    when no y exists.  Row i of L is packed[i][pivots[k]] for k < i plus
+    a one at k = i; row k of U is packed[k][pivots[j]] for j >= k.
+    Substitutes row by row, forward through L, then back through U."""
+    r = len(pivots)
+    c = [b[i] for i in perm]
+    z: list[int] = []
+    for i, row in enumerate(packed):
+        s = (c[i] - sum(row[pivots[k]] * z[k] for k in range(min(i, r)))) % p
+        if i < r:
+            z.append(s)
+        elif s:
+            return None
+    y = [0] * r
+    for k in range(r - 1, -1, -1):
+        row = packed[k]
+        s = z[k] - sum(row[pivots[j]] * y[j] for j in range(k + 1, r))
+        y[k] = s * pow(row[pivots[k]], -1, p) % p
+    return y
+
+
 def brute_gf2_right_kernel(rows: list[list[int]], n_cols: int) -> set[tuple[int, ...]]:
     """All v (including 0) with A v = 0 mod 2, by trying every vector."""
     out = set()

@@ -217,6 +217,17 @@ def _forgeries(cert, found):
     yield "residue negated", replace(cert, residue=-cert.residue % p), found
 
 
+@pytest.mark.parametrize("n_cols", [0, 1, 63, 64, 65, 130])
+def test_verifier_unpacks_rows_word_by_word(n_cols):
+    """The verifier's own unpacking agrees with the package's, on both
+    sides of each 64-bit word boundary and with no rows at all."""
+    rng = np.random.default_rng(n_cols)
+    for n_rows in (0, 1, 5):
+        a = rng.integers(0, 2, (n_rows, n_cols))
+        got = certify._unpack_int64(BitMatrix.from_bit_array(a))
+        assert got.dtype == np.int64 and np.array_equal(got, a.reshape(n_rows, n_cols))
+
+
 @pytest.mark.parametrize("n", [12, 40, 130])
 def test_forged_factorizations_are_rejected(n):
     """The factor check accepts the genuine factorization (Python lists

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_gf2_right_kernel, naive_det, naive_lu_product, naive_rank_gf2
+from oracles import (
+    brute_gf2_right_kernel,
+    naive_det,
+    naive_lu_product,
+    naive_lu_solve,
+    naive_rank_gf2,
+)
 from singmat import exactla
 from singmat.exactla import (
     KernelLiftFailed,
@@ -23,8 +29,10 @@ from singmat.exactla import (
     _lu_det,
     _lu_mod,
     _lu_mod_py,
+    _LU,
     _lu_solve,
     _lu_solve_py,
+    _lower_inverses,
 )
 from singmat.matrices import BitMatrix, IntMatrix, unpack_bits
 from singmat.modular import crt_primes
@@ -452,6 +460,95 @@ def test_numpy_and_list_solvers_agree():
             assert solve(b) == solve_py(b) == y.tolist()
             b[rng.randrange(n_rows)] += 1
             assert solve(b) == solve_py(b)
+
+
+B = exactla._BLOCK
+
+
+@pytest.mark.parametrize("r", [B - 1, B, B + 1, 2 * B + 1, 300])
+@pytest.mark.parametrize("extra", [0, 1, 2])
+def test_blocked_solve_matches_the_list_solve(r, extra):
+    """Around and past one block of pivots, on r + extra rows: a
+    consistent right-hand side gives its y, also shifted by multiples of
+    p into negative and wide entries, and an inconsistent one None."""
+    rng = random.Random(100 * r + extra)
+    p = crt_primes(1)[0]
+    n_rows = r + extra
+    while True:
+        a = _sparse_rows(rng, n_rows, r, 2 * math.log(r) / r + 0.1)
+        lu = _lu_mod(a, p)
+        if len(lu.pivots) == r:
+            break
+    solve, solve_py = _lu_solve(lu), _lu_solve_py(lu)
+    for _ in range(3):
+        y = np.array([rng.randrange(p) for _ in range(r)], dtype=np.int64)
+        b = a @ y
+        assert solve(b) == solve_py(b) == y.tolist()
+        shifted = b + p * np.array([rng.randrange(-(2**20), 2**20) for _ in range(n_rows)])
+        assert solve(shifted) == y.tolist()
+        if extra:
+            b[rng.randrange(n_rows)] += rng.randrange(1, p)
+            assert solve(b) is None and solve_py(b) is None
+
+
+def _extreme_factors(rng, n_rows, r, p, extreme):
+    """Packed factors of r pivots on n_rows rows whose every entry is
+    p - 1 or, with ``extreme`` off, uniform in [1, p), under a shuffled
+    row permutation; pivots in the leading columns of r + 1."""
+    entry = (lambda: p - 1) if extreme else (lambda: rng.randrange(1, p))
+    packed = [[entry() for _ in range(r + 1)] for _ in range(n_rows)]
+    perm = rng.sample(range(n_rows), n_rows)
+    return _LU(np.array(packed, dtype=np.int64), perm, list(range(r)), 1, p), packed
+
+
+def _rhs(packed, perm, r, p, y):
+    """b with b[perm] = (L U)[:, :r] y mod p, on Python integers."""
+    z = [sum(packed[k][j] * y[j] for j in range(k, r)) % p for k in range(r)]
+    b = [0] * len(packed)
+    for i, row in enumerate(packed):
+        ci = sum(row[k] * z[k] for k in range(min(i, r))) + (z[i] if i < r else 0)
+        b[perm[i]] = ci % p
+    return b
+
+
+@pytest.mark.parametrize("r, extra", [(B - 1, 1), (B, 0), (B + 1, 2), (2 * B + 1, 1), (300, 1)])
+@pytest.mark.parametrize("extreme", [True, False])
+def test_blocked_solve_is_exact_at_the_largest_admissible_prime(r, extra, extreme):
+    """Factors full of p - 1 at p = 2**31 - 1, the largest products the
+    solve can meet, against the Python-integer oracle."""
+    rng = random.Random(7 * r + extra + extreme)
+    p = 2**31 - 1
+    lu, packed = _extreme_factors(rng, r + extra, r, p, extreme)
+    solve = _lu_solve(lu)
+    for _ in range(2):
+        y = [rng.randrange(p) for _ in range(r)]
+        b = _rhs(packed, lu.perm, r, p, y)
+        assert naive_lu_solve(packed, lu.perm, lu.pivots, p, b) == y
+        assert solve(np.array(b, dtype=np.int64)) == y
+        b[rng.randrange(len(b))] += 1
+        expected = naive_lu_solve(packed, lu.perm, lu.pivots, p, b)
+        assert solve(np.array(b, dtype=np.int64)) == expected
+        assert (expected is None) == (extra > 0)
+
+
+def test_lower_inverses_are_exact():
+    """Dense blocks of p - 1, random blocks and nearly empty ones, on a
+    unit diagonal, a diagonal of p - 1 and a random one, each times its
+    inverse, is the identity mod p on Python integers."""
+    rng = np.random.default_rng(9)
+    p = 2**31 - 1
+    dense, uniform = np.full((B, B), p - 1), rng.integers(0, p, (B, B))
+    parts = [dense, uniform, np.eye(B, k=-5, dtype=np.int64)]
+    diagonals = [np.ones(B, dtype=np.int64), np.full(B, p - 1), rng.integers(1, p, B)]
+    n = np.tril(np.stack([part for part in parts for _ in diagonals]), -1)
+    diag = [diagonal.tolist() for _ in parts for diagonal in diagonals]
+    inv_diag = np.array([[pow(d, -1, p) for d in ds] for ds in diag])
+    x = _lower_inverses(n, inv_diag, p)
+    for block, ds, inverse in zip(n.tolist(), diag, x.tolist()):
+        for i in range(B):
+            row = [block[i][k] + (ds[i] if k == i else 0) for k in range(B)]
+            got = [sum(row[k] * inverse[k][j] for k in range(B)) % p for j in range(B)]
+            assert got == [int(j == i) for j in range(B)]
 
 
 def test_lift_wide_system_numpy_path():
