@@ -19,15 +19,15 @@ does several times faster than ``%``.
 The kernel lift solves through that factorization once per p-adic
 digit, in one of two ways.  Up to one block of ``_BLOCK`` = 64 pivots
 it substitutes on Python lists: one block's inverse costs more to set
-up than it saves (an n = 50 lift took 3.5 ms blocked, 2.5 ms on
-lists).  Past that it is a blocked triangular solve, after Chen and
-Storjohann's BLAS-based Dixon lifting (ISSAC 2005): set up once per
-factorization, it inverts every 64 x 64 diagonal block of L and of
-U, and then solves with two products per block, one by the block's
-inverse and one by the strip of the factor beside the block.  Every
-product is an exact float64 GEMM: the left operand goes in as 16-bit
-halves, so each sum of 64 terms below 2**31 * 2**16 stays below 2**53,
-where float64 is exact in any summation order (the scheme of
+up than it saves (an n = 50 kernel vector took 3.6-3.8 ms blocked,
+2.2-2.7 ms on lists).  Past that it is a blocked triangular solve,
+after Chen and Storjohann's BLAS-based Dixon lifting (ISSAC 2005): set
+up once per factorization, it inverts every 64 x 64 diagonal block of
+L and of U, and then solves with two products per block, one by the
+block's inverse and one by the strip of the factor beside the block.
+Every product is an exact float64 GEMM: the left operand goes in as
+16-bit halves, so each sum of 64 terms below 2**31 * 2**16 stays below
+2**53, where float64 is exact in any summation order (the scheme of
 FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008); the halves are
 recombined and reduced in int64.
 Over the rationals it is fraction-free (Bareiss) elimination: kernels
