@@ -1,5 +1,6 @@
 """CLI surface: exit codes, formats, determinism, thin-adapter checks."""
 
+import hashlib
 import json
 from fractions import Fraction
 
@@ -233,3 +234,22 @@ def test_cli_analyze_budget_exit(tmp_path, capsys):
     path = tmp_path / "z.txt"
     write_matrix(BitMatrix.zeros(25, 25), path)
     assert main(["analyze", "--in", str(path)]) == 3
+
+
+def test_cli_analyze_pins_a_fractional_kernel(tmp_path, capsys):
+    """A rational kernel of dimension three whose basis vectors (free
+    column 1, not cleared) have half-integer entries; the whole JSON
+    output is pinned."""
+    path = tmp_path / "m.txt"
+    rows = [[0, 0, 0, 1, 1, 0, 1], [0, 1, 1, 0, 0, 0, 0], [1, 0, 1, 1, 0, 1, 1], [1, 1, 0, 1, 1, 0, 0]]
+    write_matrix(BitMatrix.from_rows(rows), path)
+    assert main(["analyze", "--in", str(path)]) == 0
+    out = capsys.readouterr().out
+    doc = json.loads(out)
+    assert doc["gf2"]["kernel_dim"] == doc["rational"]["kernel_dim"] == 3
+    assert [v["entries"] for v in doc["rational"]["vectors"]] == [
+        ["1/2", "-1/2", "1/2", "-1", "1", "0", "0"],
+        ["-1/2", "1/2", "-1/2", "0", "0", "1", "0"],
+        ["1/2", "1/2", "-1/2", "-1", "0", "0", "1"],
+    ]
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "7a2a2789ee2ac616"

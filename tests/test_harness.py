@@ -1,6 +1,7 @@
 """Sweep engine, decomposition check, complement agreement, autopsy."""
 
 import csv
+import hashlib
 import logging
 from fractions import Fraction
 
@@ -207,3 +208,25 @@ def test_autopsy_no_singulars_gives_none():
     rep = subthreshold_autopsy("bernoulli", 1, Fraction(1), 5, 2)
     assert rep.singular == 0
     assert rep.fraction_explained is None
+
+
+# sha256 prefixes of repr(verify_lemma21(...)), recorded before the
+# kernel vectors stopped passing through a Fraction wrapper: Bernoulli at
+# the benchmark's small-n cell (two exact DP atoms, one Monte Carlo), a
+# combinatorial case whose atoms are enumerated exactly, and one past
+# ATOM_COMB_BUDGET, whose atoms are Monte Carlo estimates.
+PINNED_REPORTS = [
+    (("bernoulli", 50, bernoulli_density(Fraction(1), 50), 10,
+      PropertyPredicate.support_at_least(10), 8, 30), (2, 1), "d451d600059fca32"),
+    (("combinatorial", 14, 3, 4,
+      PropertyPredicate.largest_fibre_at_most(11), 30, 22), (16, 0), "c1e5cfc6b3a6f828"),
+    (("combinatorial", 40, 6, 5,
+      PropertyPredicate.support_at_least(5), 6, 23), (0, 6), "6d75d0d9c7371a92"),
+]
+
+
+@pytest.mark.parametrize("args, atoms, digest", PINNED_REPORTS)
+def test_lemma21_reports_match_pinned_digest(args, atoms, digest):
+    rep = verify_lemma21(*args)
+    assert (rep.atom_exact_count, rep.atom_mc_count) == atoms
+    assert hashlib.sha256(repr(rep).encode()).hexdigest()[:16] == digest
