@@ -31,7 +31,7 @@ from .harness import (
     verify_complement,
     verify_lemma21,
 )
-from .matrices import BitMatrix, IntMatrix, KernelBasis, RationalVector
+from .matrices import BitMatrix
 from .models import (
     LineReport,
     PairingSample,
@@ -63,14 +63,11 @@ __all__ = [
     "ComplementReport",
     "DecompositionReport",
     "DisagreementEstimate",
-    "IntMatrix",
-    "KernelBasis",
     "KernelStructureReport",
     "LineReport",
     "MinSupportReport",
     "PairingSample",
     "PropertyPredicate",
-    "RationalVector",
     "SampleSpec",
     "SingularityCertificate",
     "SweepConfig",

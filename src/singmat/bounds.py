@@ -4,6 +4,11 @@ Everything is computed in rational arithmetic.  Union-bound sums stay
 fully exact up to a dimension cutoff; past it, per-term powers are
 rounded *up* to 256-significant-bit dyadic rationals (so the result is
 still a true upper bound), which keeps numerator sizes tame at any n.
+
+Vectors are plain sequences of exact rationals (ints or Fractions),
+such as the integer kernel vectors of ``exactla``.  Entry probabilities
+must lie in [0, 1] and moduli be at least 1; anything else raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from math import comb
 from typing import Sequence
 
 from .errors import BudgetExceeded, PairingInfeasible
-from .matrices import RationalVector
 from .models import sample_pairing
 from .stats import clopper_pearson
 
@@ -26,12 +30,20 @@ ATOM_DP_MAP_BUDGET = 2_000_000
 ATOM_COMB_BUDGET = 10**6
 
 
+def _probability(p) -> Fraction:
+    """p as a Fraction, if it lies in [0, 1]."""
+    p = Fraction(p)
+    if not 0 <= p <= 1:
+        raise ValueError(f"p = {p} is not a probability")
+    return p
+
+
 def p_even(s: int, p) -> Fraction:
     """Probability that a Binomial(s, p) variable is even:
     1/2 + (1-2p)**s / 2, exactly."""
     if s < 0:
         raise ValueError("s must be nonnegative")
-    p = Fraction(p)
+    p = _probability(p)
     return (1 + (1 - 2 * p) ** s) / 2
 
 
@@ -69,7 +81,7 @@ def union_bound_ber(n: int, p, s_max: int) -> Fraction:
     Exact for n <= 64; above that every power is rounded up to dyadic
     form, so the value remains a valid upper bound.
     """
-    p = Fraction(p)
+    p = _probability(p)
     if s_max > n:
         raise ValueError("s_max cannot exceed n")
     exact = n <= EXACT_UNION_N
@@ -81,7 +93,7 @@ def union_bound_ber(n: int, p, s_max: int) -> Fraction:
     return total
 
 
-def union_bound_comb(n: int, p, q: int, s_max: int, P_values: Sequence) -> Fraction:
+def union_bound_comb(n: int, q: int, s_max: int, P_values: Sequence) -> Fraction:
     """Sum over s = 1..s_max of C(n, s) * q**(s+1) * P_values[s-1]**(n-1),
     with the same round-up policy as union_bound_ber.
 
@@ -111,17 +123,17 @@ class AtomResult:
     argmax: Fraction | int
 
 
-def max_atom_bernoulli(x: RationalVector, p) -> AtomResult:
+def max_atom_bernoulli(x: Sequence, p) -> AtomResult:
     """Exact maximal atom of x_1 xi_1 + ... + x_n xi_n with i.i.d.
     Bernoulli(p) coefficients, by subset-sum dynamic programming over
-    the distinct reachable sums."""
-    if x.length > ATOM_BERNOULLI_MAX_LEN:
+    the distinct reachable sums (ints for an integer vector)."""
+    if len(x) > ATOM_BERNOULLI_MAX_LEN:
         raise BudgetExceeded(
-            f"vector length {x.length} exceeds DP budget {ATOM_BERNOULLI_MAX_LEN}"
+            f"vector length {len(x)} exceeds DP budget {ATOM_BERNOULLI_MAX_LEN}"
         )
-    p = Fraction(p)
-    dist: dict[Fraction, Fraction] = {Fraction(0): Fraction(1)}
-    for xi in x.entries:
+    p = _probability(p)
+    dist: dict = {0: Fraction(1)}
+    for xi in x:
         new: dict[Fraction, Fraction] = {}
         for value, prob in dist.items():
             lo = prob * (1 - p)
@@ -137,20 +149,23 @@ def max_atom_bernoulli(x: RationalVector, p) -> AtomResult:
     return AtomResult(best, argmax)
 
 
-def max_atom_combinatorial(x: RationalVector, d: int, modulus: int | None = None) -> AtomResult:
+def max_atom_combinatorial(x: Sequence, d: int, modulus: int | None = None) -> AtomResult:
     """Exact maximal atom of x . gamma for gamma a uniform d-subset
-    indicator, optionally with sums reduced mod q, by full enumeration
-    of all C(n, d) subsets."""
-    n = x.length
+    indicator, optionally with sums reduced mod q (integer entries and
+    q >= 1 only), by full enumeration of all C(n, d) subsets."""
+    n = len(x)
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
     total = comb(n, d)
     if total > ATOM_COMB_BUDGET:
         raise BudgetExceeded(f"C({n},{d}) = {total} exceeds budget {ATOM_COMB_BUDGET}")
+    entries = x
     if modulus is not None:
-        entries: Sequence = x.integer_entries()
-    else:
-        entries = x.entries
+        if modulus < 1:
+            raise ValueError(f"modulus must be at least 1, got {modulus}")
+        if any(Fraction(e).denominator != 1 for e in x):
+            raise ValueError("a modulus needs integer entries")
+        entries = [int(e) for e in x]
     counts: dict = {}
     for subset in combinations(range(n), d):
         value = sum(entries[i] for i in subset)
@@ -166,7 +181,7 @@ def binomial_point_mass(n: int, p, d: int) -> Fraction:
     """C(n, d) p**d (1-p)**(n-d), exactly."""
     if not 0 <= d <= n:
         raise ValueError("need 0 <= d <= n")
-    p = Fraction(p)
+    p = _probability(p)
     return comb(n, d) * p**d * (1 - p) ** (n - d)
 
 
@@ -187,11 +202,11 @@ class DisagreementEstimate:
 
 
 def pairing_disagreement_prob(
-    v: RationalVector, n: int, d: int, trials: int, seed: int
+    v: Sequence, n: int, d: int, trials: int, seed: int
 ) -> DisagreementEstimate:
     """Estimate the probability that at least one of d random disjoint
     pairs (i, j) has v_i != v_j, with a 99% Clopper-Pearson interval."""
-    if v.length != n:
+    if len(v) != n:
         raise ValueError("vector length must equal n")
     if 2 * d > n:
         raise PairingInfeasible(f"cannot place {2 * d} distinct indices in [0, {n})")
@@ -199,11 +214,10 @@ def pairing_disagreement_prob(
         raise ValueError("trials must be positive")
     from .rng import derive_seed
 
-    entries = v.entries
     hits = 0
     for t in range(trials):
         pairing = sample_pairing(n, d, derive_seed(seed, t))
-        if any(entries[i] != entries[j] for i, j in pairing.pairs):
+        if any(v[i] != v[j] for i, j in pairing.pairs):
             hits += 1
     lo, hi = clopper_pearson(hits, trials, confidence=0.99)
     return DisagreementEstimate(hits, trials, hits / trials, lo, hi)

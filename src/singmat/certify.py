@@ -47,15 +47,15 @@ independent modular elimination with a different pivoting rule: read
 back from JSON, built by hand, for a prime of 2**31 or more, or past
 n = 2**16, where the tile sums could pass 2**63.  Mod 2 that is a basis
 keyed by lowest set bit, where ``rank_gf2`` keys by highest, and a row
-that reduces to zero ends it.  From n = 24 on the odd-prime elimination
-runs on int64 arrays and reduces row updates by floor division, t - (t
-// p) * p, several times faster in numpy than ``%``; that needs p <
-2**31 (``modular.PRIME_CEILING``) to keep products of residues below
-2**62, so larger primes are checked on Python integers.  The int64 path
-counts the columns of its own unpacked array and eliminates them in
-ascending count order, which delays the fill-in of sparse matrices,
-then multiplies by that order's sign, found by its own transposition
-count.  An exact determinant is checked by Chinese remaindering of
+that reduces to zero ends it.  The odd-prime elimination is one numpy
+routine.  It runs on int64 arrays and reduces row updates by floor
+division, t - (t // p) * p, several times faster in numpy than ``%``;
+that needs p < 2**31 (``modular.PRIME_CEILING``) to keep products of
+residues below 2**62, so larger primes run the same routine on an
+object array of Python integers.  It counts the columns of its own
+unpacked array and eliminates them in ascending count order, which
+delays the fill-in of sparse matrices, then multiplies by that order's
+sign, found by its own transposition count.  An exact determinant is checked by Chinese remaindering of
 those residues over the fixed prime list until the modulus passes
 twice the Hadamard bound of the matrix; a claimed value above that
 bound is rejected outright.  The verifier is the only code that
@@ -240,35 +240,12 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
 # Independent verification
 
 
-def _check_det_mod_py(rows: list[list[int]], p: int) -> int:
-    """Determinant mod p, written independently of the producing path:
-    pivots are the *last* nonzero row in each column."""
-    M = [[e % p for e in row] for row in rows]
-    n = len(M)
-    det = 1
-    for c in range(n):
-        pivot = None
-        for i in range(n - 1, c - 1, -1):
-            if M[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            return 0
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            det = (-det) % p
-        det = det * M[c][c] % p
-        inv = pow(M[c][c], -1, p)
-        for i in range(c + 1, n):
-            if M[i][c]:
-                f = M[i][c] * inv % p
-                M[i] = [(a - f * b) % p for a, b in zip(M[i], M[c])]
-    return det
-
-
 def _check_det_mod_np(a: np.ndarray, p: int) -> int:
-    """_check_det_mod_py on an int64 array, for p < 2**31.  Rows are
-    eliminated against the pivot row where it stands, then swapped."""
+    """Determinant mod p of a square array, written independently of
+    the producing path: the pivot is the *last* nonzero row in each
+    column, rows are eliminated against it where it stands, then it is
+    swapped into place.  An int64 array needs p < 2**31; an object
+    array of Python ints takes any p."""
     M = a - a // p * p
     n = M.shape[0]
     det = 1
@@ -316,15 +293,15 @@ def _sign_by_transpositions(order: list[int]) -> int:
 
 
 def _check_det_mod(m: BitMatrix, p: int) -> int:
-    """det m mod p.  The int64 path eliminates the columns in ascending
-    order of their own counts, then multiplies by that order's sign."""
-    if m.n_rows >= 24 and p < PRIME_CEILING:
-        a = _unpack_int64(m)
-        order = np.argsort(a.sum(axis=0), kind="stable")
-        # take, not a[:, order]: the row updates need a row-major array.
-        det = _check_det_mod_np(a.take(order, axis=1), p)
-        return det * _sign_by_transpositions(order.tolist()) % p
-    return _check_det_mod_py(m.to_lists(), p)
+    """det m mod p, eliminating the columns in ascending order of their
+    own counts, then multiplying by that order's sign.  From p = 2**31
+    on the entries are Python ints, so products stay exact."""
+    a = _unpack_int64(m)
+    order = np.argsort(a.sum(axis=0), kind="stable")
+    # take, not a[:, order]: the row updates need a row-major array.
+    a = a.take(order, axis=1)
+    det = _check_det_mod_np(a if p < PRIME_CEILING else a.astype(object), p)
+    return det * _sign_by_transpositions(order.tolist()) % p
 
 
 # Side of the square tiles the factor check multiplies in, and the part

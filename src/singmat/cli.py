@@ -180,26 +180,18 @@ def cmd_bounds(args) -> int:
             return EXIT_USAGE
         _print_fraction(bounds_mod.union_bound_ber(args.n, args.p, args.smax))
     elif f == "union_comb":
-        if not _require(args, ["n", "p", "q", "smax", "pvalues"]):
+        if not _require(args, ["n", "q", "smax", "pvalues"]):
             return EXIT_USAGE
-        _print_fraction(
-            bounds_mod.union_bound_comb(args.n, args.p, args.q, args.smax, args.pvalues)
-        )
+        _print_fraction(bounds_mod.union_bound_comb(args.n, args.q, args.smax, args.pvalues))
     elif f == "atom_ber":
         if not _require(args, ["x", "p"]):
             return EXIT_USAGE
-        from .matrices import RationalVector
-
-        atom = bounds_mod.max_atom_bernoulli(RationalVector(tuple(args.x)), args.p)
+        atom = bounds_mod.max_atom_bernoulli(args.x, args.p)
         _print_fraction(atom.max_prob, suffix=f" at a={atom.argmax}")
     elif f == "atom_comb":
         if not _require(args, ["x", "d"]):
             return EXIT_USAGE
-        from .matrices import RationalVector
-
-        atom = bounds_mod.max_atom_combinatorial(
-            RationalVector(tuple(args.x)), args.d, modulus=args.modulus
-        )
+        atom = bounds_mod.max_atom_combinatorial(args.x, args.d, modulus=args.modulus)
         _print_fraction(atom.max_prob, suffix=f" at a={atom.argmax}")
     else:  # binom_pm
         if not _require(args, ["n", "p", "d"]):
@@ -258,12 +250,11 @@ def cmd_analyze(args) -> int:
     if args.side == "left":
         matrix = matrix.transpose()
     report = enumerate_gf2_kernel_min_support(matrix, max_dim=args.max_dim)
-    basis = kernel_rational(matrix.to_int_matrix())
+    basis = kernel_rational(matrix)
     vectors = []
-    for vec in basis.vectors:
-        struct = analyze_vector(vec)
-        doc = struct.to_json_dict()
-        doc["entries"] = [str(e) for e in vec.entries]
+    for vec in basis:
+        doc = analyze_vector(vec).to_json_dict()
+        doc["entries"] = [str(e) for e in vec]
         vectors.append(doc)
     out = {
         "side": args.side,
@@ -273,7 +264,7 @@ def cmd_analyze(args) -> int:
             "min_support": report.min_support,
             "witness": list(report.witness) if report.witness else None,
         },
-        "rational": {"kernel_dim": basis.dim, "vectors": vectors},
+        "rational": {"kernel_dim": len(basis), "vectors": vectors},
     }
     print(json.dumps(out, indent=2))
     return EXIT_OK

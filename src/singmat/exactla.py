@@ -33,6 +33,8 @@ recombined and reduced in int64.
 Over the rationals it is fraction-free (Bareiss) elimination: kernels
 come from exact back-substitution, and the last pivot of a square
 matrix of full rank is its determinant up to the row-swap sign.
+``kernel_rational`` returns that basis as tuples of Fractions, one per
+free column with that column 1, as back-substitution leaves it.
 
 ``kernel_vector`` is the one kernel search.  It takes the BitMatrix to
 solve; only ``kernel_vector_crt`` builds the int64 array the prime-field
@@ -48,29 +50,32 @@ column order, returned with the factorization for the verifier to
 check.  Rank n_cols - 1 runs Dixon p-adic lifting on that
 factorization, O(n^2) solve steps until rational reconstruction yields
 a vector that passes an exact check; the rational kernel is then
-one-dimensional, so that vector, mapped back and cleared, is the
-canonical one.  Lower rank refactors in natural order, where the lift's
-first free column makes the vector canonical.  A matrix with fewer
-than n_cols - 1 distinct nonzero rows has lower rank for every prime,
-so it is factored in natural order from the start.  An unlucky prime
-moves on to the next one; when the budget is spent the search falls
-back to Bareiss, which yields the canonical kernel vector or, for a
-square matrix, the exact determinant.  Every kernel here is a right
-kernel; the left kernel of ``m`` is the right kernel of
-``m.transpose()``.
+one-dimensional, so that vector, mapped back and made primitive, is
+the canonical one.  ``_primitive`` divides an integer vector by the gcd
+of its entries and signs it so that its first nonzero entry is
+positive; no Fraction is built on the lift path.  Lower rank refactors
+in natural order, where the lift's first free column makes the vector
+canonical.  A matrix with fewer than n_cols - 1 distinct nonzero rows
+has lower rank for every prime, so it is factored in natural order
+from the start.  An unlucky prime moves on to the next one; when the
+budget is spent the search falls back to Bareiss, which yields the
+canonical kernel vector (its Fractions scaled by the lcm of their
+denominators, then made primitive) or, for a square matrix, the exact
+determinant.  Every kernel here is a right kernel; the left kernel of
+``m`` is the right kernel of ``m.transpose()``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import islice
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import KernelLiftFailed, SelfCheckFailed
-from .matrices import BitMatrix, IntMatrix, KernelBasis, RationalVector, pack_rows
+from .matrices import BitMatrix, pack_rows
 from .modular import PRIME_CEILING, crt_primes, rational_reconstruct, symmetric_lift
 
 # Shapes at least this large take _lu_mod's int64 numpy path.
@@ -126,8 +131,9 @@ def _gf2_right_kernel_vectors(rows: Sequence[int], n_cols: int) -> list[int]:
     return vectors
 
 
-def kernel_gf2(m: BitMatrix) -> KernelBasis:
-    """Basis of the right kernel over GF(2), packed bit vectors.
+def kernel_gf2(m: BitMatrix) -> tuple[int, ...]:
+    """Basis of the right kernel over GF(2), as packed bit vectors of
+    width ``m.n_cols``.
 
     Every returned vector is checked against the matrix before return;
     a failure raises SelfCheckFailed.
@@ -135,7 +141,7 @@ def kernel_gf2(m: BitMatrix) -> KernelBasis:
     basis = _gf2_right_kernel_vectors(m.rows, m.n_cols)
     if any((row & v).bit_count() & 1 for v in basis for row in m.rows):
         raise SelfCheckFailed("GF(2) kernel vector fails its check")
-    return KernelBasis("gf2", tuple(basis), m.n_cols)
+    return tuple(basis)
 
 
 # ---------------------------------------------------------------------------
@@ -301,18 +307,31 @@ def _kernel_from_echelon(
     return basis
 
 
-def kernel_rational(m: IntMatrix) -> KernelBasis:
-    """Exact rational right-kernel basis via fraction-free elimination.
+def kernel_rational(m: BitMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact rational right-kernel basis via fraction-free elimination:
+    one vector per free column, that column 1 and the other free
+    columns 0, with no denominators multiplied out.
 
     Each basis vector is verified against the matrix in exact
     arithmetic before return; a failure raises SelfCheckFailed.
     """
-    ech, pivots, _ = _bareiss_echelon([list(r) for r in m.entries])
-    basis = _kernel_from_echelon(ech, pivots, m.n_cols)
-    if any(sum(e * xi for e, xi in zip(row, x)) for x in basis for row in m.entries):
+    rows = m.to_lists()
+    ech, pivots, _ = _bareiss_echelon(rows)
+    basis = tuple(_kernel_from_echelon(ech, pivots, m.n_cols))
+    if any(sum(e * xi for e, xi in zip(row, x)) for x in basis for row in rows):
         raise SelfCheckFailed("rational kernel vector fails its check")
-    vectors = tuple(RationalVector(x) for x in basis)
-    return KernelBasis("rational", vectors, m.n_cols)
+    return basis
+
+
+def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
+    """The integer vector divided by the gcd of its entries, with its
+    sign flipped so that the first nonzero entry is positive."""
+    g = gcd(*ints)
+    if g > 1:
+        ints = [v // g for v in ints]
+    if next((v for v in ints if v), 0) < 0:
+        ints = [-v for v in ints]
+    return tuple(ints)
 
 
 # Solves A[:, pivots] y = b mod p for an integer vector b: y, or None when
@@ -479,7 +498,7 @@ def _padic_kernel_vector(a: np.ndarray, rows: Sequence[int], lu: _LU) -> tuple[i
 
     With pivots P and first free column f mod p, solves a[:, P] y =
     -a[:, f] p-adically; the kernel vector has y on P, 1 at f and 0 on
-    the other free columns.  Returns it, cleared, once rational
+    the other free columns.  Returns it, made primitive, once rational
     reconstruction gives a vector that is zero past f and passes the
     exact check against ``rows``; None when the system is
     inconsistent mod p or the modulus passes the reconstruction target
@@ -525,7 +544,7 @@ def _padic_kernel_vector(a: np.ndarray, rows: Sequence[int], lu: _LU) -> tuple[i
         for c, num in zip(pivots, nums):
             v[c] = num
         if not any(v[f + 1 :]) and all(exact_dot(v, row) == 0 for row in rows):
-            return RationalVector.from_values(v).cleared()
+            return _primitive(v)
     return None
 
 
@@ -581,7 +600,7 @@ def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> Kern
     sparse-first column order (see the module docstring).  Full column
     rank mod p proves the columns independent.  Otherwise the vector is
     the canonical one -- first free column 1, the other free columns 0,
-    then cleared -- lifted and verified exactly before return.  An
+    then made primitive -- lifted and verified exactly before return.  An
     unlucky prime moves on to the next; when the budget or the sequence
     is spent this raises KernelLiftFailed (``kernel_vector`` then falls
     back to fraction-free elimination).  A prime of 2**31 or more raises
@@ -619,7 +638,7 @@ def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> Kern
                 w = [0] * n_cols
                 for k, c in enumerate(order.tolist()):
                     w[c] = v[k]
-                return KernelSearch(RationalVector.from_values(w).cleared(), "lift")
+                return KernelSearch(_primitive(w), "lift")
         # Nullity two or more mod p: the lift needs the natural order's
         # first free column for the canonical vector.
         lu = _lu_mod(a, p)
@@ -647,7 +666,9 @@ def kernel_vector(m: BitMatrix, primes: Iterable[int] | None = None) -> KernelSe
         if m.n_rows == m.n_cols:
             det = sign * ech[-1][-1] if ech else 1  # the empty matrix has det 1
         return KernelSearch(None, "bareiss", det=det)
-    v = RationalVector(_kernel_from_echelon(ech, pivots, m.n_cols)[0]).cleared()
+    q = _kernel_from_echelon(ech, pivots, m.n_cols)[0]
+    den = lcm(*(e.denominator for e in q))
+    v = _primitive([int(e * den) for e in q])
     if any(sum(e * x for e, x in zip(row, v)) for row in rows):
         raise SelfCheckFailed("rational kernel vector fails its check")
     return KernelSearch(v, "bareiss")

@@ -31,7 +31,7 @@ from .bounds import ATOM_BERNOULLI_MAX_LEN, ATOM_COMB_BUDGET, max_atom_bernoulli
 from .certify import is_singular_exact
 from .errors import InfeasibleDensity, KernelLiftFailed, KernelTooLarge
 from .exactla import exact_dot, kernel_vector
-from .matrices import BitMatrix, RationalVector
+from .matrices import BitMatrix
 from .models import SampleSpec, sample, sample_rows
 from .rng import derive_seed, derive_seeds
 from .stats import binomial_sigma, clopper_pearson
@@ -408,28 +408,26 @@ def _kernel_vector(m: BitMatrix) -> tuple[int, ...]:
     return v
 
 
-def _atom_proxy(
-    model: str, density, x: RationalVector, seed: int
-) -> tuple[float, float, bool]:
-    """(value, sigma, exact?) for the atom of x against one model row.
+def _atom_proxy(model: str, density, x: Sequence[int], seed: int) -> tuple[float, float, bool]:
+    """(value, sigma, exact?) for the atom of the integer vector x
+    against one model row.
 
     Exact maximal atom when the enumeration budgets allow; otherwise a
     Monte Carlo estimate of Pr(x . row = 0) over fresh rows.
     """
     from math import comb
 
-    support = [e for e in x.entries if e != 0]
+    support = [e for e in x if e != 0]
     if model == "bernoulli" and len(support) <= ATOM_BERNOULLI_MAX_LEN:
-        atom = max_atom_bernoulli(RationalVector(tuple(support)), density)
+        atom = max_atom_bernoulli(support, density)
         return float(atom.max_prob), 0.0, True
-    if model == "combinatorial" and comb(x.length, int(density)) <= ATOM_COMB_BUDGET:
+    if model == "combinatorial" and comb(len(x), int(density)) <= ATOM_COMB_BUDGET:
         atom = max_atom_combinatorial(x, int(density))
         return float(atom.max_prob), 0.0, True
-    ints = x.integer_entries()
     # Fresh row k is sample_row of the child spec seeded derive_seed(seed, k).
     row_seeds = derive_seeds(derive_seeds(seed, ATOM_MC_INNER), 1)[:, 0]
-    rows = sample_rows(_make_spec(model, x.length, density, seed), row_seeds)
-    hits = sum(exact_dot(ints, row) == 0 for row in rows)
+    rows = sample_rows(_make_spec(model, len(x), density, seed), row_seeds)
+    hits = sum(exact_dot(x, row) == 0 for row in rows)
     return hits / ATOM_MC_INNER, binomial_sigma(max(hits, 1), ATOM_MC_INNER), False
 
 
@@ -495,13 +493,12 @@ def verify_lemma21(
 
         # Terms (2) and (3): kernel vector of the first n-1 rows vs the last.
         x = _kernel_vector(BitMatrix(n - 1, n, matrix.rows[:-1]))
-        xvec = RationalVector.from_values(x)
-        if eval_predicate(pred, xvec):
+        if eval_predicate(pred, x):
             in_property_trials += 1
             if exact_dot(x, matrix.rows[n - 1]) == 0:
                 atom_zero_hits += 1
             value, sigma_a, exact = _atom_proxy(
-                model, density, xvec, derive_seed(trial_seed, FRESH_ROW_SALT)
+                model, density, x, derive_seed(trial_seed, FRESH_ROW_SALT)
             )
             atom_exact += exact
             atom_mc += not exact

@@ -1,16 +1,16 @@
-"""Matrix and vector value types.
+"""The zero-one matrix type and its bit-packing helpers.
 
-``BitMatrix`` packs each row of a zero-one matrix into a single Python
-integer (bit j = column j), so a whole-row update is one bignum XOR and
-popcounts come from ``int.bit_count``.  ``IntMatrix`` and
-``RationalVector`` carry arbitrary-precision entries for exact
-certification.  All types are immutable after construction.
+``BitMatrix`` is the package's only matrix type.  It packs each row of
+a zero-one matrix into a single Python integer (bit j = column j), so a
+whole-row update is one bignum XOR and popcounts come from
+``int.bit_count``; it is immutable after construction.  Exact vectors
+(kernel vectors, fibre and atom inputs) are plain tuples of ``int`` or
+``fractions.Fraction``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -115,97 +115,8 @@ class BitMatrix:
             raise ValueError("entries must be 0 or 1")
         return cls(a.shape[0], a.shape[1], pack_rows(a.astype(np.uint8, copy=False)))
 
-    def to_int_matrix(self) -> IntMatrix:
-        """Lift to an exact integer matrix (entries 0/1 as Python ints)."""
-        return IntMatrix.from_rows(self.to_lists())
-
     def __str__(self) -> str:
         return "\n".join(
             "".join(str(b) for b in unpack_bits(r, self.n_cols)) for r in self.rows
         )
 
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Matrix with exact arbitrary-precision integer entries."""
-
-    n_rows: int
-    n_cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.n_rows:
-            raise ValueError("row count mismatch")
-        for row in self.entries:
-            if len(row) != self.n_cols:
-                raise DimensionMismatch("ragged rows")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Sequence[int]]) -> IntMatrix:
-        rows = tuple(tuple(int(e) for e in r) for r in rows)
-        n_cols = len(rows[0]) if rows else 0
-        return cls(len(rows), n_cols, rows)
-
-
-@dataclass(frozen=True)
-class RationalVector:
-    """Vector of exact rationals, entries always in lowest terms."""
-
-    entries: tuple[Fraction, ...]
-
-    @classmethod
-    def from_values(cls, values: Iterable) -> RationalVector:
-        return cls(tuple(Fraction(v) for v in values))
-
-    @property
-    def length(self) -> int:
-        return len(self.entries)
-
-    def integer_entries(self) -> tuple[int, ...]:
-        """Entries as ints; raises if any entry is not an integer."""
-        out = []
-        for e in self.entries:
-            if e.denominator != 1:
-                raise ValueError("vector has non-integer entries")
-            out.append(e.numerator)
-        return tuple(out)
-
-    def cleared(self) -> tuple[int, ...]:
-        """Integer form: multiply out denominators, divide by content,
-        and flip signs so the first nonzero entry is positive."""
-        from math import gcd, lcm
-
-        den = lcm(*(e.denominator for e in self.entries)) if self.entries else 1
-        ints = [int(e * den) for e in self.entries]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        if g > 1:
-            ints = [v // g for v in ints]
-        for v in ints:
-            if v != 0:
-                if v < 0:
-                    ints = [-w for w in ints]
-                break
-        return tuple(ints)
-
-
-@dataclass(frozen=True)
-class KernelBasis:
-    """Basis of the right kernel of a matrix over a tagged field.
-
-    ``field_tag`` is "gf2" or "rational".  GF(2) basis vectors are
-    packed bit integers; rational ones are RationalVector.  The left
-    kernel of a matrix is the right kernel of its transpose.
-    """
-
-    field_tag: str
-    vectors: tuple
-    ambient_dim: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.vectors)
-
-    def is_trivial(self) -> bool:
-        return not self.vectors

@@ -1,9 +1,12 @@
 """Combinatorial structure of kernel vectors: supports and fibres.
 
-A fibre of a vector is a maximal set of indices holding one common
-value; the complement size of the largest fibre (here ``s``) measures
-how far the vector is from constant.  Fibre equality is exact rational
-equality, never a tolerance.  Brute-force enumeration oracles for small
+A vector is any sequence of exact rationals: the integer kernel
+vectors of the lift, or Fractions from ``exactla.kernel_rational`` and
+the CLI.  A fibre of a vector is a maximal set of indices holding one
+common value; the complement size of the largest fibre (here ``s``)
+measures how far the vector is from constant.  Fibre equality is exact
+rational equality (an int equals the Fraction of the same value), never
+a tolerance.  Brute-force enumeration oracles for small
 instances live here too.
 """
 
@@ -12,12 +15,13 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
 from .errors import BudgetExceeded, EmptyVector, KernelTooLarge, SelfCheckFailed
 from .exactla import kernel_gf2
-from .matrices import BitMatrix, RationalVector, unpack_bits
+from .matrices import BitMatrix, unpack_bits
 
 MODQ_ENUM_BUDGET = 8**8
 
@@ -45,19 +49,20 @@ class KernelStructureReport:
         }
 
 
-def analyze_vector(x: RationalVector) -> KernelStructureReport:
-    """Exact support and fibre statistics of a rational vector."""
-    if x.length == 0:
+def analyze_vector(x: Sequence) -> KernelStructureReport:
+    """Exact support and fibre statistics of a vector of rationals."""
+    n = len(x)
+    if n == 0:
         raise EmptyVector("cannot analyze an empty vector")
-    counts = Counter(x.entries)
+    counts = Counter(x)
     largest = max(counts.values())
     hist = tuple(sorted(counts.items()))
     return KernelStructureReport(
-        n=x.length,
-        support_size=x.length - counts.get(Fraction(0), 0),
+        n=n,
+        support_size=n - counts.get(0, 0),
         fibre_histogram=hist,
         largest_fibre_size=largest,
-        s=x.length - largest,
+        s=n - largest,
     )
 
 
@@ -92,7 +97,7 @@ class PropertyPredicate:
         return f"largest fibre <= {self.threshold}"
 
 
-def eval_predicate(pred: PropertyPredicate, x: RationalVector) -> bool:
+def eval_predicate(pred: PropertyPredicate, x: Sequence) -> bool:
     report = analyze_vector(x)
     if pred.kind == "support_at_least":
         return report.support_size >= pred.threshold
@@ -117,13 +122,12 @@ def enumerate_gf2_kernel_min_support(m: BitMatrix, max_dim: int = 20) -> MinSupp
     Raises KernelTooLarge when the kernel dimension exceeds max_dim, and
     SelfCheckFailed if the lightest vector fails its kernel check.
     """
-    basis = kernel_gf2(m)
-    k = basis.dim
+    vectors = kernel_gf2(m)
+    k = len(vectors)
     if k == 0:
         return MinSupportReport(0, True, None, None)
     if k > max_dim:
         raise KernelTooLarge(f"kernel dimension {k} exceeds budget {max_dim}")
-    vectors = basis.vectors
     current = 0
     best_weight = None
     best_vector = None
@@ -138,9 +142,7 @@ def enumerate_gf2_kernel_min_support(m: BitMatrix, max_dim: int = 20) -> MinSupp
         or any((row & best_vector).bit_count() & 1 for row in m.rows)
     ):
         raise SelfCheckFailed("lightest GF(2) kernel vector fails its check")
-    return MinSupportReport(
-        k, False, best_weight, unpack_bits(best_vector, basis.ambient_dim)
-    )
+    return MinSupportReport(k, False, best_weight, unpack_bits(best_vector, m.n_cols))
 
 
 def enumerate_modq_bad_vectors(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb
+from math import comb, gcd
 from typing import Sequence
 
 import numpy as np
@@ -102,6 +102,23 @@ def naive_rank(rows: list[list], n_cols: int) -> int:
             M[i] = [a - f * b for a, b in zip(M[i], M[rank])]
         rank += 1
     return rank
+
+
+def cleared(vector: Sequence) -> tuple[int, ...]:
+    """The primitive integer multiple of a nonzero rational vector whose
+    first nonzero entry is positive: scaled by the product of the
+    denominators, then divided by the signed gcd of the result."""
+    fracs = [Fraction(e) for e in vector]
+    scale = 1
+    for e in fracs:
+        scale *= e.denominator
+    ints = [int(e * scale) for e in fracs]
+    g = 0
+    for v in ints:
+        g = gcd(g, v)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(v // g for v in ints)
 
 
 def naive_lu_product(packed: list[list[int]], p: int) -> list[list[int]]:

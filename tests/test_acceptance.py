@@ -25,7 +25,7 @@ from singmat.harness import (
     verify_complement,
     verify_lemma21,
 )
-from singmat.matrices import BitMatrix, RationalVector
+from singmat.matrices import BitMatrix
 from singmat.models import SampleSpec, sample, sample_pairing
 from singmat.rng import Stream, derive_seed
 from singmat.structure import PropertyPredicate
@@ -159,17 +159,13 @@ def test_criterion_07_decomposition_inequality():
 def test_criterion_08_small_ball_bounds():
     # (a) Erdos tight case, exact, m <= 20
     tight_ok = all(
-        max_atom_bernoulli(
-            RationalVector.from_values([1] * m), Fraction(1, 2)
-        ).max_prob == Fraction(comb(m, m // 2), 2**m)
+        max_atom_bernoulli([1] * m, Fraction(1, 2)).max_prob == Fraction(comb(m, m // 2), 2**m)
         for m in range(1, 21)
     )
     # (b) atom nonincreasing in fibre deficiency (maximally spread family)
     n, d = 12, 4
     atoms = [
-        max_atom_combinatorial(
-            RationalVector.from_values(list(range(1, s + 1)) + [0] * (n - s)), d
-        ).max_prob
+        max_atom_combinatorial(list(range(1, s + 1)) + [0] * (n - s), d).max_prob
         for s in range(1, 7)
     ]
     mono_ok = all(a >= b for a, b in zip(atoms, atoms[1:]))
@@ -183,9 +179,8 @@ def test_criterion_08_small_ball_bounds():
     ]
     cond_ok = True
     for idx, (cn, cd, xs, q) in enumerate(cases):
-        x = RationalVector.from_values(xs)
-        atom = max_atom_combinatorial(x, cd, modulus=q).max_prob
-        est = pairing_disagreement_prob(x, cn, cd, 2000, 0x8A + idx)
+        atom = max_atom_combinatorial(xs, cd, modulus=q).max_prob
+        est = pairing_disagreement_prob(xs, cn, cd, 2000, 0x8A + idx)
         if float(atom) > 1 - est.ci_low / 2 + 4 * est.ci_halfwidth:
             cond_ok = False
     ok = tight_ok and mono_ok and cond_ok
@@ -206,7 +201,7 @@ def test_criterion_09_gf2_kernel_exact_span():
         mat = BitMatrix(m_rows, n, tuple(rows))
         basis = kernel_gf2(mat)
         span = {0}
-        for v in basis.vectors:
+        for v in basis:
             span |= {s ^ v for s in span}
         brute = {
             v for v in range(1 << n)

@@ -22,11 +22,10 @@ from singmat.bounds import (
     union_bound_comb,
 )
 from singmat.errors import BudgetExceeded, PairingInfeasible
-from singmat.matrices import RationalVector
 
 
 def rv(*values):
-    return RationalVector.from_values(values)
+    return tuple(Fraction(v) for v in values)
 
 
 # -- even-mass formula -------------------------------------------------------
@@ -84,19 +83,18 @@ def test_round_up_helpers():
 
 
 def test_union_bound_comb_examples():
-    assert union_bound_comb(8, Fraction(1, 4), 2, 0, []) == 0
+    assert union_bound_comb(8, 2, 0, []) == 0
     n, q, s_max = 8, 2, 3
     ones = [Fraction(1)] * s_max
-    ceiling = union_bound_comb(n, Fraction(1, 4), q, s_max, ones)
+    ceiling = union_bound_comb(n, q, s_max, ones)
     assert ceiling == sum(comb(n, s) * q ** (s + 1) for s in range(1, s_max + 1))
 
 
 def test_union_bound_comb_matches_second_arithmetic_path():
     n, q, s_max = 8, 2, 2
-    p = Fraction(1, 4)
     pv = [max_atom_combinatorial(rv(*([1] * s + [0] * (n - s))), 2, modulus=q).max_prob
           for s in range(1, s_max + 1)]
-    got = union_bound_comb(n, p, q, s_max, pv)
+    got = union_bound_comb(n, q, s_max, pv)
     # independent big-rational summation
     expect = Fraction(0)
     for s in range(1, s_max + 1):
@@ -109,9 +107,27 @@ def test_union_bound_validation():
     with pytest.raises(ValueError):
         union_bound_ber(5, Fraction(1, 2), 6)
     with pytest.raises(ValueError):
-        union_bound_comb(5, Fraction(1, 2), 2, 3, [Fraction(1)])
+        union_bound_comb(5, 2, 3, [Fraction(1)])
     with pytest.raises(ValueError):
-        union_bound_comb(5, Fraction(1, 2), 2, 1, [Fraction(3, 2)])
+        union_bound_comb(5, 2, 1, [Fraction(3, 2)])
+
+
+@pytest.mark.parametrize("p", [Fraction(-1, 3), Fraction(3, 2), 2])
+def test_probabilities_outside_the_unit_interval_are_rejected(p):
+    with pytest.raises(ValueError, match="not a probability"):
+        p_even(3, p)
+    with pytest.raises(ValueError, match="not a probability"):
+        union_bound_ber(5, p, 2)
+    with pytest.raises(ValueError, match="not a probability"):
+        max_atom_bernoulli(rv(1, 2), p)
+    with pytest.raises(ValueError, match="not a probability"):
+        binomial_point_mass(4, p, 2)
+
+
+def test_probabilities_at_the_ends_of_the_unit_interval_are_accepted():
+    assert p_even(3, 0) == 1 and p_even(3, 1) == 0
+    assert max_atom_bernoulli(rv(1, 2), 1).max_prob == 1
+    assert binomial_point_mass(4, 1, 4) == 1
 
 
 # -- Bernoulli atoms ---------------------------------------------------------
@@ -133,12 +149,12 @@ def test_atom_bernoulli_matches_brute_force():
         n = rng.randint(1, 7)
         xs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
         p = Fraction(rng.randint(1, 9), 10)
-        assert max_atom_bernoulli(RationalVector(tuple(xs)), p).max_prob == brute_atom_bernoulli(xs, p)
+        assert max_atom_bernoulli(xs, p).max_prob == brute_atom_bernoulli(xs, p)
 
 
 def test_atom_bernoulli_budget():
     with pytest.raises(BudgetExceeded):
-        max_atom_bernoulli(RationalVector(tuple(Fraction(i) for i in range(31))), Fraction(1, 2))
+        max_atom_bernoulli(rv(*range(31)), Fraction(1, 2))
 
 
 def test_atom_bernoulli_erdos_bound():
@@ -147,7 +163,7 @@ def test_atom_bernoulli_erdos_bound():
         erdos = Fraction(comb(m, m // 2), 2**m)
         assert max_atom_bernoulli(rv(*([1] * m)), p).max_prob == erdos
         xs = [Fraction(rng_val) for rng_val in range(1, m + 1)]
-        atom = max_atom_bernoulli(RationalVector(tuple(xs)), p).max_prob
+        atom = max_atom_bernoulli(xs, p).max_prob
         assert atom <= erdos
 
 
@@ -206,9 +222,22 @@ def test_atom_combinatorial_mod_q():
     assert res.argmax == 0
 
 
+@pytest.mark.parametrize("modulus", [0, -3])
+def test_atom_combinatorial_rejects_a_modulus_below_one(modulus):
+    with pytest.raises(ValueError, match="modulus"):
+        max_atom_combinatorial(rv(1, 2), 1, modulus=modulus)
+
+
+def test_atom_combinatorial_mod_q_needs_integer_entries():
+    assert max_atom_combinatorial(rv(1, 2), 1, modulus=1).max_prob == 1
+    assert max_atom_combinatorial((4, 2), 1, modulus=2).argmax == 0
+    with pytest.raises(ValueError, match="integer entries"):
+        max_atom_combinatorial(rv(1, Fraction(1, 2)), 1, modulus=3)
+
+
 def test_atom_combinatorial_budget():
     with pytest.raises(BudgetExceeded):
-        max_atom_combinatorial(RationalVector(tuple(Fraction(i) for i in range(40))), 20)
+        max_atom_combinatorial(rv(*range(40)), 20)
 
 
 def test_atom_combinatorial_monotone_in_fibre_deficiency():

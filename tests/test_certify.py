@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singmat
-from oracles import naive_det, naive_lu_product, naive_rank
+from oracles import cleared, naive_det, naive_lu_product, naive_rank
 from singmat import certify, exactla
 from singmat.certify import (
     CertStats,
@@ -280,20 +280,49 @@ def test_factor_check_and_elimination_agree_on_sweep_certificates(monkeypatch):
     assert checked >= 8
 
 
-@pytest.mark.parametrize("n", [24, 40, 64])
+# Primes past the int64 elimination's range: the largest 61-bit prime
+# and the smallest prime above 2**32.
+_WIDE_PRIMES = (2**61 - 1, 4294967311)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 8, 12, 23, 24, 30, 40, 64])
 def test_verifier_eliminations_agree_with_naive_det(n):
-    """The verifier's int64 elimination (floor-division reduction) and
-    its Python one give det mod p: at the sweeps' c = 2 density, and
-    dense with a duplicated column."""
+    """The verifier's one elimination gives det mod p, on int64 entries
+    below 2**31 and on Python integers past it: at the sweeps' c = 2
+    density, and dense with a duplicated column."""
     rng = np.random.default_rng(60 + n)
-    for density, duplicate in ((2 * math.log(n) / n, False), (0.5, True)):
+    sparse = 2 * math.log(n) / n if n > 1 else 0.5
+    for density, duplicate in ((sparse, False), (0.5, n > 1)):
         a = (rng.random((n, n)) < density).astype(np.int64)
         if duplicate:
             a[:, -1] = a[:, rng.integers(n - 1)]
         want = naive_det(a.tolist()).numerator
-        for p in (3, crt_primes(1)[0]):
-            got = certify._check_det_mod_np(a, p)
-            assert got == certify._check_det_mod_py(a.tolist(), p) == want % p
+        m = BitMatrix.from_bit_array(a)
+        for p in (3, crt_primes(1)[0], *_WIDE_PRIMES):
+            assert certify._check_det_mod(m, p) == want % p
+            entries = a if p < PRIME_CEILING else a.astype(object)
+            assert certify._check_det_mod_np(entries, p) == want % p
+
+
+@pytest.mark.parametrize("n", [1, 5, 12])
+@pytest.mark.parametrize("p", _WIDE_PRIMES)
+def test_hand_built_wide_prime_certificates(n, p):
+    """A residue certificate for a prime past 2**31, built by hand, is
+    checked by eliminating on Python integers: the true residue
+    verifies, also after a JSON round trip, and any other is rejected."""
+    rng = np.random.default_rng(n)
+    while True:
+        a = rng.integers(0, 2, (n, n))
+        det = naive_det(a.tolist()).numerator
+        if det % p:
+            break
+    m = BitMatrix.from_bit_array(a)
+    stats = CertStats(gf2_rank=-1, primes_tried=(p,), elapsed=0.0)
+    genuine = SingularityCertificate("nonsingular", None, p, det % p, None, stats)
+    assert verify_certificate(m, genuine)
+    assert verify_certificate(m, SingularityCertificate.from_json(genuine.to_json()))
+    for forged in ((det + 1) % p or 2, (det - 1) % p or p - 2, p - det % p):
+        assert not verify_certificate(m, replace(genuine, residue=forged))
 
 
 def _det_certificate(det):
@@ -651,7 +680,7 @@ def test_line_report_rides_on_the_certificate():
 
 
 def _canonical(m):
-    return kernel_rational(m.to_int_matrix()).vectors[0].cleared()
+    return cleared(kernel_rational(m)[0])
 
 
 @pytest.fixture
@@ -903,14 +932,14 @@ def test_self_checks_raise_under_optimize():
         "import singmat.exactla as e\n"
         "import singmat.structure as s\n"
         "from singmat.errors import SelfCheckFailed\n"
-        "from singmat.matrices import BitMatrix, IntMatrix, KernelBasis\n"
+        "from singmat.matrices import BitMatrix\n"
         "assert False, 'asserts must be stripped'\n"
         "m = BitMatrix.from_rows([[1, 1], [1, 1]])\n"
         "e._gf2_right_kernel_vectors = lambda rows, n: [1]\n"
         "e._kernel_from_echelon = lambda ech, pivots, n: [(1, 0)]\n"
-        "s.kernel_gf2 = lambda m: KernelBasis('gf2', (1,), 2)\n"
+        "s.kernel_gf2 = lambda m: (1,)\n"
         "calls = (lambda: e.kernel_gf2(m), lambda: s.enumerate_gf2_kernel_min_support(m),\n"
-        "         lambda: e.kernel_rational(IntMatrix.from_rows([[1, 1], [1, 1]])))\n"
+        "         lambda: e.kernel_rational(m))\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"

@@ -140,6 +140,38 @@ def test_cli_bounds_missing_flag(capsys):
     assert main(["bounds", "--formula", "p_even", "--s", "3"]) == 2
 
 
+def test_cli_bounds_union_comb_needs_no_p(capsys):
+    """union_bound_comb never reads an entry probability."""
+    assert main(["bounds", "--formula", "union_comb", "--n", "8", "--q", "2", "--smax", "3",
+                 "--pvalues", "1,1,1"]) == 0
+    # sum over s = 1..3 of C(8, s) 2**(s + 1)
+    assert capsys.readouterr().out == "1152/1 (1152)\n"
+
+
+def test_cli_bounds_vector_formulas(capsys):
+    assert main(["bounds", "--formula", "atom_comb", "--x", "1,2,3", "--d", "1",
+                 "--modulus", "3"]) == 0
+    assert capsys.readouterr().out == "1/3 (0.333333333333) at a=0\n"
+    assert main(["bounds", "--formula", "atom_ber", "--x", "1,2", "--p", "1/2"]) == 0
+    assert capsys.readouterr().out == "1/4 (0.25) at a=0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["p_even", "--s", "3", "--p", "2"], "not a probability"),
+    (["union_ber", "--n", "5", "--p=-1/2", "--smax", "2"], "not a probability"),
+    (["atom_ber", "--x", "1,2", "--p", "3/2"], "not a probability"),
+    (["binom_pm", "--n", "4", "--p", "5/4", "--d", "2"], "not a probability"),
+    (["atom_comb", "--x", "1,2", "--d", "1", "--modulus", "0"], "modulus"),
+    (["atom_comb", "--x", "1,2", "--d", "1", "--modulus=-3"], "modulus"),
+    (["atom_comb", "--x", "1,1/2", "--d", "1", "--modulus", "3"], "integer entries"),
+])
+def test_cli_bounds_rejects_invalid_values(capsys, argv, message):
+    assert main(["bounds", "--formula", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
 # -- sweep -------------------------------------------------------------------
 
 
@@ -228,6 +260,18 @@ def test_cli_analyze_identity(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["gf2"]["trivial"] is True
     assert doc["rational"]["kernel_dim"] == 0
+
+
+def test_cli_analyze_matrix_without_rows(tmp_path, capsys):
+    """A 0 x 3 matrix: every vector is in both kernels."""
+    path = tmp_path / "empty.txt"
+    path.write_text("0 3\n", encoding="utf-8")
+    assert main(["analyze", "--in", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["gf2"]["kernel_dim"] == doc["rational"]["kernel_dim"] == 3
+    assert [v["entries"] for v in doc["rational"]["vectors"]] == [
+        ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"],
+    ]
 
 
 def test_cli_analyze_budget_exit(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     brute_gf2_right_kernel,
+    cleared,
     naive_det,
     naive_lu_product,
     naive_lu_solve,
@@ -34,7 +36,7 @@ from singmat.exactla import (
     _lu_solve_py,
     _lower_inverses,
 )
-from singmat.matrices import BitMatrix, IntMatrix, unpack_bits
+from singmat.matrices import BitMatrix, unpack_bits
 from singmat.modular import crt_primes
 
 
@@ -94,11 +96,10 @@ def test_rank_matches_naive_on_large_sparse_squares(n):
 
 
 def test_kernel_gf2_examples():
-    assert kernel_gf2(BitMatrix.identity(4)).is_trivial()
+    assert kernel_gf2(BitMatrix.identity(4)) == ()
     left = kernel_gf2(bm([[1, 1, 0], [0, 1, 1], [1, 0, 1]]).transpose())
-    assert [unpack_bits(v, 3) for v in left.vectors] == [(1, 1, 1)]
-    full = kernel_gf2(BitMatrix.zeros(2, 2))
-    assert full.dim == 2
+    assert [unpack_bits(v, 3) for v in left] == [(1, 1, 1)]
+    assert kernel_gf2(BitMatrix.zeros(2, 2)) == (0b01, 0b10)
 
 
 def test_kernel_gf2_span_equals_brute_force():
@@ -114,7 +115,7 @@ def test_kernel_gf2_span_equals_brute_force():
     for rows, n in cases:
         basis = kernel_gf2(BitMatrix.from_rows(rows, n))
         span = {0}
-        for v in basis.vectors:
+        for v in basis:
             span |= {s ^ v for s in span}
         got = {unpack_bits(v, n) for v in span}
         assert got == brute_gf2_right_kernel(rows, n)
@@ -126,8 +127,8 @@ def test_kernel_gf2_dimension_identity():
         n_rows, n_cols = rng.randint(1, 30), rng.randint(1, 30)
         mat = bm(random_bit_rows(rng, n_rows, n_cols))
         r = rank_gf2(mat)
-        assert kernel_gf2(mat).dim == n_cols - r
-        assert kernel_gf2(mat.transpose()).dim == n_rows - r
+        assert len(kernel_gf2(mat)) == n_cols - r
+        assert len(kernel_gf2(mat.transpose())) == n_rows - r
 
 
 # Digests of the bases that independent eliminations returned on these
@@ -156,12 +157,12 @@ def test_kernel_gf2_basis_is_pinned_canonical(key):
     m = BitMatrix(n_rows, n_cols, tuple(rows))
     for side, (dim, digest) in _GF2_PINNED[key].items():
         basis = kernel_gf2(m if side == "right" else m.transpose())
-        free = [v.bit_length() - 1 for v in basis.vectors]
+        free = [v.bit_length() - 1 for v in basis]
         assert free == sorted(set(free))
         free_mask = sum(1 << f for f in free)
-        assert all(v & free_mask == 1 << f for v, f in zip(basis.vectors, free))
-        assert basis.dim == dim
-        assert hashlib.sha256(repr(basis.vectors).encode()).hexdigest()[:16] == digest
+        assert all(v & free_mask == 1 << f for v, f in zip(basis, free))
+        assert len(basis) == dim
+        assert hashlib.sha256(repr(basis).encode()).hexdigest()[:16] == digest
 
 
 # -- exact determinants -----------------------------------------------------
@@ -312,28 +313,27 @@ def test_kernel_vector_crt_rejects_primes_past_the_int64_range():
 
 
 def test_kernel_rational_examples():
-    assert kernel_rational(IntMatrix.from_rows([[1, 0], [0, 1]])).is_trivial()
-    basis = kernel_rational(IntMatrix.from_rows([[1, 2], [2, 4]]))
-    assert basis.dim == 1
-    v = basis.vectors[0].entries
-    # spans (2, -1)
-    assert v[0] * (-1) == v[1] * 2
-    basis2 = kernel_rational(IntMatrix.from_rows([[1, 1, 0], [1, 0, 1], [0, 1, -1]]))
-    assert basis2.dim == 1
-    w = basis2.vectors[0].cleared()
+    assert kernel_rational(BitMatrix.identity(2)) == ()
+    basis = kernel_rational(bm([[0, 1, 1, 0], [1, 0, 1, 0], [1, 1, 0, 1]]))
+    assert len(basis) == 1
+    v = basis[0]
+    # the free column is 1 and nothing is multiplied out: spans (1, 1, -1, -2)
+    assert v == (Fraction(-1, 2), Fraction(-1, 2), Fraction(1, 2), 1)
+    assert cleared(v) == (1, 1, -1, -2)
+    basis2 = kernel_rational(bm([[1, 1, 0], [1, 0, 1], [0, 0, 0]]))
+    assert len(basis2) == 1
+    w = cleared(basis2[0])
     assert w in ((-1, 1, 1), (1, -1, -1))
-    # cleared() canonicalizes the leading sign
+    # clearing canonicalizes the leading sign
     assert w == (1, -1, -1)
 
 
 def test_kernel_rational_left_side():
-    m = IntMatrix.from_rows([[1, 1, 0], [2, 2, 0], [0, 0, 1]])
-    basis = kernel_rational(IntMatrix.from_rows(zip(*m.entries)))
-    assert basis.dim == 1
-    v = basis.vectors[0].entries
-    assert all(
-        sum(v[i] * m.entries[i][j] for i in range(3)) == 0 for j in range(3)
-    )
+    rows = [[1, 1, 0], [1, 1, 0], [0, 0, 1]]
+    basis = kernel_rational(bm(rows).transpose())
+    assert len(basis) == 1
+    v = basis[0]
+    assert all(sum(v[i] * rows[i][j] for i in range(3)) == 0 for j in range(3))
 
 
 def test_det_zero_iff_kernel_nonempty():
@@ -341,8 +341,7 @@ def test_det_zero_iff_kernel_nonempty():
     for _ in range(80):
         n = rng.randint(1, 7)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-        m = IntMatrix.from_rows(rows)
-        assert (naive_det(rows) != 0) == kernel_rational(m).is_trivial()
+        assert (naive_det(rows) != 0) == (kernel_rational(bm(rows)) == ())
 
 
 def test_gf2_rank_never_exceeds_rational_rank():
@@ -352,7 +351,7 @@ def test_gf2_rank_never_exceeds_rational_rank():
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         bit = bm(rows)
         g = rank_gf2(bit)
-        q_rank = n - kernel_rational(bit.to_int_matrix()).dim
+        q_rank = n - len(kernel_rational(bit))
         assert g <= q_rank <= n
         if g < n:
             assert naive_det(rows) % 2 == 0
@@ -367,19 +366,18 @@ def test_kernel_vector_crt_matches_bareiss_on_singulars():
     for _ in range(200):
         n = rng.randint(2, 12)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-        m = IntMatrix.from_rows(rows)
-        basis = kernel_rational(m)
+        basis = kernel_rational(bm(rows))
         try:
             v = kernel_vector_crt(bm(rows)).vector
         except KernelLiftFailed:
             pytest.fail("lift failed on a small instance")
-        if basis.is_trivial():
+        if not basis:
             assert v is None
         else:
             found += 1
             assert v is not None and any(v)
             assert all(sum(r[j] * v[j] for j in range(n)) == 0 for r in rows)
-            assert v == basis.vectors[0].cleared()
+            assert v == cleared(basis[0])
     assert found > 20
 
 
@@ -394,7 +392,7 @@ def test_kernel_vector_crt_wide_system_always_finds_vector():
 
 
 def _bareiss_vector(a: np.ndarray) -> tuple[int, ...]:
-    return kernel_rational(IntMatrix.from_rows(a.tolist())).vectors[0].cleared()
+    return cleared(kernel_rational(bma(a))[0])
 
 
 def _sparse_rows(rng, n_rows, n_cols, density=0.15):
@@ -418,9 +416,9 @@ def test_lift_matches_bareiss_on_rank_deficient_numpy_path(deficiency):
     rng = random.Random(20 + deficiency)
     for _ in range(4):
         a = _with_dependent_columns(rng, rng.randint(24, 40), deficiency)
-        basis = kernel_rational(IntMatrix.from_rows(a.tolist()))
-        assert basis.dim >= deficiency
-        assert kernel_vector_crt(bma(a)).vector == basis.vectors[0].cleared()
+        basis = kernel_rational(bma(a))
+        assert len(basis) >= deficiency
+        assert kernel_vector_crt(bma(a)).vector == cleared(basis[0])
 
 
 @pytest.mark.parametrize("zero_row, duplicate_row", [(True, False), (False, True), (True, True)])
@@ -565,7 +563,7 @@ def test_lift_left_kernel_from_transpose():
         n = rng.randint(24, 40)
         a = _sparse_rows(rng, n, n)
         a[:, rng.randrange(n)] = 0  # singular, so the left kernel is nontrivial too
-        want = kernel_rational(IntMatrix.from_rows(a.T.tolist())).vectors[0].cleared()
+        want = cleared(kernel_rational(bma(a.T))[0])
         assert kernel_vector_crt(bma(a).transpose()).vector == want
 
 
@@ -574,7 +572,7 @@ def test_lift_independent_columns_give_none():
     a = np.eye(30, dtype=np.int64)
     assert kernel_vector_crt(bma(a)).vector is None
     tall = _sparse_rows(rng, 40, 24, 0.5)
-    if kernel_rational(IntMatrix.from_rows(tall.tolist())).is_trivial():
+    if kernel_rational(bma(tall)) == ():
         assert kernel_vector_crt(bma(tall)).vector is None
 
 
@@ -712,6 +710,6 @@ def test_rank_transpose_invariant(m):
 @settings(max_examples=60, deadline=None)
 def test_kernel_vectors_always_verify(m):
     basis = kernel_gf2(m)
-    for v in basis.vectors:
+    for v in basis:
         assert all((row & v).bit_count() % 2 == 0 for row in m.rows)
-    assert basis.dim == m.n_cols - rank_gf2(m)
+    assert len(basis) == m.n_cols - rank_gf2(m)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from singmat.errors import BudgetExceeded, EmptyVector, KernelTooLarge
-from singmat.matrices import BitMatrix, RationalVector
+from singmat.matrices import BitMatrix
 from singmat.structure import (
     PropertyPredicate,
     analyze_vector,
@@ -20,7 +20,7 @@ from singmat.structure import (
 
 
 def rv(*values):
-    return RationalVector.from_values(values)
+    return tuple(Fraction(v) for v in values)
 
 
 def test_analyze_examples():
@@ -35,13 +35,23 @@ def test_analyze_examples():
     assert rep.largest_fibre_size == 2
     assert rep.s == 2
 
-    rep = analyze_vector(RationalVector((Fraction(1, 2), Fraction(2, 4), Fraction(3))))
+    rep = analyze_vector((Fraction(1, 2), Fraction(2, 4), Fraction(3)))
     assert rep.histogram()[Fraction(1, 2)] == 2
+
+
+def test_analyze_integer_vectors_like_their_fractions():
+    """Kernel vectors arrive as ints; an int and the Fraction of the
+    same value share a fibre."""
+    assert analyze_vector((1, 1, 2, 0)) == analyze_vector(rv(1, 1, 2, 0))
+    rep = analyze_vector((2, Fraction(2), 0, Fraction(0), Fraction(1, 2)))
+    assert rep.support_size == 3
+    assert rep.largest_fibre_size == 2
+    assert rep.to_json_dict()["fibre_histogram"] == [["0", 2], ["1/2", 1], ["2", 2]]
 
 
 def test_analyze_empty_vector_raises():
     with pytest.raises(EmptyVector):
-        analyze_vector(RationalVector(()))
+        analyze_vector(())
 
 
 def test_analyze_invariants_hold():
@@ -54,10 +64,10 @@ def test_analyze_invariants_hold():
 @given(st.lists(st.fractions(), min_size=1, max_size=12), st.randoms(use_true_random=False))
 @settings(max_examples=60, deadline=None)
 def test_analyze_permutation_invariance(values, rand):
-    before = analyze_vector(RationalVector(tuple(values)))
+    before = analyze_vector(tuple(values))
     shuffled = list(values)
     rand.shuffle(shuffled)
-    after = analyze_vector(RationalVector(tuple(shuffled)))
+    after = analyze_vector(tuple(shuffled))
     assert before == after
 
 
@@ -67,8 +77,8 @@ def test_analyze_permutation_invariance(values, rand):
 )
 @settings(max_examples=60, deadline=None)
 def test_analyze_scaling_preserves_fibre_sizes(values, scale):
-    before = analyze_vector(RationalVector(tuple(values)))
-    after = analyze_vector(RationalVector(tuple(v * scale for v in values)))
+    before = analyze_vector(tuple(values))
+    after = analyze_vector(tuple(v * scale for v in values))
     assert before.support_size == after.support_size
     assert sorted(c for _, c in before.fibre_histogram) == sorted(
         c for _, c in after.fibre_histogram
