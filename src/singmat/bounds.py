@@ -134,7 +134,7 @@ def max_atom_bernoulli(x: Sequence, p) -> AtomResult:
     p = _probability(p)
     dist: dict = {0: Fraction(1)}
     for xi in x:
-        new: dict[Fraction, Fraction] = {}
+        new: dict = {}
         for value, prob in dist.items():
             lo = prob * (1 - p)
             hi = prob * p

@@ -55,11 +55,11 @@ residues below 2**62, so larger primes run the same routine on an
 object array of Python integers.  It counts the columns of its own
 unpacked array and eliminates them in ascending count order, which
 delays the fill-in of sparse matrices, then multiplies by that order's
-sign, found by its own transposition count.  An exact determinant is checked by Chinese remaindering of
-those residues over the fixed prime list until the modulus passes
-twice the Hadamard bound of the matrix; a claimed value above that
-bound is rejected outright.  The verifier is the only code that
-computes a determinant this way.
+sign, found by its own transposition count.  An exact determinant is
+checked by Chinese remaindering of those residues over the fixed prime
+list until the modulus passes twice the Hadamard bound of the matrix; a
+claimed value above that bound is rejected outright.  The verifier is
+the only code that computes a determinant this way.
 """
 
 from __future__ import annotations

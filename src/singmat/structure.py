@@ -6,8 +6,8 @@ the CLI.  A fibre of a vector is a maximal set of indices holding one
 common value; the complement size of the largest fibre (here ``s``)
 measures how far the vector is from constant.  Fibre equality is exact
 rational equality (an int equals the Fraction of the same value), never
-a tolerance.  Brute-force enumeration oracles for small
-instances live here too.
+a tolerance.  Brute-force enumeration oracles for small instances live
+here too.
 """
 
 from __future__ import annotations

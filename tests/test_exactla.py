@@ -576,6 +576,19 @@ def test_lift_independent_columns_give_none():
         assert kernel_vector_crt(bma(tall)).vector is None
 
 
+def test_primitive_matches_the_clearing_oracle():
+    """Every kernel vector the lift and the Bareiss fallback return has
+    an entry equal to the lcm of its denominators, so it is primitive
+    already; the content is divided out all the same."""
+    assert exactla._primitive([0, -4, 6, 2]) == (0, 2, -3, -1)
+    assert exactla._primitive([0, 0, 7]) == (0, 0, 1)
+    rng = random.Random(26)
+    for _ in range(200):
+        v = [rng.randint(-3, 3) * rng.choice((1, 2, 6, 2**70)) for _ in range(rng.randint(1, 8))]
+        if any(v):
+            assert exactla._primitive(v) == cleared(v)
+
+
 def test_lift_edge_shapes():
     assert kernel_vector_crt(BitMatrix.zeros(0, 0)).vector is None
     assert kernel_vector_crt(BitMatrix.zeros(2, 0)).vector is None
