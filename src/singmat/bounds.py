@@ -4,11 +4,13 @@ Everything is computed in rational arithmetic.  Union-bound sums stay
 fully exact up to a dimension cutoff; past it, per-term powers are
 rounded *up* to 256-significant-bit dyadic rationals (so the result is
 still a true upper bound), which keeps numerator sizes tame at any n.
+The Bernoulli atom DP carries integer weights over b**m, for p = a/b
+and m entries, and divides once at the end.
 
 Vectors are plain sequences of exact rationals (ints or Fractions),
 such as the integer kernel vectors of ``exactla``.  Entry probabilities
-must lie in [0, 1] and moduli be at least 1; anything else raises
-ValueError.
+must lie in [0, 1], atom moduli be at least 1, the union bound's q at
+least 2 and its s_max nonnegative; anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -75,6 +77,11 @@ def _pow_round_up(base: Fraction, exponent: int, bits: int = ROUND_BITS) -> Frac
     return result
 
 
+def _check_s_max(n: int, s_max: int) -> None:
+    if not 0 <= s_max <= n:
+        raise ValueError(f"s_max must lie in [0, n], got {s_max}")
+
+
 def union_bound_ber(n: int, p, s_max: int) -> Fraction:
     """Sum over s = 1..s_max of C(n, s) * p_even(s, p)**(n-1).
 
@@ -82,8 +89,7 @@ def union_bound_ber(n: int, p, s_max: int) -> Fraction:
     form, so the value remains a valid upper bound.
     """
     p = _probability(p)
-    if s_max > n:
-        raise ValueError("s_max cannot exceed n")
+    _check_s_max(n, s_max)
     exact = n <= EXACT_UNION_N
     total = Fraction(0)
     for s in range(1, s_max + 1):
@@ -99,8 +105,9 @@ def union_bound_comb(n: int, q: int, s_max: int, P_values: Sequence) -> Fraction
 
     P_values supplies the per-s orthogonality bounds (from exact atom
     enumeration or an analytic surrogate)."""
-    if s_max > n:
-        raise ValueError("s_max cannot exceed n")
+    if q < 2:
+        raise ValueError(f"q must be at least 2, got {q}")
+    _check_s_max(n, s_max)
     if len(P_values) < s_max:
         raise ValueError(f"need {s_max} P values, got {len(P_values)}")
     values = [Fraction(v) for v in P_values]
@@ -126,27 +133,32 @@ class AtomResult:
 def max_atom_bernoulli(x: Sequence, p) -> AtomResult:
     """Exact maximal atom of x_1 xi_1 + ... + x_n xi_n with i.i.d.
     Bernoulli(p) coefficients, by subset-sum dynamic programming over
-    the distinct reachable sums (ints for an integer vector)."""
+    the distinct reachable sums (ints for an integer vector).
+
+    With p = a/b in lowest terms, each sum carries an integer weight,
+    its probability times b**n: a step sends weight w at sum v to
+    w (b - a) at v and w a at v + x_i.
+    """
     if len(x) > ATOM_BERNOULLI_MAX_LEN:
         raise BudgetExceeded(
             f"vector length {len(x)} exceeds DP budget {ATOM_BERNOULLI_MAX_LEN}"
         )
     p = _probability(p)
-    dist: dict = {0: Fraction(1)}
+    a, b = p.numerator, p.denominator
+    stay = b - a
+    dist: dict = {0: 1}
     for xi in x:
         new: dict = {}
-        for value, prob in dist.items():
-            lo = prob * (1 - p)
-            hi = prob * p
-            new[value] = new.get(value, Fraction(0)) + lo
+        for value, weight in dist.items():
+            new[value] = new.get(value, 0) + weight * stay
             shifted = value + xi
-            new[shifted] = new.get(shifted, Fraction(0)) + hi
+            new[shifted] = new.get(shifted, 0) + weight * a
         if len(new) > ATOM_DP_MAP_BUDGET:
             raise BudgetExceeded("distinct-sum map exceeded its budget")
         dist = new
-    best = max(dist.values())
-    argmax = min(v for v, pr in dist.items() if pr == best)
-    return AtomResult(best, argmax)
+    top = max(dist.values())
+    argmax = min(v for v, w in dist.items() if w == top)
+    return AtomResult(Fraction(top, b ** len(x)), argmax)
 
 
 def max_atom_combinatorial(x: Sequence, d: int, modulus: int | None = None) -> AtomResult:

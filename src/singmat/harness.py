@@ -447,9 +447,11 @@ def verify_lemma21(
     the canonical kernel vector (tested against the property), its last
     row is the fresh row for the atom indicator, and the full matrix is
     certified for the left-hand side.  Events for the small-support term
-    use the GF(2) minimum-support screen and escalate to exact rational
-    kernels; when the kernel spans more than one dimension the screen's
-    verdict is kept as a conservative over-estimate.
+    use the GF(2) minimum-support screen of the transpose.  A screen
+    with support below t counts as a hit outright when its kernel spans
+    more than one dimension (a conservative over-estimate); only a
+    one-dimensional GF(2) left kernel is lifted to its integer vector,
+    whose support decides the event.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -481,12 +483,10 @@ def verify_lemma21(
                 screen = enumerate_gf2_kernel_min_support(mt, max_dim=max_kernel_dim)
                 if screen.trivial or screen.min_support >= t:
                     pass  # a small-support rational vector would show up mod 2
-                else:
-                    v1 = _kernel_vector(mt)
-                    if sum(1 for e in v1 if e) < t:
-                        ev1_hits += 1
-                    elif screen.kernel_dim > 1:
-                        ev1_hits += 1  # cannot rule out a lighter combination
+                elif screen.kernel_dim > 1:
+                    ev1_hits += 1  # cannot rule out a lighter combination
+                elif sum(1 for e in _kernel_vector(mt) if e) < t:
+                    ev1_hits += 1
             except KernelTooLarge:
                 kernel_budget_hits += 1
                 ev1_hits += 1  # conservative

@@ -183,8 +183,9 @@ def brute_even_mass_outcomes(s: int, p: Fraction) -> Fraction:
     return total
 
 
-def brute_atom_bernoulli(xs: list[Fraction], p: Fraction) -> Fraction:
-    """Max point mass of sum(x_i xi_i) over all 2**n outcomes."""
+def brute_atom_bernoulli(xs: list[Fraction], p: Fraction) -> tuple[Fraction, Fraction]:
+    """(max point mass, smallest sum carrying it) of sum(x_i xi_i) over
+    all 2**n outcomes."""
     masses: dict[Fraction, Fraction] = {}
     for bits in product((0, 1), repeat=len(xs)):
         value = sum((x for x, b in zip(xs, bits) if b), Fraction(0))
@@ -192,7 +193,8 @@ def brute_atom_bernoulli(xs: list[Fraction], p: Fraction) -> Fraction:
         for b in bits:
             prob *= p if b else 1 - p
         masses[value] = masses.get(value, Fraction(0)) + prob
-    return max(masses.values())
+    best = max(masses.values())
+    return best, min(v for v, mass in masses.items() if mass == best)
 
 
 def chi_square_uniform(counts: Sequence[int]) -> tuple[float, float]:

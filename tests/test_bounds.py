@@ -22,6 +22,7 @@ from singmat.bounds import (
     union_bound_comb,
 )
 from singmat.errors import BudgetExceeded, PairingInfeasible
+from singmat.harness import bernoulli_density
 
 
 def rv(*values):
@@ -106,6 +107,13 @@ def test_union_bound_comb_matches_second_arithmetic_path():
 def test_union_bound_validation():
     with pytest.raises(ValueError):
         union_bound_ber(5, Fraction(1, 2), 6)
+    with pytest.raises(ValueError, match="s_max"):
+        union_bound_ber(8, Fraction(1, 2), -1)
+    for q in (-2, 0, 1):
+        with pytest.raises(ValueError, match="q must be at least 2"):
+            union_bound_comb(8, q, 3, [Fraction(1)] * 3)
+    with pytest.raises(ValueError, match="s_max"):
+        union_bound_comb(8, 2, -1, [])
     with pytest.raises(ValueError):
         union_bound_comb(5, 2, 3, [Fraction(1)])
     with pytest.raises(ValueError):
@@ -145,11 +153,23 @@ def test_atom_bernoulli_examples():
 
 def test_atom_bernoulli_matches_brute_force():
     rng = random.Random(0)
+    cases = []
     for _ in range(30):
         n = rng.randint(1, 7)
         xs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-        p = Fraction(rng.randint(1, 9), 10)
-        assert max_atom_bernoulli(xs, p).max_prob == brute_atom_bernoulli(xs, p)
+        cases.append((xs, Fraction(rng.randint(1, 9), 10)))
+    # The ends of [0, 1], the density of the small-n benchmark cell, and
+    # integer vectors with zeros and repeated entries.
+    ps = [Fraction(0), Fraction(1), bernoulli_density(Fraction(1), 50),
+          Fraction(1, 2), Fraction(1, 3)]
+    cases += [([], p) for p in ps]
+    for _ in range(40):
+        n = rng.randint(1, 8)
+        xs = [rng.choice((0, 0, 1, 1, 2, -1, -3)) for _ in range(n)]
+        cases.append((xs, rng.choice(ps)))
+    for xs, p in cases:
+        atom = max_atom_bernoulli(xs, p)
+        assert (atom.max_prob, atom.argmax) == brute_atom_bernoulli(xs, p), (xs, p)
 
 
 def test_atom_bernoulli_budget():

@@ -164,6 +164,10 @@ def test_cli_bounds_vector_formulas(capsys):
     (["atom_comb", "--x", "1,2", "--d", "1", "--modulus", "0"], "modulus"),
     (["atom_comb", "--x", "1,2", "--d", "1", "--modulus=-3"], "modulus"),
     (["atom_comb", "--x", "1,1/2", "--d", "1", "--modulus", "3"], "integer entries"),
+    (["union_ber", "--n", "8", "--p", "1/2", "--smax=-1"], "s_max"),
+    (["union_comb", "--n", "8", "--q", "0", "--smax", "3", "--pvalues", "1,1,1"], "q must be"),
+    (["union_comb", "--n", "8", "--q", "1", "--smax", "3", "--pvalues", "1,1,1"], "q must be"),
+    (["union_comb", "--n", "8", "--q", "2", "--smax=-1", "--pvalues", "1"], "s_max"),
 ])
 def test_cli_bounds_rejects_invalid_values(capsys, argv, message):
     assert main(["bounds", "--formula", *argv]) == 2

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from singmat import harness
 from singmat.certify import is_singular_exact
 from singmat.errors import InfeasibleDensity
 from singmat.harness import (
@@ -230,3 +231,28 @@ def test_lemma21_reports_match_pinned_digest(args, atoms, digest):
     rep = verify_lemma21(*args)
     assert (rep.atom_exact_count, rep.atom_mc_count) == atoms
     assert hashlib.sha256(repr(rep).encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("t", [10, 25])
+def test_lemma21_lifts_only_one_dimensional_left_kernels(monkeypatch, t):
+    """A GF(2) left kernel of dimension > 1 with support below t counts
+    for term (1) outright; only a one-dimensional one is lifted."""
+    args = list(PINNED_REPORTS[0][0])
+    args[3] = t
+    screens, square_lifts = [], []
+    screen, lift = harness.enumerate_gf2_kernel_min_support, harness._kernel_vector
+
+    def recording_screen(m, **kwargs):
+        screens.append(screen(m, **kwargs))
+        return screens[-1]
+
+    def recording_lift(m):
+        square_lifts.append(m.n_rows == m.n_cols)
+        return lift(m)
+
+    monkeypatch.setattr(harness, "enumerate_gf2_kernel_min_support", recording_screen)
+    monkeypatch.setattr(harness, "_kernel_vector", recording_lift)
+    verify_lemma21(*args)
+    below_t = [s.kernel_dim for s in screens if not s.trivial and s.min_support < t]
+    assert any(dim > 1 for dim in below_t)
+    assert sum(square_lifts) == below_t.count(1)
