@@ -26,7 +26,9 @@ Every certificate is checked with :func:`verify_certificate` before it
 is returned, by an explicit test that survives ``python -O``; a failure
 raises CertificateRejected.  Verification deliberately shares no code
 with the code that produced the witness.  Kernel witnesses are checked
-by direct integer matrix-vector multiplication.  A residue certificate
+by direct integer matrix-vector multiplication over the witness's
+support: each packed row is masked by the witness's nonzero columns
+before its set bits are summed.  A residue certificate
 from ``is_singular_exact`` comes with the factorization the producer
 read it off, m[perm][:, order] = L U mod p, handed over in memory and
 never serialized.  The verifier checks that factorization instead of
@@ -407,10 +409,14 @@ def _check_det_exact(m: BitMatrix, det: int) -> bool:
 def verify_certificate(
     m: BitMatrix, cert: SingularityCertificate, factorization: Factorization | None = None
 ) -> bool:
-    """Independently check a certificate against its matrix.  A residue
-    certificate for a prime below 2**31 that comes with the
-    ``factorization`` it was read off is checked against those factors;
-    without one, it is checked by eliminating."""
+    """Independently check a certificate against its matrix.  A kernel
+    witness v must have one entry per column, not all zero, and every
+    row's exact integer sum of v over the row's set bits must vanish;
+    the sum walks only the bits in the support of v, since the other
+    terms are zero, so a structural witness e_j or e_i - e_j costs one
+    AND per row.  A residue certificate for a prime below 2**31 that
+    comes with the ``factorization`` it was read off is checked against
+    those factors; without one, it is checked by eliminating."""
     n = m.n_rows
     if cert.verdict == "singular":
         v = cert.kernel_vector
@@ -418,11 +424,12 @@ def verify_certificate(
             return False
         if len(v) != m.n_cols:
             raise DimensionMismatch("witness length does not match matrix")
-        if not any(v):
+        support = sum(1 << j for j, x in enumerate(v) if x)
+        if not support:
             return False
         for row in m.rows:
             acc = 0
-            w = row
+            w = row & support
             while w:
                 j = (w & -w).bit_length() - 1
                 acc += v[j]

@@ -1,7 +1,8 @@
 """Plain-text matrix files: diffable, language-portable fixtures.
 
 Format: first line "n_rows n_cols", then one line of 0/1 characters per
-row.  Parse errors carry the offending line number.
+row; only blank lines may follow the last row.  Parse errors carry the
+offending line number.
 """
 
 from __future__ import annotations
@@ -49,6 +50,9 @@ def parse_matrix(text: str) -> BitMatrix:
         if set(raw) - {"0", "1"}:
             raise MatrixFormatError("rows must contain only 0 and 1", line=lineno)
         rows.append([int(ch) for ch in raw])
+    for lineno, line in enumerate(lines[n_rows + 1 :], start=n_rows + 2):
+        if line.strip():
+            raise MatrixFormatError(f"expected {n_rows} rows, found more", line=lineno)
     return BitMatrix.from_rows(rows, n_cols)
 
 

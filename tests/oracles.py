@@ -88,6 +88,11 @@ def naive_det(rows: list[list]) -> Fraction:
     return det
 
 
+def naive_matvec(rows: list[list[int]], v: Sequence[int]) -> list[int]:
+    """A v over the integers, one row at a time across every column."""
+    return [sum(a * x for a, x in zip(row, v)) for row in rows]
+
+
 def naive_rank(rows: list[list], n_cols: int) -> int:
     """Rank over the rationals by Fraction Gaussian elimination."""
     M = [[Fraction(e) for e in row] for row in rows]

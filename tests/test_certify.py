@@ -17,7 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import singmat
-from oracles import cleared, naive_det, naive_lu_product, naive_rank
+from oracles import (
+    cleared,
+    naive_bernoulli_rows,
+    naive_det,
+    naive_lu_product,
+    naive_matvec,
+    naive_rank,
+)
 from singmat import certify, exactla
 from singmat.certify import (
     CertStats,
@@ -383,6 +390,106 @@ def test_witness_length_mismatch_raises():
     bad = replace(cert, kernel_vector=(0, 1, 0))
     with pytest.raises(DimensionMismatch):
         verify_certificate(m, bad)
+
+
+def _kernel_claim(v):
+    return SingularityCertificate("singular", tuple(v), None, None, None, CertStats(-1, (), 0.0))
+
+
+def _alternating_rows(n, seed):
+    """Rows with as many ones in even as in odd columns, so that the
+    full-support (1, -1, 1, -1, ...) is a kernel vector."""
+    rng = random.Random(seed)
+    even, odd = list(range(0, n, 2)), list(range(1, n, 2))
+    rows = []
+    for _ in range(n):
+        k = rng.randint(0, len(odd))
+        ones = set(rng.sample(even, k) + rng.sample(odd, k))
+        rows.append([int(j in ones) for j in range(n)])
+    return rows
+
+
+def _witness_candidates(rows, n, rng):
+    """Vectors of one, two and full support: a multiple of every unit
+    vector, e_i - e_j for every pair of equal columns and for random
+    pairs, the alternating vector and random signed ones, and the
+    producer's own kernel vector with one entry bumped and not."""
+    cols = [tuple(row[j] for row in rows) for j in range(n)]
+    out = [[0] * n]
+    for j in range(n):
+        v = [0] * n
+        v[j] = rng.choice((1, -2, 3))
+        out.append(v)
+    first, pairs = {}, []
+    for j, col in enumerate(cols):
+        i = first.setdefault(col, j)
+        if i != j:
+            pairs.append((i, j))
+    if n >= 2:
+        pairs += [rng.sample(range(n), 2) for _ in range(5)]
+    for i, j in pairs:
+        v = [0] * n
+        v[i], v[j] = 1, -1
+        out.append(v)
+    out.append([(-1) ** j for j in range(n)])
+    for _ in range(3):
+        out.append([rng.choice((-2, -1, 1, 2)) for _ in range(n)])
+    cert = is_singular_exact(BitMatrix.from_rows(rows, n))
+    if cert.is_singular:
+        out.append(list(cert.kernel_vector))
+        bumped = list(cert.kernel_vector)
+        bumped[rng.randrange(n)] += 1
+        out.append(bumped)
+    return out
+
+
+def test_verifier_agrees_with_naive_product():
+    """A singular certificate is accepted exactly when its vector is
+    nonzero and the integer product A v is zero, on sparse and dense
+    seeded matrices and on rows built around a full-support kernel
+    vector.  At n = 70 and 130 the packed rows span several 64-bit
+    words, and some unit vector sits in a column that one row hits."""
+    outcomes = {"small": set(), "wide": set()}
+    hit_once = 0
+    for n in [*range(13), 70, 130]:
+        rng = random.Random(n)
+        sparse = Fraction(1, max(2, n // 2))
+        matrices = [
+            naive_bernoulli_rows(n, p, 7 * n) for p in (sparse, Fraction(1, 4), Fraction(1, 2))
+        ]
+        matrices.append(_alternating_rows(n, n))
+        for rows in matrices:
+            m = BitMatrix.from_rows(rows, n)
+            for v in _witness_candidates(rows, n, rng):
+                want = any(v) and not any(naive_matvec(rows, v))
+                assert verify_certificate(m, _kernel_claim(v)) == want, (n, v)
+                support = [j for j, x in enumerate(v) if x]
+                kind = {1: "one", 2: "two", n: "full"}.get(len(support), "other")
+                outcomes["wide" if n >= 70 else "small"].add((kind, want))
+                if n >= 70 and len(support) == 1 and sum(row[support[0]] for row in rows) == 1:
+                    hit_once += 1
+    every = {(kind, want) for kind in ("one", "two", "full") for want in (True, False)}
+    assert every <= outcomes["small"]
+    assert every <= outcomes["wide"]
+    assert hit_once > 0
+
+
+def test_moved_structural_witness_is_rejected():
+    """A sweep-sparse e_j witness whose 1 moves to a nonzero column past
+    the first 64-bit word fails at the rows that hit that column."""
+    n, c = 300, Fraction(1, 2)
+    for trial in range(20):
+        m = sample(SampleSpec.bernoulli(n, bernoulli_density(c, n), derive_seed(n, trial)))
+        cert = is_singular_exact(m)
+        if sum(1 for x in cert.kernel_vector if x) == 1:
+            break
+    assert cert.stats.stage == "structural"
+    assert sum(1 for x in cert.kernel_vector if x) == 1
+    rows = m.to_lists()
+    moved = next(j for j in range(64, n) if any(row[j] for row in rows))
+    v = [0] * n
+    v[moved] = 1
+    assert not verify_certificate(m, replace(cert, kernel_vector=tuple(v)))
 
 
 def test_not_square_raises():

@@ -43,6 +43,13 @@ def test_matio_errors_carry_line_numbers():
     with pytest.raises(MatrixFormatError) as err:
         parse_matrix("nonsense\n")
     assert err.value.line == 1
+    with pytest.raises(MatrixFormatError) as err:
+        parse_matrix("2 2\n10\n01\n11\n")
+    assert err.value.line == 4
+    with pytest.raises(MatrixFormatError) as err:
+        parse_matrix("1 1\n1\n\n0\n")
+    assert err.value.line == 4
+    assert parse_matrix("2 2\n10\n01\n\n  \n") == BitMatrix.identity(2)
 
 
 # -- sample ------------------------------------------------------------------
@@ -110,6 +117,17 @@ def test_cli_certify_truncated_file(tmp_path, capsys):
     bad.write_text("3 3\n101\n010\n")
     assert main(["certify", "--in", str(bad)]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+def test_cli_certify_surplus_rows(tmp_path, capsys):
+    """A row past the declared count is a format error, not a silently
+    dropped row that would leave the identity behind."""
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2 2\n10\n01\n11\n")
+    assert main(["certify", "--in", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "line 4" in captured.err
+    assert "verdict" not in captured.out
 
 
 # -- bounds ------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Counter-based generator: determinism and distribution sanity."""
 
 import numpy as np
+import pytest
 
 from singmat.rng import (
     MASK64,
@@ -30,6 +31,47 @@ def test_u64_block_matches_scalar():
     assert block.shape == (3, 16) and block.dtype == np.uint64
     assert block.tolist() == [[value_at(s, k) for k in range(16)] for s in seeds]
     assert u64_block(seeds, 0).shape == (3, 0)
+
+
+def test_negative_grid_counts_are_rejected():
+    with pytest.raises(ValueError):
+        u64_block([1, 2], -3)
+    with pytest.raises(ValueError):
+        derive_seeds([1, 2], -1)
+
+
+def _scalar_grids(seeds, count):
+    flat = np.asarray(seeds, dtype=np.uint64).reshape(-1).tolist()
+    return (
+        [[value_at(s, k) for k in range(count)] for s in flat],
+        [[derive_seed(s, k) for k in range(count)] for s in flat],
+    )
+
+
+@pytest.mark.parametrize(
+    "seeds, count",
+    [
+        # 301 rows of 300: the last block of rows is ragged.
+        (list(range(MASK64 - 150, MASK64 + 1)) + list(range(150)), 300),
+        # Rows longer than a 2**14-entry block: one row per block.
+        ([5, MASK64], (1 << 14) + 3),
+        (123456789, 37),
+        ([[1, 2, 3], [MASK64, 0, 7]], 11),
+        (7, 0),
+        ([1, 2], 0),
+        ([[1, 2, 3], [4, 5, 6]], 0),
+        ([], 5),
+        ([], 0),
+    ],
+)
+def test_grids_match_scalar_across_blocks(seeds, count):
+    shape = np.shape(seeds) + (count,)
+    values, children = _scalar_grids(seeds, count)
+    block, derived = u64_block(seeds, count), derive_seeds(seeds, count)
+    assert block.shape == derived.shape == shape
+    assert block.dtype == derived.dtype == np.uint64
+    assert block.reshape(len(values), count).tolist() == values
+    assert derived.reshape(len(values), count).tolist() == children
 
 
 def test_derive_seeds_matches_scalar():
