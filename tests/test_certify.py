@@ -166,14 +166,14 @@ def test_verifier_checks_primes_past_the_int64_range():
     assert verify_certificate(BitMatrix.from_bit_array(b), genuine)
 
 
-def _factored(n, seed):
+def _factored(n, seed, density=0.3):
     """A nonsingular n x n zero-one matrix, its residue certificate for
     the first fixed prime, and the factorization that residue was read
     off."""
     rng = np.random.default_rng(seed)
     p = crt_primes(1)[0]
     while True:
-        m = BitMatrix.from_bit_array((rng.random((n, n)) < 0.3).astype(np.int64))
+        m = BitMatrix.from_bit_array((rng.random((n, n)) < density).astype(np.int64))
         found = exactla.kernel_vector_crt(m, [p])
         if found.factorization is not None:
             break
@@ -235,13 +235,25 @@ def test_verifier_unpacks_rows_word_by_word(n_cols):
         assert got.dtype == np.int64 and np.array_equal(got, a.reshape(n_rows, n_cols))
 
 
-@pytest.mark.parametrize("n", [12, 40, 130])
-def test_forged_factorizations_are_rejected(n):
+def _routed_to_lists(m):
+    """Whether _lu_mod factors ``m`` on Python lists: below the int64
+    cut-over, or within one block and at most 5/4 n ln n ones."""
+    n, ones = max(m.n_rows, m.n_cols), sum(row.bit_count() for row in m.rows)
+    return n < exactla._MOD_NUMPY_MIN or (n <= exactla._BLOCK and ones <= 1.25 * n * math.log(n))
+
+
+@pytest.mark.parametrize(
+    "n, density",
+    [(12, 0.3), (40, 0.3), (130, 0.3), (40, math.log(40) / 40)],
+    ids=["12", "40", "130", "40-sparse"],
+)
+def test_forged_factorizations_are_rejected(n, density):
     """The factor check accepts the genuine factorization (Python lists
-    below the int64 cut-over, one tile at n = 40, three at n = 130) and
-    rejects every forgery of it."""
-    m, cert, found = _factored(n, 80 + n)
-    assert isinstance(found.lu, list) == (n < exactla._MOD_NUMPY_MIN)
+    below the int64 cut-over and for the sparse n = 40 matrix, one tile
+    at n = 40, three at n = 130) and rejects every forgery of it."""
+    m, cert, found = _factored(n, 80 + n, density)
+    assert isinstance(found.lu, list) == _routed_to_lists(m)
+    assert isinstance(found.lu, list) == (n == 12 or density < 0.3)
     assert verify_certificate(m, cert, found)
     rejected = [name for name, c, f in _forgeries(cert, found) if not verify_certificate(m, c, f)]
     assert rejected == [name for name, _, _ in _forgeries(cert, found)]

@@ -30,6 +30,7 @@ from singmat.exactla import (
     _bareiss_echelon,
     _lu_det,
     _lu_mod,
+    _lu_mod_np,
     _lu_mod_py,
     _LU,
     _lu_solve,
@@ -251,7 +252,8 @@ def _late_pivotless(rng, n, p):
 def _dets_mod(rows, n, p):
     """Determinant residues from the int64 factorization and the list one."""
     a = np.array(rows, dtype=np.int64).reshape(n, n)
-    return _lu_det(_lu_mod(a, p), n), _lu_det(_lu_mod_py(rows, n, p), n)
+    residues = [[e % p for e in row] for row in rows]
+    return _lu_det(_lu_mod(a, p), n), _lu_det(_lu_mod_py(residues, n, p), n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, exactla._MOD_NUMPY_MIN - 1, exactla._MOD_NUMPY_MIN, 30])
@@ -269,11 +271,14 @@ def test_det_mod_matches_naive_det_across_the_cut_over(n):
 
 
 def test_det_mod_array_path_reduces_negative_and_wide_entries():
+    """Dense arrays take the int64 loop, whatever the sign of their sum."""
     p = crt_primes(1)[0]
     rng = np.random.default_rng(41)
     for n, bound in ((24, 9), (24, 2**40), (30, 2**40)):
         a = rng.integers(-bound, bound, (n, n), endpoint=True)
-        assert _lu_det(_lu_mod(a, p), n) == naive_det(a.tolist()).numerator % p
+        lu = _lu_mod(a, p)
+        assert isinstance(lu.factors, np.ndarray)
+        assert _lu_det(lu, n) == naive_det(a.tolist()).numerator % p
 
 
 # Primes past the int64 eliminations' range: the largest 61-bit prime
@@ -448,7 +453,7 @@ def test_numpy_and_list_solvers_agree():
     for n_rows, n_cols, density in shapes:
         a = _sparse_rows(rng, n_rows, n_cols, density)
         a[rng.randrange(n_rows)] = 0
-        lu, lu_py = _lu_mod(a, p), _lu_mod_py(a.tolist(), n_cols, p)
+        lu, lu_py = _lu_mod_np(a, p), _lu_mod_py(a.tolist(), n_cols, p)
         assert lu.factors.tolist() == lu_py.factors
         assert (lu.perm, lu.pivots, lu.sign) == (lu_py.perm, lu_py.pivots, lu_py.sign)
         pivots, solve, solve_py = lu.pivots, _lu_solve(lu), _lu_solve_py(lu_py)
@@ -458,6 +463,34 @@ def test_numpy_and_list_solvers_agree():
             assert solve(b) == solve_py(b) == y.tolist()
             b[rng.randrange(n_rows)] += 1
             assert solve(b) == solve_py(b)
+
+
+@pytest.mark.parametrize("n", [24, 32, 48, 64])
+@pytest.mark.parametrize("c", [0.5, 1.0, 1.25])
+def test_list_and_int64_loops_agree_on_sparse_shapes(n, c):
+    """The sparse shapes _lu_mod sends to the list loop, square and with
+    a row more and a row fewer, at and below the route's density: the
+    list loop, which skips the pivot row's zeros, and the int64 loop
+    give the same factorization and the same list-solve solutions, for
+    a large prime and for p = 3, where updates often cancel to zero.
+    _lu_mod takes the list loop up to one block and (5/4) n ln n ones."""
+    rng = random.Random(1000 * n + int(4 * c))
+    for n_rows in (n - 1, n, n + 1):
+        for p in (crt_primes(1)[0], 3):
+            a = _sparse_rows(rng, n_rows, n, c * math.log(n) / n)
+            lu, lu_py = _lu_mod_np(a, p), _lu_mod_py(a.tolist(), n, p)
+            k = max(n_rows, n)
+            listed = k <= exactla._BLOCK and a.sum() <= 1.25 * k * math.log(k)
+            assert isinstance(_lu_mod(a, p).factors, list) == listed
+            assert lu.factors.tolist() == lu_py.factors
+            assert (lu.perm, lu.pivots, lu.sign) == (lu_py.perm, lu_py.pivots, lu_py.sign)
+            pivots, solve, solve_py = lu.pivots, _lu_solve_py(lu), _lu_solve_py(lu_py)
+            for _ in range(2):
+                y = np.array([rng.randrange(p) for _ in pivots], dtype=np.int64)
+                b = a[:, pivots] @ y
+                assert solve(b) == solve_py(b) == y.tolist()
+                b[rng.randrange(n_rows)] += 1
+                assert solve(b) == solve_py(b)
 
 
 B = exactla._BLOCK
