@@ -20,14 +20,12 @@ from .bounds import (
 from .certify import SingularityCertificate, is_singular_exact, verify_certificate
 from .exactla import kernel_gf2, kernel_rational, rank_gf2
 from .harness import (
-    AutopsyReport,
     CellAggregate,
     ComplementReport,
     DecompositionReport,
     SweepConfig,
     TrialRecord,
     run_sweep,
-    subthreshold_autopsy,
     verify_complement,
     verify_lemma21,
 )
@@ -38,10 +36,7 @@ from .models import (
     SampleSpec,
     find_duplicate_or_zero_lines,
     sample,
-    sample_bernoulli,
-    sample_combinatorial,
     sample_pairing,
-    sample_row,
 )
 from .structure import (
     KernelStructureReport,
@@ -49,7 +44,6 @@ from .structure import (
     PropertyPredicate,
     analyze_vector,
     enumerate_gf2_kernel_min_support,
-    enumerate_modq_bad_vectors,
     eval_predicate,
 )
 
@@ -57,7 +51,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AtomResult",
-    "AutopsyReport",
     "BitMatrix",
     "CellAggregate",
     "ComplementReport",
@@ -75,7 +68,6 @@ __all__ = [
     "analyze_vector",
     "binomial_point_mass",
     "enumerate_gf2_kernel_min_support",
-    "enumerate_modq_bad_vectors",
     "eval_predicate",
     "find_duplicate_or_zero_lines",
     "is_singular_exact",
@@ -88,11 +80,7 @@ __all__ = [
     "rank_gf2",
     "run_sweep",
     "sample",
-    "sample_bernoulli",
-    "sample_combinatorial",
     "sample_pairing",
-    "sample_row",
-    "subthreshold_autopsy",
     "union_bound_ber",
     "union_bound_comb",
     "verify_certificate",

@@ -231,5 +231,5 @@ def pairing_disagreement_prob(
         pairing = sample_pairing(n, d, derive_seed(seed, t))
         if any(v[i] != v[j] for i, j in pairing.pairs):
             hits += 1
-    lo, hi = clopper_pearson(hits, trials, confidence=0.99)
+    lo, hi = clopper_pearson(hits, trials)
     return DisagreementEstimate(hits, trials, hits / trials, lo, hi)

@@ -2,9 +2,9 @@
 
 Subcommands: sample, certify, bounds, sweep, analyze.  Every command is
 a thin adapter over the library; nothing numeric happens here.  The
-remaining experiments, ``harness.verify_lemma21``,
-``harness.verify_complement`` and ``harness.subthreshold_autopsy``, are
-run from the library only; no subcommand wraps them.  Exit
+remaining experiments, ``harness.verify_lemma21`` and
+``harness.verify_complement``, are run from the library only; no
+subcommand wraps them.  Exit
 codes: 0 success (or nonsingular), 10 singular, 2 usage or parse
 failure, 3 enumeration budget exceeded, 4 internal error (a result
 failed its own check: CertificateRejected, KernelLiftFailed,

@@ -485,12 +485,13 @@ def _lu_solve_py(lu: _LU) -> _Solve:
                         c[i] = (c[i] - M[i][col] * c[k]) % p
         if any(c[r:]):
             return None
-        y = [0] * r
-        for k in range(r - 1, -1, -1):
-            row = M[k]
-            acc = c[k] - sum(row[pivots[j]] * y[j] for j in range(k + 1, r))
-            y[k] = acc * inv_diag[k] % p
-        return y
+        for k, col in reversed(list(enumerate(pivots))):
+            if c[k]:
+                c[k] = c[k] * inv_diag[k] % p
+                for i in range(k):
+                    if M[i][col]:
+                        c[i] = (c[i] - M[i][col] * c[k]) % p
+        return c[:r]
 
     return solve
 

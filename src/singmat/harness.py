@@ -1,9 +1,11 @@
 """Monte Carlo experiment engine.
 
 Threshold sweeps over (n, c) grids for both models, the three-term
-decomposition check for the singularity probability, exact complement
-agreement, and sub-threshold autopsies.  Every trial is a pure function
-of a derived seed, so sweeps are deterministic, parallelizable, and
+decomposition check for the singularity probability, and exact
+complement agreement.  The sub-threshold autopsy is the sweep itself:
+each cell's ``explained_fraction`` is the share of its singular trials
+that have a zero or duplicate line.  Every trial is a pure function of
+a derived seed, so sweeps are deterministic, parallelizable, and
 replayable trial by trial.
 
 Density mapping: Bernoulli p = c * log(n) / n and combinatorial
@@ -77,7 +79,7 @@ def combinatorial_density(c: Fraction, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Threshold sweep
+# Threshold sweep; its explained_fraction is the sub-threshold autopsy
 
 
 @dataclass(frozen=True)
@@ -207,7 +209,7 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[CellAggregate], list[TrialRecord]]
             cell = [r for r in records if r.n == n and r.c == c]
             singular = [r for r in cell if r.verdict == "singular"]
             k, t = len(singular), len(cell)
-            lo, hi = clopper_pearson(k, t, confidence=0.99)
+            lo, hi = clopper_pearson(k, t)
             explained = None
             if singular:
                 explained = sum(
@@ -358,7 +360,7 @@ class TermEstimate:
 
 
 def _binomial_term(hits: int, trials: int, scale: float = 1.0, note: str = "") -> TermEstimate:
-    lo, hi = clopper_pearson(hits, trials, confidence=0.99)
+    lo, hi = clopper_pearson(hits, trials)
     return TermEstimate(
         hits=hits, trials=trials, scale=scale, estimate=scale * hits / trials,
         ci_low=scale * lo, ci_high=scale * hi,
@@ -424,7 +426,7 @@ def _atom_proxy(model: str, density, x: Sequence[int], seed: int) -> tuple[float
     if model == "combinatorial" and comb(len(x), int(density)) <= ATOM_COMB_BUDGET:
         atom = max_atom_combinatorial(x, int(density))
         return float(atom.max_prob), 0.0, True
-    # Fresh row k is sample_row of the child spec seeded derive_seed(seed, k).
+    # Fresh row k is row 0 of sample() of the child spec seeded derive_seed(seed, k).
     row_seeds = derive_seeds(derive_seeds(seed, ATOM_MC_INNER), 1)[:, 0]
     rows = sample_rows(_make_spec(model, len(x), density, seed), row_seeds)
     hits = sum(exact_dot(x, row) == 0 for row in rows)
@@ -439,7 +441,6 @@ def verify_lemma21(
     pred: PropertyPredicate,
     trials: int,
     seed: int,
-    max_kernel_dim: int = 20,
 ) -> DecompositionReport:
     """Estimate the three-term upper bound on Pr(singular) and check it.
 
@@ -480,7 +481,7 @@ def verify_lemma21(
         if singular:
             mt = matrix.transpose()
             try:
-                screen = enumerate_gf2_kernel_min_support(mt, max_dim=max_kernel_dim)
+                screen = enumerate_gf2_kernel_min_support(mt)
                 if screen.trivial or screen.min_support >= t:
                     pass  # a small-support rational vector would show up mod 2
                 elif screen.kernel_dim > 1:
@@ -533,7 +534,7 @@ def verify_lemma21(
 
 
 # ---------------------------------------------------------------------------
-# Complement agreement and sub-threshold autopsy
+# Complement agreement
 
 
 @dataclass(frozen=True)
@@ -562,28 +563,3 @@ def verify_complement(n: int, d: int, trials: int, seed: int) -> ComplementRepor
             disagreements += 1
     return ComplementReport(trials, agreements, disagreements)
 
-
-@dataclass(frozen=True)
-class AutopsyReport:
-    trials: int
-    singular: int
-    explained: int
-    fraction_explained: float | None
-
-
-def subthreshold_autopsy(model: str, n: int, density, trials: int, seed: int) -> AutopsyReport:
-    """Among singular samples, the share whose singularity is witnessed
-    by a zero or duplicate row/column."""
-    singular = explained = 0
-    for i in range(trials):
-        trial_seed = derive_seed(seed, i)
-        matrix = sample(_make_spec(model, n, density, trial_seed))
-        cert = is_singular_exact(matrix, prime_seed=derive_seed(trial_seed, PRIME_SEED_SALT))
-        if cert.is_singular:
-            singular += 1
-            if cert.stats.lines.any_line:
-                explained += 1
-    return AutopsyReport(
-        trials, singular, explained,
-        None if singular == 0 else explained / singular,
-    )

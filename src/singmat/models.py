@@ -63,10 +63,6 @@ class SampleSpec:
     def combinatorial(cls, n: int, d: int, seed: int) -> SampleSpec:
         return cls("combinatorial", n, seed, d=d)
 
-    @property
-    def density(self):
-        return self.p if self.model == "bernoulli" else self.d
-
 
 @dataclass(frozen=True)
 class PairingSample:
@@ -101,29 +97,6 @@ def sample(spec: SampleSpec) -> BitMatrix:
     """n x n matrix of the spec's model, row i drawn from the stream
     ``derive_seed(spec.seed, i)``."""
     return BitMatrix(spec.n, spec.n, sample_rows(spec, derive_seeds(spec.seed, spec.n)))
-
-
-def sample_bernoulli(spec: SampleSpec) -> BitMatrix:
-    """n x n matrix of independent Bernoulli(p) entries.
-
-    Entry (i, j) is 1 iff output j of row stream i is below
-    floor(p * 2**64).
-    """
-    if spec.model != "bernoulli":
-        raise ValueError("spec is not a bernoulli spec")
-    return sample(spec)
-
-
-def sample_combinatorial(spec: SampleSpec) -> BitMatrix:
-    """n x n matrix with independent rows, each a uniform d-subset indicator."""
-    if spec.model != "combinatorial":
-        raise ValueError("spec is not a combinatorial spec")
-    return sample(spec)
-
-
-def sample_row(spec: SampleSpec) -> int:
-    """Packed first row of sample(spec): one draw from the row law."""
-    return sample_rows(spec, derive_seeds(spec.seed, 1))[0]
 
 
 def sample_rows(spec: SampleSpec, row_seeds: np.ndarray) -> tuple[int, ...]:
@@ -221,13 +194,6 @@ class LineReport:
     zero_cols: tuple[int, ...]
     duplicate_row_pairs: tuple[tuple[int, int], ...]
     duplicate_col_pairs: tuple[tuple[int, int], ...]
-
-    @property
-    def any_line(self) -> bool:
-        return bool(
-            self.zero_rows or self.zero_cols
-            or self.duplicate_row_pairs or self.duplicate_col_pairs
-        )
 
 
 def _scan_lines(rows: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:

@@ -10,13 +10,14 @@ from __future__ import annotations
 from math import sqrt
 
 
-def clopper_pearson(successes: int, trials: int, confidence: float = 0.99) -> tuple[float, float]:
-    """Exact (Clopper-Pearson) two-sided binomial confidence interval."""
+def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
+    """Exact (Clopper-Pearson) two-sided 99% binomial confidence interval,
+    the level of every interval the harness reports."""
     if not 0 <= successes <= trials or trials < 1:
         raise ValueError("need 0 <= successes <= trials, trials >= 1")
     from scipy.special import betaincinv
 
-    alpha = 1 - confidence
+    alpha = 1 - 0.99  # not 0.01, a different float: the sweep CSV pins these bounds
     k, t = successes, trials
     lo = 0.0 if k == 0 else float(betaincinv(k, t - k + 1, alpha / 2))
     hi = 1.0 if k == t else float(betaincinv(k + 1, t - k, 1 - alpha / 2))

@@ -6,8 +6,8 @@ the CLI.  A fibre of a vector is a maximal set of indices holding one
 common value; the complement size of the largest fibre (here ``s``)
 measures how far the vector is from constant.  Fibre equality is exact
 rational equality (an int equals the Fraction of the same value), never
-a tolerance.  Brute-force enumeration oracles for small instances live
-here too.
+a tolerance.  The lightest vector of a GF(2) kernel is found by
+walking its whole span, so only small kernels are searched.
 """
 
 from __future__ import annotations
@@ -17,13 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from .errors import BudgetExceeded, EmptyVector, KernelTooLarge, SelfCheckFailed
+from .errors import EmptyVector, KernelTooLarge, SelfCheckFailed
 from .exactla import kernel_gf2
 from .matrices import BitMatrix, unpack_bits
-
-MODQ_ENUM_BUDGET = 8**8
 
 
 @dataclass(frozen=True)
@@ -144,48 +140,3 @@ def enumerate_gf2_kernel_min_support(m: BitMatrix, max_dim: int = 20) -> MinSupp
         raise SelfCheckFailed("lightest GF(2) kernel vector fails its check")
     return MinSupportReport(k, False, best_weight, unpack_bits(best_vector, m.n_cols))
 
-
-def enumerate_modq_bad_vectors(
-    rows: BitMatrix,
-    q: int,
-    fibre_deficiency_max: int,
-    budget: int = MODQ_ENUM_BUDGET,
-) -> list[tuple[int, ...]]:
-    """All nonconstant v in Z_q^n with every given row orthogonal to v
-    mod q and with n minus the largest fibre at most the given cap.
-
-    Complete brute force over Z_q^n (chunked, vectorized); ground truth
-    for small instances.  Output is in lexicographic order of the entry
-    tuples.
-    """
-    n = rows.n_cols
-    if q < 2:
-        raise ValueError("q must be >= 2")
-    total = q**n
-    if total > budget:
-        raise BudgetExceeded(f"q^n = {total} exceeds budget {budget}")
-    if n == 0:
-        return []
-    A = rows.to_bit_array().astype(np.int64)
-    out: list[tuple[int, ...]] = []
-    chunk = 1 << 18
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = np.empty((n, codes.size), dtype=np.int64)
-        tmp = codes.copy()
-        for pos in range(n - 1, -1, -1):  # entry n-1 varies fastest
-            digits[pos] = tmp % q
-            tmp //= q
-        ok = np.ones(codes.size, dtype=bool)
-        if rows.n_rows:
-            products = (A @ digits) % q
-            ok &= ~products.any(axis=0)
-        ok &= ~(digits == digits[0]).all(axis=0)  # drop constants
-        if fibre_deficiency_max < n:
-            largest = np.zeros(codes.size, dtype=np.int64)
-            for value in range(q):
-                np.maximum(largest, (digits == value).sum(axis=0), out=largest)
-            ok &= (n - largest) <= fibre_deficiency_max
-        for col in np.nonzero(ok)[0]:
-            out.append(tuple(int(d) for d in digits[:, col]))
-    return out

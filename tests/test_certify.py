@@ -36,7 +36,7 @@ from singmat.errors import DimensionMismatch, KernelLiftFailed, NotSquare
 from singmat.exactla import kernel_rational
 from singmat.harness import bernoulli_density, combinatorial_density
 from singmat.matrices import BitMatrix
-from singmat.models import SampleSpec, find_duplicate_or_zero_lines, sample
+from singmat.models import LineReport, SampleSpec, find_duplicate_or_zero_lines, sample
 from singmat.modular import PRIME_CEILING, crt_primes, is_prime
 from singmat.rng import derive_seed
 
@@ -639,7 +639,7 @@ def _no_line_singular_matrix(n, seed):
             row[j] &= 1 - row[i]
             row[k] = row[i] + row[j]
         m = BitMatrix.from_rows(rows)
-        if not find_duplicate_or_zero_lines(m).any_line:
+        if find_duplicate_or_zero_lines(m) == LineReport((), (), (), ()):
             return m
 
 

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -561,6 +562,26 @@ def test_blocked_solve_is_exact_at_the_largest_admissible_prime(r, extra, extrem
         assert solve(np.array(b, dtype=np.int64)) == expected
         assert (expected is None) == (extra > 0)
 
+
+@pytest.mark.parametrize("p", [2**31 - 1, 3])
+def test_list_solve_matches_the_oracle_on_sparse_lift_systems(p):
+    """The (n - 1) x n systems of an n = 50 lift at c = 1, factored on
+    lists: their U is mostly zeros and most entries of y are zero, so
+    the back substitution skips both; a perturbed right-hand side gives
+    the oracle's answer too."""
+    rng = random.Random(p)
+    n = 50
+    for _ in range(8):
+        a = _sparse_rows(rng, n - 1, n, math.log(n) / n)
+        lu = _lu_mod(a, p)
+        assert isinstance(lu.factors, list)
+        solve, oracle = _lu_solve(lu), partial(naive_lu_solve, lu.factors, lu.perm, lu.pivots, p)
+        for _ in range(3):
+            y = [rng.randrange(p) if rng.random() < 0.2 else 0 for _ in lu.pivots]
+            b = (a[:, lu.pivots] @ np.array(y, dtype=np.int64)).tolist()
+            assert solve(np.array(b, dtype=np.int64)) == oracle(b) == y
+            b[rng.randrange(n - 1)] += 1
+            assert solve(np.array(b, dtype=np.int64)) == oracle(b)
 
 def test_lower_inverses_are_exact():
     """Dense blocks of p - 1, random blocks and nearly empty ones, on a

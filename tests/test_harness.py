@@ -1,4 +1,5 @@
-"""Sweep engine, decomposition check, complement agreement, autopsy."""
+"""Sweep engine (with its autopsy column), decomposition check,
+complement agreement."""
 
 import csv
 import hashlib
@@ -18,7 +19,6 @@ from singmat.harness import (
     ln_rational,
     run_sweep,
     run_trial,
-    subthreshold_autopsy,
     summary_table,
     verify_complement,
     verify_lemma21,
@@ -144,7 +144,7 @@ def test_aggregate_ci_coverage():
             m = sample(SampleSpec.bernoulli(2, Fraction(1, 2), derive_seed(rep, t)))
             if is_singular_exact(m, prime_seed=t).is_singular:
                 singular += 1
-        lo, hi = clopper_pearson(singular, trials, confidence=0.99)
+        lo, hi = clopper_pearson(singular, trials)
         covered += lo <= truth <= hi
     assert covered >= int(0.95 * reps)
 
@@ -197,18 +197,21 @@ def test_lemma21_validation():
                        PropertyPredicate.support_at_least(1), 5, 0)
 
 
-def test_autopsy_p_zero_all_explained():
-    rep = subthreshold_autopsy("bernoulli", 10, Fraction(0), 8, 1)
-    assert rep.singular == 8
-    assert rep.explained == 8
-    assert rep.fraction_explained == 1.0
+def test_autopsy_p_zero_all_explained(tmp_path):
+    # c = 0 gives p = 0: every trial is the zero matrix, explained by its zero lines
+    cfg = SweepConfig("bernoulli", (10,), (Fraction(0),), 8, 1, str(tmp_path / "zero.csv"))
+    (agg,), _recs = run_sweep(cfg)
+    assert agg.singular_count == 8
+    assert agg.explained_fraction == 1.0
 
 
-def test_autopsy_no_singulars_gives_none():
-    # 1x1 all-ones matrices are always nonsingular
-    rep = subthreshold_autopsy("bernoulli", 1, Fraction(1), 5, 2)
-    assert rep.singular == 0
-    assert rep.fraction_explained is None
+def test_autopsy_no_singulars_gives_none(tmp_path):
+    out = tmp_path / "dense.csv"
+    (agg,), _recs = run_sweep(SweepConfig("bernoulli", (20,), (Fraction(4),), 5, 2, str(out)))
+    assert agg.singular_count == 0
+    assert agg.explained_fraction is None
+    row = dict(zip(*csv.reader(out.open())))
+    assert row["explained_fraction"] == ""
 
 
 # sha256 prefixes of repr(verify_lemma21(...)), recorded before the

@@ -13,29 +13,28 @@ from singmat.errors import PairingInfeasible
 from singmat.harness import bernoulli_density
 from singmat.matrices import BitMatrix
 from singmat.models import (
+    LineReport,
     SampleSpec,
     _subset_rows,
     _uniform_subset_row,
     find_duplicate_or_zero_lines,
     sample,
-    sample_bernoulli,
-    sample_combinatorial,
     sample_pairing,
-    sample_row,
+    sample_rows,
 )
 from singmat.rng import MASK64, Stream, derive_seeds, u64_block
 
 
 def test_bernoulli_degenerate_densities():
-    zero = sample_bernoulli(SampleSpec.bernoulli(5, 0, 1))
+    zero = sample(SampleSpec.bernoulli(5, 0, 1))
     assert zero.rows == (0,) * 5
-    ones = sample_bernoulli(SampleSpec.bernoulli(5, 1, 1))
+    ones = sample(SampleSpec.bernoulli(5, 1, 1))
     assert ones.rows == (31,) * 5
 
 
 def test_combinatorial_degenerate_densities():
-    assert sample_combinatorial(SampleSpec.combinatorial(4, 0, 9)).rows == (0,) * 4
-    assert sample_combinatorial(SampleSpec.combinatorial(4, 4, 9)).rows == (15,) * 4
+    assert sample(SampleSpec.combinatorial(4, 0, 9)).rows == (0,) * 4
+    assert sample(SampleSpec.combinatorial(4, 4, 9)).rows == (15,) * 4
 
 
 def test_spec_validation():
@@ -58,8 +57,8 @@ def test_sampling_is_deterministic():
 
 def test_known_bernoulli_stream_values():
     # Frozen draw: documents that the stream layout never changes.
-    m = sample_bernoulli(SampleSpec.bernoulli(8, Fraction(1, 2), 42))
-    again = sample_bernoulli(SampleSpec.bernoulli(8, Fraction(1, 2), 42))
+    m = sample(SampleSpec.bernoulli(8, Fraction(1, 2), 42))
+    again = sample(SampleSpec.bernoulli(8, Fraction(1, 2), 42))
     assert m.rows == again.rows
     assert m.rows == (170, 147, 255, 13, 76, 240, 139, 179)
 
@@ -69,8 +68,13 @@ def test_row_sums_always_d():
     for _ in range(25):
         n = rng.randint(1, 40)
         d = rng.randint(0, n)
-        q = sample_combinatorial(SampleSpec.combinatorial(n, d, rng.getrandbits(64)))
+        q = sample(SampleSpec.combinatorial(n, d, rng.getrandbits(64)))
         assert all(q.row_sum(i) == d for i in range(n))
+
+
+def _first_row(spec):
+    """One draw from the row law, as the atom Monte Carlo draws its rows."""
+    return sample_rows(spec, derive_seeds(spec.seed, 1))[0]
 
 
 def test_sample_row_matches_matrix_first_row():
@@ -78,7 +82,7 @@ def test_sample_row_matches_matrix_first_row():
         SampleSpec.bernoulli(17, Fraction(2, 7), 123),
         SampleSpec.combinatorial(17, 5, 123),
     ):
-        assert sample_row(spec) == sample(spec).rows[0]
+        assert _first_row(spec) == sample(spec).rows[0]
 
 
 _ORACLE_SIZES = [0, 1, 2, 16, 50, 300]
@@ -97,7 +101,7 @@ def test_bernoulli_matches_entrywise_oracle(n):
         spec = SampleSpec.bernoulli(n, p, 1000 + n)
         rows = naive_bernoulli_rows(n, p, spec.seed)
         assert sample(spec).to_lists() == rows, p
-        assert sample_row(spec) == _packed_first_row(rows)
+        assert _first_row(spec) == _packed_first_row(rows)
 
 
 @pytest.mark.parametrize("n", _ORACLE_SIZES)
@@ -106,7 +110,7 @@ def test_combinatorial_matches_fisher_yates_oracle(n):
         spec = SampleSpec.combinatorial(n, d, 2000 + n)
         rows = naive_combinatorial_rows(n, d, spec.seed)
         assert sample(spec).to_lists() == rows, d
-        assert sample_row(spec) == _packed_first_row(rows)
+        assert _first_row(spec) == _packed_first_row(rows)
 
 
 def _fisher_yates_row(draws, n: int) -> int:
@@ -141,7 +145,7 @@ def test_bernoulli_mean_entry_count():
     total = 0
     samples = 1000
     for s in range(samples):
-        m = sample_bernoulli(SampleSpec.bernoulli(64, Fraction(1, 2), s))
+        m = sample(SampleSpec.bernoulli(64, Fraction(1, 2), s))
         total += sum(r.bit_count() for r in m.rows)
     mean = total / samples
     sigma_mean = sqrt(64 * 64 * 0.25) / sqrt(samples)
@@ -156,7 +160,7 @@ def test_combinatorial_row_uniformity_chi_square():
     seen = 0
     seed = 0
     while seen < rows_wanted:
-        q = sample_combinatorial(SampleSpec.combinatorial(n, d, seed))
+        q = sample(SampleSpec.combinatorial(n, d, seed))
         seed += 1
         for r in q.rows:
             counts[index[frozenset(j for j in range(n) if (r >> j) & 1)]] += 1
@@ -190,7 +194,7 @@ def test_pairing_one_set_law_matches_row_law():
             pair_counts[index[sample_pairing(n, d, seed_base + t).one_set()]] += 1
         seen, seed = 0, 0
         while seen < trials:
-            q = sample_combinatorial(SampleSpec.combinatorial(n, d, seed_base + seed))
+            q = sample(SampleSpec.combinatorial(n, d, seed_base + seed))
             seed += 1
             for r in q.rows:
                 row_counts[index[frozenset(j for j in range(n) if (r >> j) & 1)]] += 1
@@ -234,7 +238,7 @@ def test_complement_is_involution():
     rng = random.Random(1)
     for _ in range(20):
         n = rng.randint(1, 30)
-        m = sample_bernoulli(SampleSpec.bernoulli(n, Fraction(1, 3), rng.getrandbits(64)))
+        m = sample(SampleSpec.bernoulli(n, Fraction(1, 3), rng.getrandbits(64)))
         assert m.complement().complement() == m
 
 
@@ -244,14 +248,14 @@ def test_complement_preserves_singularity_with_equal_row_sums():
     for trial in range(25):
         n = rng.randint(2, 10)
         d = rng.randint(1, n - 1)
-        q = sample_combinatorial(SampleSpec.combinatorial(n, d, trial))
+        q = sample(SampleSpec.combinatorial(n, d, trial))
         a = is_singular_exact(q, prime_seed=trial)
         b = is_singular_exact(q.complement(), prime_seed=trial + 1)
         assert a.verdict == b.verdict
 
 
 def test_line_report_examples():
-    assert not find_duplicate_or_zero_lines(BitMatrix.identity(4)).any_line
+    assert find_duplicate_or_zero_lines(BitMatrix.identity(4)) == LineReport((), (), (), ())
     rep = find_duplicate_or_zero_lines(BitMatrix.from_rows([[1, 1], [1, 1]]))
     assert rep.duplicate_row_pairs == ((0, 1),)
     rep = find_duplicate_or_zero_lines(

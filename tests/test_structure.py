@@ -1,4 +1,4 @@
-"""Support/fibre analysis and enumeration oracles."""
+"""Support/fibre analysis and the GF(2) minimum-support search."""
 
 import random
 from fractions import Fraction
@@ -8,13 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singmat.errors import BudgetExceeded, EmptyVector, KernelTooLarge
+from singmat.errors import EmptyVector, KernelTooLarge
 from singmat.matrices import BitMatrix
 from singmat.structure import (
     PropertyPredicate,
     analyze_vector,
     enumerate_gf2_kernel_min_support,
-    enumerate_modq_bad_vectors,
     eval_predicate,
 )
 
@@ -154,63 +153,3 @@ def test_min_support_exhaustive_cross_check():
         else:
             assert rep.min_support == min(weights)
 
-
-# -- mod-q bad vector enumeration -------------------------------------------
-
-
-def brute_modq(rows, q, s_max):
-    n = rows.n_cols
-    lists = rows.to_lists()
-    out = []
-    for v in product(range(q), repeat=n):
-        if len(set(v)) == 1:
-            continue
-        if any(sum(r[j] * v[j] for j in range(n)) % q for r in lists):
-            continue
-        largest = max(v.count(value) for value in set(v))
-        if n - largest <= s_max:
-            out.append(v)
-    return out
-
-
-def test_modq_no_constraints():
-    rows = BitMatrix.zeros(0, 3)
-    got = enumerate_modq_bad_vectors(rows, 2, 3)
-    assert len(got) == 6  # 2^3 minus the two constants
-    assert all(len(set(v)) > 1 for v in got)
-
-
-def test_modq_zero_rows_same_as_no_rows():
-    rows = BitMatrix.zeros(2, 3)
-    assert len(enumerate_modq_bad_vectors(rows, 2, 3)) == 6
-
-
-def test_modq_single_row_kills_all():
-    rows = BitMatrix.from_rows([[1, 1]])
-    assert enumerate_modq_bad_vectors(rows, 2, 2) == []
-
-
-def test_modq_identity_rows_leave_tail_vectors():
-    # Rows e_0, e_1 of Z^3 force v = (0, 0, t); those are nonconstant for
-    # t != 0 and have fibre deficiency 1.
-    rows = BitMatrix.from_rows([[1, 0, 0], [0, 1, 0]])
-    got = enumerate_modq_bad_vectors(rows, 3, 3)
-    assert got == [(0, 0, 1), (0, 0, 2)]
-
-
-def test_modq_matches_brute_force():
-    rng = random.Random(2)
-    for trial in range(20):
-        n = rng.randint(1, 5)
-        q = rng.randint(2, 4)
-        n_rows = rng.randint(0, 3)
-        rows = BitMatrix.from_rows(
-            [[rng.randint(0, 1) for _ in range(n)] for _ in range(n_rows)], n
-        )
-        s_max = rng.randint(0, n)
-        assert enumerate_modq_bad_vectors(rows, q, s_max) == brute_modq(rows, q, s_max)
-
-
-def test_modq_budget():
-    with pytest.raises(BudgetExceeded):
-        enumerate_modq_bad_vectors(BitMatrix.zeros(0, 9), 9, 9)
