@@ -8,8 +8,8 @@ decides is recorded as ``CertStats.stage``:
 2. ``structural``: one scan for zero and duplicate lines.  A zero
    column j gives the kernel vector e_j, a later duplicate j of column
    i gives e_i - e_j (first such column in scan order);
-3. otherwise one per-prime loop, ``exactla.kernel_vector``, over
-   seeded random 31-bit primes, factoring the matrix once per prime.
+3. otherwise the one kernel search, ``exactla.kernel_vector_crt``,
+   over seeded random 31-bit primes, factoring the matrix once per prime.
    Full rank modulo a prime gives a nonzero determinant residue:
    nonsingular with that prime and residue (``random_prime``).  A
    rank drop gives a verified integer kernel vector by p-adic lifting
@@ -74,7 +74,7 @@ from math import isqrt
 import numpy as np
 
 from .errors import CertificateRejected, DimensionMismatch, NotSquare
-from .exactla import Factorization, kernel_vector, rank_gf2
+from .exactla import Factorization, kernel_vector_crt, rank_gf2
 from .matrices import BitMatrix
 from .models import LineReport, find_duplicate_or_zero_lines
 from .modular import PRIME_CEILING, crt_pair, crt_primes, is_prime, random_prime, symmetric_lift
@@ -224,7 +224,7 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
                 primes_tried.append(p)
                 yield p
 
-    found = kernel_vector(m, seeded_primes())
+    found = kernel_vector_crt(m, seeded_primes())
     if found.vector is not None:
         return finish(found.stage, "singular", kernel=found.vector)
     if found.prime is not None:

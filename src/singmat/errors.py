@@ -34,7 +34,7 @@ class InfeasibleDensity(SingmatError):
 
 
 class KernelLiftFailed(SingmatError):
-    """The p-adic kernel lift found no verified kernel vector."""
+    """A kernel search found no vector for a matrix known to have one."""
 
 
 class CertificateRejected(SingmatError):

@@ -41,14 +41,14 @@ matrix of full rank is its determinant up to the row-swap sign.
 ``kernel_rational`` returns that basis as tuples of Fractions, one per
 free column with that column 1, as back-substitution leaves it.
 
-``kernel_vector`` is the one kernel search.  It takes the BitMatrix to
-solve; only ``kernel_vector_crt`` builds the int64 array the prime-field
-elimination runs on, once per search.  It factors the matrix once per
-prime it tries, at most ``_PRIME_BUDGET`` primes drawn from the
-caller's sequence (the fixed list by default), with the columns in
-ascending column-count order: sparse columns first delay the fill-in
-(a static Markowitz order), which cuts the update work of a c = 2
-sweep matrix at n = 300 by about a quarter.  Full column rank mod p
+``kernel_vector_crt`` is the one kernel search, and Bareiss ends it.
+It takes the BitMatrix to solve and builds the int64 array the
+prime-field elimination runs on, once per search.  It factors the
+matrix once per prime it tries, at most ``_PRIME_BUDGET`` primes drawn
+from the caller's sequence (the fixed list by default), with the
+columns in ascending column-count order: sparse columns first delay
+the fill-in (a static Markowitz order), which cuts the update work of
+a c = 2 sweep matrix at n = 300 by about a quarter.  Full column rank mod p
 ends the search: the columns are independent, and a square matrix gets
 its determinant residue off the same diagonal, times the sign of the
 column order, returned with the factorization for the verifier to
@@ -63,11 +63,12 @@ in natural order, where the lift's first free column makes the vector
 canonical.  A matrix with fewer than n_cols - 1 distinct nonzero rows
 has lower rank for every prime, so it is factored in natural order
 from the start.  An unlucky prime moves on to the next one; when the
-budget is spent the search falls back to Bareiss, which yields the
-canonical kernel vector (its Fractions scaled by the lcm of their
-denominators, then made primitive) or, for a square matrix, the exact
-determinant.  Every kernel here is a right kernel; the left kernel of
-``m`` is the right kernel of ``m.transpose()``.
+budget or the sequence is spent, one Bareiss elimination ends the
+search: it yields the canonical kernel vector (its Fractions scaled
+by the lcm of their denominators, then made primitive) or, for a
+square matrix, the exact determinant.  Every kernel here is a right
+kernel; the left kernel of ``m`` is the right kernel of
+``m.transpose()``.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import KernelLiftFailed, SelfCheckFailed
+from .errors import SelfCheckFailed
 from .matrices import BitMatrix, pack_rows
 from .modular import PRIME_CEILING, crt_primes, rational_reconstruct, symmetric_lift
 
@@ -618,18 +619,12 @@ def _permutation_sign(order: Sequence[int]) -> int:
 
 
 def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> KernelSearch:
-    """Kernel search of a zero-one matrix by p-adic lifting.
-
-    The int64 array the factorizations run on is built here, once, from
-    ``m``.  It is factored once per prime, for at most ``_PRIME_BUDGET``
-    primes drawn lazily from ``primes`` (default: the fixed list), in
-    sparse-first column order (see the module docstring).  Full column
-    rank mod p proves the columns independent.  Otherwise the vector is
-    the canonical one -- first free column 1, the other free columns 0,
-    then made primitive -- lifted and verified exactly before return.  An
-    unlucky prime moves on to the next; when the budget or the sequence
-    is spent this raises KernelLiftFailed (``kernel_vector`` then falls
-    back to fraction-free elimination).  A prime of 2**31 or more raises
+    """The kernel search of a zero-one matrix (see the module docstring):
+    p-adic lifting over at most ``_PRIME_BUDGET`` primes drawn lazily
+    from ``primes`` (default: the fixed list), each factored once from
+    the int64 array built here, then one Bareiss elimination (stage
+    "bareiss") if every prime was unlucky.  A vector returned is the
+    canonical one, verified exactly.  A prime of 2**31 or more raises
     ValueError: the lift's residue updates are int64 arithmetic.
     """
     a = m.to_bit_array().astype(np.int64)
@@ -671,28 +666,13 @@ def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> Kern
         v = _padic_kernel_vector(a, m.rows, lu)
         if v is not None:
             return KernelSearch(v, "lift")
-    raise KernelLiftFailed("no verified kernel vector within the prime budget")
-
-
-def kernel_vector(m: BitMatrix, primes: Iterable[int] | None = None) -> KernelSearch:
-    """Kernel search of a zero-one matrix: ``kernel_vector_crt`` over
-    ``primes`` or, when it raises KernelLiftFailed, one
-    fraction-free elimination (stage "bareiss").  That elimination gives
-    the canonical kernel vector, verified exactly (SelfCheckFailed
-    otherwise), or, when the columns are independent and the matrix is
-    square, its determinant."""
-    try:
-        return kernel_vector_crt(m, primes)
-    except KernelLiftFailed:
-        pass
-    rows = m.to_lists()
+    rows = a.tolist()
     ech, pivots, sign = _bareiss_echelon(rows)
-    if len(pivots) == m.n_cols:
-        det = None
-        if m.n_rows == m.n_cols:
-            det = sign * ech[-1][-1] if ech else 1  # the empty matrix has det 1
-        return KernelSearch(None, "bareiss", det=det)
-    q = _kernel_from_echelon(ech, pivots, m.n_cols)[0]
+    if len(pivots) == n_cols:
+        if m.n_rows != n_cols:
+            return KernelSearch(None, "bareiss")
+        return KernelSearch(None, "bareiss", det=sign * ech[-1][-1] if ech else 1)  # 0 x 0: det 1
+    q = _kernel_from_echelon(ech, pivots, n_cols)[0]
     den = lcm(*(e.denominator for e in q))
     v = _primitive([int(e * den) for e in q])
     if any(sum(e * x for e, x in zip(row, v)) for row in rows):

@@ -4,9 +4,12 @@ Threshold sweeps over (n, c) grids for both models, the three-term
 decomposition check for the singularity probability, and exact
 complement agreement.  The sub-threshold autopsy is the sweep itself:
 each cell's ``explained_fraction`` is the share of its singular trials
-that have a zero or duplicate line.  Every trial is a pure function of
-a derived seed, so sweeps are deterministic, parallelizable, and
-replayable trial by trial.
+that have a zero or duplicate line.  All three sample and certify a
+trial's matrix in one step, ``_certify_sample``.  Every trial is a pure
+function of a derived seed, so sweeps are deterministic,
+parallelizable, and replayable trial by trial: ``run_sweep`` maps
+``run_trial`` over the grid's trials and aggregates each cell from its
+own slice of the records.
 
 Density mapping: Bernoulli p = c * log(n) / n and combinatorial
 d = round(c * log(n)) (ties up), with log(n) taken as an exact rational
@@ -30,9 +33,9 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .bounds import ATOM_BERNOULLI_MAX_LEN, ATOM_COMB_BUDGET, max_atom_bernoulli, max_atom_combinatorial
-from .certify import is_singular_exact
+from .certify import SingularityCertificate, is_singular_exact
 from .errors import InfeasibleDensity, KernelLiftFailed, KernelTooLarge
-from .exactla import exact_dot, kernel_vector
+from .exactla import exact_dot, kernel_vector_crt
 from .matrices import BitMatrix
 from .models import SampleSpec, sample, sample_rows
 from .rng import derive_seed, derive_seeds
@@ -100,8 +103,13 @@ class SweepConfig:
             raise ValueError("trials_per_cell must be >= 1")
         if not self.n_grid or not self.c_grid:
             raise ValueError("n_grid and c_grid must be nonempty")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "c_grid", tuple(Fraction(c) for c in self.c_grid))
+        for name, grid in (("n_grid", self.n_grid), ("c_grid", self.c_grid)):
+            if len(set(grid)) < len(grid):  # a cell would be run twice
+                raise ValueError(f"{name} repeats a value: {', '.join(map(str, grid))}")
 
 
 @dataclass(frozen=True)
@@ -146,80 +154,61 @@ def _make_spec(model: str, n: int, density, seed: int) -> SampleSpec:
     return SampleSpec.combinatorial(n, int(density), seed)
 
 
-def run_trial(model: str, n: int, density, trial_seed: int) -> dict:
-    """One sampled matrix: certify, scan degenerate lines, time it.
+def _certify_sample(
+    model: str, n: int, density, trial_seed: int
+) -> tuple[BitMatrix, SingularityCertificate]:
+    """One trial's matrix and its certificate, under the prime seed the
+    trial seed derives: the sample-and-certify step of every experiment."""
+    matrix = sample(_make_spec(model, n, density, trial_seed))
+    return matrix, is_singular_exact(matrix, prime_seed=derive_seed(trial_seed, PRIME_SEED_SALT))
 
-    Pure function of its arguments; used directly by worker processes.
-    """
+
+def run_trial(
+    model: str, n: int, c: Fraction, density, trial_index: int, trial_seed: int
+) -> TrialRecord:
+    """One sweep trial: certify a sample, read its degenerate lines off
+    the certificate, and time it.  Pure, so worker processes run it."""
     start = time.perf_counter()
-    spec = _make_spec(model, n, density, trial_seed)
-    matrix = sample(spec)
-    cert = is_singular_exact(matrix, prime_seed=derive_seed(trial_seed, PRIME_SEED_SALT))
+    _, cert = _certify_sample(model, n, density, trial_seed)
     lines = cert.stats.lines
-    return {
-        "verdict": cert.verdict,
-        "gf2_rank": cert.stats.gf2_rank,
-        "had_zero_line": bool(lines.zero_rows or lines.zero_cols),
-        "had_duplicate_line": bool(lines.duplicate_row_pairs or lines.duplicate_col_pairs),
-        "elapsed": time.perf_counter() - start,
-    }
-
-
-def _trial_args(cfg: SweepConfig) -> list[tuple]:
-    args = []
-    cell = 0
-    for n in cfg.n_grid:
-        for c in cfg.c_grid:
-            density = _cell_density(cfg.model, c, n)
-            cell_seed = derive_seed(cfg.master_seed, cell)
-            for trial in range(cfg.trials_per_cell):
-                args.append((cfg.model, n, c, density, trial, derive_seed(cell_seed, trial)))
-            cell += 1
-    return args
-
-
-def _invoke(arg: tuple) -> dict:
-    model, n, _c, density, _trial, seed = arg
-    return run_trial(model, n, density, seed)
+    return TrialRecord(
+        model=model, n=n, c=c, density=density, trial_index=trial_index,
+        derived_seed=trial_seed, verdict=cert.verdict, gf2_rank=cert.stats.gf2_rank,
+        had_zero_line=bool(lines.zero_rows or lines.zero_cols),
+        had_duplicate_line=bool(lines.duplicate_row_pairs or lines.duplicate_col_pairs),
+        elapsed=time.perf_counter() - start,
+    )
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[CellAggregate], list[TrialRecord]]:
     """Run the grid, write the aggregate CSV (and optional SVG plus a
     companion .trials.csv), and return both tables."""
-    args = _trial_args(cfg)
+    cells = [(n, c) for n in cfg.n_grid for c in cfg.c_grid]
+    t = cfg.trials_per_cell
+    args = []
+    for k, (n, c) in enumerate(cells):
+        density = _cell_density(cfg.model, c, n)
+        cell_seed = derive_seed(cfg.master_seed, k)
+        args += [(cfg.model, n, c, density, i, derive_seed(cell_seed, i)) for i in range(t)]
+    columns = list(zip(*args))
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            outcomes = list(pool.map(_invoke, args, chunksize=max(1, len(args) // (cfg.jobs * 4))))
+            records = list(pool.map(run_trial, *columns, chunksize=max(1, len(args) // (cfg.jobs * 4))))
     else:
-        outcomes = [_invoke(a) for a in args]
-
-    records = [
-        TrialRecord(
-            model=model, n=n, c=c, density=density, trial_index=trial,
-            derived_seed=seed, verdict=out["verdict"], gf2_rank=out["gf2_rank"],
-            had_zero_line=out["had_zero_line"], had_duplicate_line=out["had_duplicate_line"],
-            elapsed=out["elapsed"],
-        )
-        for (model, n, c, density, trial, seed), out in zip(args, outcomes)
-    ]
+        records = list(map(run_trial, *columns))
 
     aggregates = []
-    for n in cfg.n_grid:
-        for c in cfg.c_grid:
-            cell = [r for r in records if r.n == n and r.c == c]
-            singular = [r for r in cell if r.verdict == "singular"]
-            k, t = len(singular), len(cell)
-            lo, hi = clopper_pearson(k, t)
-            explained = None
-            if singular:
-                explained = sum(
-                    1 for r in singular if r.had_zero_line or r.had_duplicate_line
-                ) / len(singular)
-            aggregates.append(CellAggregate(
-                model=cfg.model, n=n, c=c, density=cell[0].density, trials=t,
-                singular_count=k, fraction=k / t, ci_low=lo, ci_high=hi,
-                explained_fraction=explained, master_seed=cfg.master_seed,
-            ))
+    for k, (n, c) in enumerate(cells):
+        cell = records[k * t : (k + 1) * t]
+        singular = [r for r in cell if r.verdict == "singular"]
+        lo, hi = clopper_pearson(len(singular), t)
+        explained = None if not singular else sum(
+            r.had_zero_line or r.had_duplicate_line for r in singular) / len(singular)
+        aggregates.append(CellAggregate(
+            model=cfg.model, n=n, c=c, density=cell[0].density, trials=t,
+            singular_count=len(singular), fraction=len(singular) / t, ci_low=lo, ci_high=hi,
+            explained_fraction=explained, master_seed=cfg.master_seed,
+        ))
 
     _write_csv(Path(cfg.output), AGGREGATE_HEADER, (
         [
@@ -403,7 +392,7 @@ class DecompositionReport:
 def _kernel_vector(m: BitMatrix) -> tuple[int, ...]:
     """Verified integer right-kernel vector of a zero-one matrix whose
     kernel is known to be nontrivial."""
-    v = kernel_vector(m).vector
+    v = kernel_vector_crt(m).vector
     if v is None:
         shape = f"{m.n_rows}x{m.n_cols}"
         raise KernelLiftFailed(f"no kernel vector for a {shape} matrix that must have one")
@@ -472,8 +461,7 @@ def verify_lemma21(
 
     for i in range(trials):
         trial_seed = derive_seed(seed, i)
-        matrix = sample(_make_spec(model, n, density, trial_seed))
-        cert = is_singular_exact(matrix, prime_seed=derive_seed(trial_seed, PRIME_SEED_SALT))
+        matrix, cert = _certify_sample(model, n, density, trial_seed)
         singular = cert.is_singular
         singular_hits += singular
 
@@ -554,8 +542,7 @@ def verify_complement(n: int, d: int, trials: int, seed: int) -> ComplementRepor
     agreements = disagreements = 0
     for i in range(trials):
         trial_seed = derive_seed(seed, i)
-        q = sample(SampleSpec.combinatorial(n, d, trial_seed))
-        cert_q = is_singular_exact(q, prime_seed=derive_seed(trial_seed, 1))
+        q, cert_q = _certify_sample("combinatorial", n, d, trial_seed)
         cert_c = is_singular_exact(q.complement(), prime_seed=derive_seed(trial_seed, 2))
         if cert_q.verdict == cert_c.verdict:
             agreements += 1

@@ -1,11 +1,13 @@
-"""The zero-one matrix type and its bit-packing helpers.
+"""The zero-one matrix type and its bit packing.
 
 ``BitMatrix`` is the package's only matrix type.  It packs each row of
 a zero-one matrix into a single Python integer (bit j = column j), so a
 whole-row update is one bignum XOR and popcounts come from
-``int.bit_count``; it is immutable after construction.  Exact vectors
-(kernel vectors, fibre and atom inputs) are plain tuples of ``int`` or
-``fractions.Fraction``.
+``int.bit_count``; it is immutable after construction.  Rows are packed
+by ``pack_rows`` and unpacked by ``BitMatrix.to_bit_array``, one numpy
+call each; the list and text forms derive from the latter.  Exact
+vectors (kernel vectors, fibre and atom inputs) are plain tuples of
+``int`` or ``fractions.Fraction``.
 """
 
 from __future__ import annotations
@@ -16,21 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DimensionMismatch
-
-
-def pack_bits(bits: Sequence[int]) -> int:
-    """Pack an iterable of 0/1 entries into an int, entry j -> bit j."""
-    word = 0
-    for j, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValueError(f"entry {j} is {b!r}, not a bit")
-        word |= b << j
-    return word
-
-
-def unpack_bits(word: int, width: int) -> tuple[int, ...]:
-    """Inverse of pack_bits for a row of the given logical width."""
-    return tuple((word >> j) & 1 for j in range(width))
 
 
 def pack_rows(a: np.ndarray) -> tuple[int, ...]:
@@ -68,10 +55,13 @@ class BitMatrix:
         rows = [list(r) for r in rows]
         if n_cols is None:
             n_cols = len(rows[0]) if rows else 0
-        for r in rows:
+        for i, r in enumerate(rows):
             if len(r) != n_cols:
                 raise DimensionMismatch("ragged rows")
-        return cls(len(rows), n_cols, tuple(pack_bits(r) for r in rows))
+            for j, b in enumerate(r):
+                if b not in (0, 1):
+                    raise ValueError(f"entry ({i}, {j}) is {b!r}, not a bit")
+        return cls.from_bit_array(np.array(rows, dtype=bool).reshape(len(rows), n_cols))
 
     @classmethod
     def zeros(cls, n_rows: int, n_cols: int) -> BitMatrix:
@@ -85,11 +75,9 @@ class BitMatrix:
         return self.rows[i].bit_count()
 
     def to_lists(self) -> list[list[int]]:
-        return [list(unpack_bits(r, self.n_cols)) for r in self.rows]
+        return self.to_bit_array().tolist()
 
     def transpose(self) -> BitMatrix:
-        if self.n_rows == 0 or self.n_cols == 0:
-            return BitMatrix(self.n_cols, self.n_rows, (0,) * self.n_cols)
         # Packing a contiguous copy is faster than packing the strided view.
         columns = np.ascontiguousarray(self.to_bit_array().T)
         return BitMatrix(self.n_cols, self.n_rows, pack_rows(columns))
@@ -116,7 +104,5 @@ class BitMatrix:
         return cls(a.shape[0], a.shape[1], pack_rows(a.astype(np.uint8, copy=False)))
 
     def __str__(self) -> str:
-        return "\n".join(
-            "".join(str(b) for b in unpack_bits(r, self.n_cols)) for r in self.rows
-        )
+        return "\n".join("".join(map(str, row)) for row in self.to_lists())
 

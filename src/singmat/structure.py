@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import EmptyVector, KernelTooLarge, SelfCheckFailed
 from .exactla import kernel_gf2
-from .matrices import BitMatrix, unpack_bits
+from .matrices import BitMatrix
 
 
 @dataclass(frozen=True)
@@ -138,5 +138,6 @@ def enumerate_gf2_kernel_min_support(m: BitMatrix, max_dim: int = 20) -> MinSupp
         or any((row & best_vector).bit_count() & 1 for row in m.rows)
     ):
         raise SelfCheckFailed("lightest GF(2) kernel vector fails its check")
-    return MinSupportReport(k, False, best_weight, unpack_bits(best_vector, m.n_cols))
+    witness = BitMatrix(1, m.n_cols, (best_vector,)).to_bit_array()[0]
+    return MinSupportReport(k, False, best_weight, tuple(witness.tolist()))
 

@@ -20,6 +20,11 @@ from scipy import stats as _sp
 from singmat.rng import Stream, derive_seed, value_at
 
 
+def unpack_bits(word: int, width: int) -> tuple[int, ...]:
+    """Bit j of a packed row as entry j, one shift at a time."""
+    return tuple((word >> j) & 1 for j in range(width))
+
+
 def naive_rank_gf2(rows: list[list[int]]) -> int:
     """Unpacked GF(2) Gaussian elimination on uint8 entries."""
     if not rows or not rows[0]:

@@ -238,6 +238,19 @@ def test_cli_sweep_incomplete_config(tmp_path, capsys):
     assert "missing configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (["--n-grid", "12,12", "--c-grid", "1"], "n_grid repeats a value"),
+    (["--n-grid", "12", "--c-grid", "1,2/2"], "c_grid repeats a value"),
+    (["--n-grid", "12", "--c-grid", "1", "--jobs", "0"], "jobs must be >= 1"),
+])
+def test_cli_sweep_repeated_grid_value_or_no_jobs_exits_2(tmp_path, capsys, extra, message):
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--model", "bernoulli", *extra, "--trials", "5", "--seed", "1"]
+    assert main([*args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # -- analyze -----------------------------------------------------------------
 
 

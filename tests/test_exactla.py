@@ -18,14 +18,14 @@ from oracles import (
     naive_lu_product,
     naive_lu_solve,
     naive_rank_gf2,
+    unpack_bits,
 )
 from singmat import exactla
+from singmat.errors import KernelLiftFailed
 from singmat.exactla import (
-    KernelLiftFailed,
     exact_dot,
     kernel_gf2,
     kernel_rational,
-    kernel_vector,
     kernel_vector_crt,
     rank_gf2,
     _bareiss_echelon,
@@ -38,7 +38,7 @@ from singmat.exactla import (
     _lu_solve_py,
     _lower_inverses,
 )
-from singmat.matrices import BitMatrix, unpack_bits
+from singmat.matrices import BitMatrix
 from singmat.modular import crt_primes
 
 
@@ -171,8 +171,8 @@ def test_kernel_gf2_basis_is_pinned_canonical(key):
 
 
 def _det(rows):
-    """The determinant the Bareiss fallback of kernel_vector reports."""
-    return kernel_vector(bm(rows), []).det
+    """The determinant the Bareiss end of kernel_vector_crt reports."""
+    return kernel_vector_crt(bm(rows), []).det
 
 
 def test_det_examples():
@@ -184,7 +184,7 @@ def test_det_examples():
 
 def test_det_not_square():
     """Independent columns of a tall matrix: no vector and no determinant."""
-    found = kernel_vector(bm([[1, 0], [0, 1], [1, 1]]), [])
+    found = kernel_vector_crt(bm([[1, 0], [0, 1], [1, 1]]), [])
     assert found == (None, "bareiss", None, None, None, None)
 
 
@@ -207,8 +207,8 @@ def test_det_matches_fraction_elimination():
 def test_bareiss_det_matches_naive_det_with_row_swaps(n):
     """Nonsingular zero-one matrices whose first column starts with a
     zero, so the elimination swaps rows; odd and even swap counts both
-    occur.  An empty prime sequence sends kernel_vector straight to
-    Bareiss."""
+    occur.  An empty prime sequence sends kernel_vector_crt straight
+    to Bareiss."""
     rng = random.Random(90 + n)
     signs = set()
     checked = 0
@@ -312,7 +312,7 @@ def test_kernel_vector_crt_rejects_primes_past_the_int64_range():
         with pytest.raises(ValueError):
             kernel_vector_crt(bma(a), [_WIDE_PRIMES[seed % 2]])
         if seed < 4:
-            assert kernel_vector(bma(a)).vector == _bareiss_vector(a)
+            assert kernel_vector_crt(bma(a)).vector == _bareiss_vector(a)
 
 
 # -- rational kernels -------------------------------------------------------
@@ -373,10 +373,9 @@ def test_kernel_vector_crt_matches_bareiss_on_singulars():
         n = rng.randint(2, 12)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         basis = kernel_rational(bm(rows))
-        try:
-            v = kernel_vector_crt(bm(rows)).vector
-        except KernelLiftFailed:
-            pytest.fail("lift failed on a small instance")
+        search = kernel_vector_crt(bm(rows))
+        assert search.stage == "lift", "lift failed on a small instance"
+        v = search.vector
         if not basis:
             assert v is None
         else:
@@ -670,22 +669,21 @@ def _drawn(primes, drawn):
 @pytest.mark.parametrize("n", [12, 30])
 def test_kernel_vector_moves_past_an_unlucky_prime(n):
     """Each prime is factored once, in order: no kernel vector of these
-    matrices lifts over 2 alone, so the search moves on and the next
-    prime gives the canonical vector."""
+    matrices lifts over 2 alone (the search over [2] ends in Bareiss),
+    so the search moves on and the next prime gives the canonical
+    vector."""
     rng = random.Random(30 + n)
     q = crt_primes(2)
     checked = 0
     while checked < 3:
         a = np.array(random_bit_rows(rng, n, n), dtype=np.int64)
         a[rng.randrange(n)] = 0
-        try:
-            kernel_vector_crt(bma(a), [2])
+        if kernel_vector_crt(bma(a), [2]).stage != "bareiss":
             continue
-        except KernelLiftFailed:
-            checked += 1
+        checked += 1
         want = _bareiss_vector(a)
         drawn = []
-        found = kernel_vector(bma(a), _drawn([2] + q, drawn))
+        found = kernel_vector_crt(bma(a), _drawn([2] + q, drawn))
         assert drawn == [2, q[0]]
         assert found == (want, "lift", None, None, None, None)
 
@@ -693,17 +691,17 @@ def test_kernel_vector_moves_past_an_unlucky_prime(n):
 def test_lift_over_an_unlucky_prime_is_canonical_or_fails():
     """Two zero rows leave a kernel of dimension two or more, where a
     prime that loses rank early could lift some other kernel vector;
-    the lift must give the canonical vector or give up on that prime."""
+    the lift must give the canonical vector or give up on that prime,
+    and then Bareiss gives it."""
     rng = random.Random(50)
     failed = 0
     for _ in range(150):
         n = 12
         a = np.array(random_bit_rows(rng, n, n), dtype=np.int64)
         a[rng.sample(range(n), 2)] = 0
-        try:
-            assert kernel_vector_crt(bma(a), [2]).vector == _bareiss_vector(a)
-        except KernelLiftFailed:
-            failed += 1
+        found = kernel_vector_crt(bma(a), [2])
+        assert found.vector == _bareiss_vector(a)
+        failed += found.stage == "bareiss"
     assert 0 < failed < 150
 
 
@@ -720,7 +718,7 @@ def test_kernel_vector_residue_comes_from_the_first_full_rank_prime(n):
         if d != 0 and d % 2 == 0:
             break
     drawn = []
-    found = kernel_vector(bma(a), _drawn([2] + q, drawn))
+    found = kernel_vector_crt(bma(a), _drawn([2] + q, drawn))
     assert drawn == [2, q[0]]
     assert found[:5] == (None, "lift", q[0], d % q[0], None)
     lu, perm, order = found.factorization
@@ -729,9 +727,9 @@ def test_kernel_vector_residue_comes_from_the_first_full_rank_prime(n):
 
 
 def test_kernel_vector_falls_back_to_bareiss_when_the_primes_run_out():
-    assert kernel_vector(bm([[1, 1, 1]] * 3), []) == ((1, -1, 0), "bareiss", None, None, None, None)
-    assert kernel_vector(BitMatrix.identity(3), iter([])) == (None, "bareiss", None, None, 1, None)
-    assert kernel_vector(BitMatrix.zeros(0, 0), []) == (None, "bareiss", None, None, 1, None)
+    assert kernel_vector_crt(bm([[1, 1, 1]] * 3), []) == ((1, -1, 0), "bareiss", None, None, None, None)
+    assert kernel_vector_crt(BitMatrix.identity(3), iter([])) == (None, "bareiss", None, None, 1, None)
+    assert kernel_vector_crt(BitMatrix.zeros(0, 0), []) == (None, "bareiss", None, None, 1, None)
 
 
 def test_kernel_lift_failed_is_a_singmat_error():

@@ -4,6 +4,7 @@ complement agreement."""
 import csv
 import hashlib
 import logging
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,17 +36,18 @@ def test_run_trial_line_flags_match_the_scan():
     for seed in range(50):
         model = ("bernoulli", "combinatorial")[seed % 2]
         n = 8 + seed % 17
-        density = bernoulli_density(Fraction(1 + seed % 4, 2), n)
+        c = Fraction(1 + seed % 4, 2)
+        density = bernoulli_density(c, n)
         if model == "combinatorial":
-            density = combinatorial_density(Fraction(1 + seed % 4, 2), n)
-        out = run_trial(model, n, density, derive_seed(0x11E5, seed))
+            density = combinatorial_density(c, n)
+        out = run_trial(model, n, c, density, seed, derive_seed(0x11E5, seed))
         spec = (SampleSpec.bernoulli if model == "bernoulli" else SampleSpec.combinatorial)(
             n, density, derive_seed(0x11E5, seed)
         )
         lines = find_duplicate_or_zero_lines(sample(spec))
-        assert out["had_zero_line"] == bool(lines.zero_rows or lines.zero_cols)
+        assert out.had_zero_line == bool(lines.zero_rows or lines.zero_cols)
         duplicate = lines.duplicate_row_pairs or lines.duplicate_col_pairs
-        assert out["had_duplicate_line"] == bool(duplicate)
+        assert out.had_duplicate_line == bool(duplicate)
 
 
 def test_ln_rational_accuracy():
@@ -112,13 +114,39 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("n_grid, c_grid, jobs, message", [
+    ((12, 12), (1,), 1, "n_grid repeats a value"),
+    ((12, 13), (1, Fraction(2, 2)), 1, "c_grid repeats a value"),
+    ((12,), ("1/2", Fraction(1, 2)), 1, "c_grid repeats a value"),
+    ((12,), (1,), 0, "jobs must be >= 1"),
+    ((12,), (1,), -1, "jobs must be >= 1"),
+])
+def test_sweep_config_rejects_a_repeated_cell_or_no_jobs(tmp_path, n_grid, c_grid, jobs, message):
+    """A cell is one slice of the trials, so a repeated n, or a c that
+    repeats once written as a Fraction, is refused; so is jobs < 1."""
+    with pytest.raises(ValueError, match=message):
+        SweepConfig("bernoulli", n_grid, c_grid, 5, 1, str(tmp_path / "x.csv"), jobs=jobs)
+
+
+def test_sweep_records_are_sliced_per_cell(tmp_path):
+    """Cell k aggregates exactly records[k * T:(k + 1) * T], in grid order."""
+    grids = (8, 12), (Fraction(1, 2), Fraction(2))
+    cfg = SweepConfig("bernoulli", *grids, 4, 7, str(tmp_path / "s.csv"))
+    aggs, recs = run_sweep(cfg)
+    assert len(recs) == 4 * len(aggs) == 16
+    for k, a in enumerate(aggs):
+        cell = recs[4 * k : 4 * k + 4]
+        assert {(r.n, r.c) for r in cell} == {(a.n, a.c)}
+        assert [r.trial_index for r in cell] == list(range(4))
+        assert a.singular_count == sum(r.verdict == "singular" for r in cell)
+
+
 def test_trial_replay_determinism(tmp_path):
     cfg = SweepConfig("combinatorial", (9,), (Fraction(1),), 5, 17, str(tmp_path / "x.csv"))
     _aggs, recs = run_sweep(cfg)
     for r in recs:
-        again = run_trial(r.model, r.n, r.density, r.derived_seed)
-        assert again["verdict"] == r.verdict
-        assert again["gf2_rank"] == r.gf2_rank
+        again = run_trial(r.model, r.n, r.c, r.density, r.trial_index, r.derived_seed)
+        assert again == replace(r, elapsed=again.elapsed)
         # independent replay from the spec alone
         m = sample(SampleSpec.combinatorial(r.n, int(r.density), r.derived_seed))
         cert = is_singular_exact(m, prime_seed=derive_seed(r.derived_seed, PRIME_SEED_SALT))
