@@ -8,16 +8,15 @@ decides is recorded as ``CertStats.stage``:
 2. ``structural``: one scan for zero and duplicate lines.  A zero
    column j gives the kernel vector e_j, a later duplicate j of column
    i gives e_i - e_j (first such column in scan order);
-3. otherwise the one kernel search, ``exactla.kernel_vector_crt``,
-   over seeded random 31-bit primes, factoring the matrix once per prime.
-   Full rank modulo a prime gives a nonzero determinant residue:
-   nonsingular with that prime and residue (``random_prime``).  A
-   rank drop gives a verified integer kernel vector by p-adic lifting
-   on the same factorization (``lift``); an unlucky prime moves on to
-   the next.  When the prime budget is spent, one fraction-free
-   elimination finds the vector (``bareiss``) or a trivial kernel,
-   which means nonsingular, evidenced by the exact determinant read
-   off that elimination's last pivot (``det_exact``).
+3. ``random_prime``: the one kernel search,
+   ``exactla.kernel_vector_crt``, over seeded random 31-bit primes,
+   factoring the matrix once per prime.  Full rank modulo a prime
+   gives a nonzero determinant residue: nonsingular with that prime
+   and residue;
+4. ``lift``: a rank drop in that search gives a verified integer
+   kernel vector by p-adic lifting on the same factorization.  An
+   unlucky prime moves on to the next; the matrix bounds how many
+   there can be, and passing that bound raises KernelLiftFailed.
 
 The line scan is returned with the certificate, so callers need not
 repeat it.
@@ -57,11 +56,7 @@ residues below 2**62, so larger primes run the same routine on an
 object array of Python integers.  It counts the columns of its own
 unpacked array and eliminates them in ascending count order, which
 delays the fill-in of sparse matrices, then multiplies by that order's
-sign, found by its own transposition count.  An exact determinant is
-checked by Chinese remaindering of those residues over the fixed prime
-list until the modulus passes twice the Hadamard bound of the matrix; a
-claimed value above that bound is rejected outright.  The verifier is
-the only code that computes a determinant this way.
+sign, found by its own transposition count.
 """
 
 from __future__ import annotations
@@ -69,7 +64,6 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from math import isqrt
 
 import numpy as np
 
@@ -77,7 +71,7 @@ from .errors import CertificateRejected, DimensionMismatch, NotSquare
 from .exactla import Factorization, kernel_vector_crt, rank_gf2
 from .matrices import BitMatrix
 from .models import LineReport, find_duplicate_or_zero_lines
-from .modular import PRIME_CEILING, crt_pair, crt_primes, is_prime, random_prime, symmetric_lift
+from .modular import PRIME_CEILING, is_prime, random_prime
 from .rng import Stream
 
 # Full GF(2) rank rules out every zero or duplicate line.
@@ -105,15 +99,14 @@ class SingularityCertificate:
 
     Singular: ``kernel_vector`` is a nonzero integer vector with
     A v = 0, gcd of entries 1, first nonzero entry positive.
-    Nonsingular: either (``prime``, ``residue``) with residue = det A
-    mod prime nonzero, or the exact nonzero determinant ``det``.
+    Nonsingular: (``prime``, ``residue``) with residue = det A mod prime
+    nonzero.
     """
 
     verdict: str  # "singular" | "nonsingular"
     kernel_vector: tuple[int, ...] | None
     prime: int | None
     residue: int | None
-    det: int | None
     stats: CertStats
 
     @property
@@ -123,10 +116,8 @@ class SingularityCertificate:
     def to_json(self) -> str:
         if self.verdict == "singular":
             witness = {"kernel_vector": [str(v) for v in self.kernel_vector]}
-        elif self.prime is not None:
-            witness = {"prime": str(self.prime), "residue": str(self.residue)}
         else:
-            witness = {"det": str(self.det)}
+            witness = {"prime": str(self.prime), "residue": str(self.residue)}
         doc = {
             "verdict": self.verdict,
             "witness": witness,
@@ -143,21 +134,20 @@ class SingularityCertificate:
     def from_json(cls, text: str) -> SingularityCertificate:
         doc = json.loads(text)
         witness = doc["witness"]
-        kernel = prime = residue = det = None
+        kernel = prime = residue = None
         if "kernel_vector" in witness:
             kernel = tuple(int(v) for v in witness["kernel_vector"])
         elif "prime" in witness:
             prime = int(witness["prime"])
             residue = int(witness["residue"])
         else:
-            det = int(witness["det"])
+            raise ValueError(f"unknown witness kind: {', '.join(witness) or 'none'}")
         stats = doc.get("stats", {})
         return cls(
             verdict=doc["verdict"],
             kernel_vector=kernel,
             prime=prime,
             residue=residue,
-            det=det,
             stats=CertStats(
                 gf2_rank=stats.get("gf2_rank", -1),
                 primes_tried=tuple(int(p) for p in stats.get("primes_tried", ())),
@@ -199,10 +189,10 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
     primes_tried: list[int] = []
     lines = _NO_LINES
 
-    def finish(stage, verdict, kernel=None, prime=None, residue=None, det=None, factorization=None):
+    def finish(stage, verdict, kernel=None, prime=None, residue=None, factorization=None):
         elapsed = time.perf_counter() - start
         stats = CertStats(g, tuple(primes_tried), elapsed, stage, lines)
-        cert = SingularityCertificate(verdict, kernel, prime, residue, det, stats)
+        cert = SingularityCertificate(verdict, kernel, prime, residue, stats)
         if not verify_certificate(m, cert, factorization):
             raise CertificateRejected(f"{stage} certificate failed verification")
         return cert
@@ -226,16 +216,14 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
 
     found = kernel_vector_crt(m, seeded_primes())
     if found.vector is not None:
-        return finish(found.stage, "singular", kernel=found.vector)
-    if found.prime is not None:
-        return finish(
-            "random_prime",
-            "nonsingular",
-            prime=found.prime,
-            residue=found.residue,
-            factorization=found.factorization,
-        )
-    return finish("det_exact", "nonsingular", det=found.det)
+        return finish("lift", "singular", kernel=found.vector)
+    return finish(
+        "random_prime",
+        "nonsingular",
+        prime=found.prime,
+        residue=found.residue,
+        factorization=found.factorization,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,28 +372,6 @@ def _check_factorization(m: BitMatrix, p: int, residue: int, fac: Factorization)
     return np.array_equal(_lu_product_mod(f, p), _unpack_int64(m)[np.ix_(perm, order)])
 
 
-def _check_det_exact(m: BitMatrix, det: int) -> bool:
-    """Whether ``det`` is the determinant of square ``m``, by Chinese
-    remaindering of ``_check_det_mod`` over the fixed primes.  A
-    zero-one row's squared norm is its popcount, so |det m| is at most
-    H = isqrt(product of popcounts) (Hadamard); a claim above H is
-    rejected first, which also caps the work spent on forged claims."""
-    norms = 1
-    for row in m.rows:
-        norms *= row.bit_count()
-    bound = isqrt(norms)
-    if abs(det) > bound:
-        return False
-    residue, modulus = 0, 1
-    k = 0
-    while modulus <= 2 * bound:
-        p = crt_primes(k + 1)[k]
-        residue = crt_pair(residue, modulus, _check_det_mod(m, p), p)
-        modulus *= p
-        k += 1
-    return symmetric_lift(residue, modulus) == det
-
-
 def verify_certificate(
     m: BitMatrix, cert: SingularityCertificate, factorization: Factorization | None = None
 ) -> bool:
@@ -439,22 +405,17 @@ def verify_certificate(
         return True
     if cert.verdict != "nonsingular" or m.n_rows != m.n_cols:
         return False
-    if cert.prime is not None:
-        if cert.residue is None or cert.residue % cert.prime == 0:
-            return False
-        if cert.prime == 2:
-            # Its own GF(2) basis, keyed unlike rank_gf2's.
-            return _det_mod2_packed(m) == cert.residue % 2
-        if not is_prime(cert.prime):
-            return False
-        if factorization is not None and cert.prime < PRIME_CEILING and n <= _FACTOR_CHECK_MAX:
-            return _check_factorization(m, cert.prime, cert.residue, factorization)
-        return _check_det_mod(m, cert.prime) == cert.residue % cert.prime
-    if cert.det is None or cert.det == 0:
+    p, residue = cert.prime, cert.residue
+    if p is None or residue is None or residue % p == 0:
         return False
-    if n == 0:
-        return cert.det == 1
-    return _check_det_exact(m, cert.det)
+    if p == 2:
+        # Its own GF(2) basis, keyed unlike rank_gf2's.
+        return _det_mod2_packed(m) == residue % 2
+    if not is_prime(p):
+        return False
+    if factorization is not None and p < PRIME_CEILING and n <= _FACTOR_CHECK_MAX:
+        return _check_factorization(m, p, residue, factorization)
+    return _check_det_mod(m, p) == residue % p
 
 
 def _det_mod2_packed(m: BitMatrix) -> int:

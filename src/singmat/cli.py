@@ -7,8 +7,8 @@ remaining experiments, ``harness.verify_lemma21`` and
 subcommand wraps them.  Exit
 codes: 0 success (or nonsingular), 10 singular, 2 usage or parse
 failure, 3 enumeration budget exceeded, 4 internal error (a result
-failed its own check: CertificateRejected, KernelLiftFailed,
-SelfCheckFailed).
+failed its own check, CertificateRejected or SelfCheckFailed, or the
+kernel search passed its bound on unlucky primes, KernelLiftFailed).
 """
 
 from __future__ import annotations
@@ -144,10 +144,8 @@ def cmd_certify(args) -> int:
         print(f"verdict: {cert.verdict}")
         if cert.kernel_vector is not None:
             print(f"kernel vector: {list(cert.kernel_vector)}")
-        elif cert.prime is not None:
-            print(f"evidence: det = {cert.residue} (mod {cert.prime})")
         else:
-            print(f"evidence: det = {cert.det}")
+            print(f"evidence: det = {cert.residue} (mod {cert.prime})")
         print(f"decided by: {cert.stats.stage}")
         print(
             f"gf2 rank: {cert.stats.gf2_rank}, primes tried: "

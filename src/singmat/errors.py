@@ -34,7 +34,9 @@ class InfeasibleDensity(SingmatError):
 
 
 class KernelLiftFailed(SingmatError):
-    """A kernel search found no vector for a matrix known to have one."""
+    """The kernel search ended without a lucky prime: a finite prime
+    sequence ran out, or the unlucky primes multiplied past the bound
+    the matrix sets on them, which only a bug can bring about."""
 
 
 class CertificateRejected(SingmatError):

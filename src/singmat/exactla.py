@@ -35,52 +35,56 @@ Every product is an exact float64 GEMM: the left operand goes in as
 2**53, where float64 is exact in any summation order (the scheme of
 FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008); the halves are
 recombined and reduced in int64.
-Over the rationals it is fraction-free (Bareiss) elimination: kernels
-come from exact back-substitution, and the last pivot of a square
-matrix of full rank is its determinant up to the row-swap sign.
-``kernel_rational`` returns that basis as tuples of Fractions, one per
-free column with that column 1, as back-substitution leaves it.
+Over the rationals it is fraction-free (Bareiss) elimination:
+``kernel_rational`` back-substitutes its basis exactly and returns it as
+tuples of Fractions, one per free column with that column 1.
 
-``kernel_vector_crt`` is the one kernel search, and Bareiss ends it.
-It takes the BitMatrix to solve and builds the int64 array the
+``kernel_vector_crt`` is the one kernel search, and a lucky prime ends
+it.  It takes the BitMatrix to solve and builds the int64 array the
 prime-field elimination runs on, once per search.  It factors the
-matrix once per prime it tries, at most ``_PRIME_BUDGET`` primes drawn
-from the caller's sequence (the fixed list by default), with the
-columns in ascending column-count order: sparse columns first delay
-the fill-in (a static Markowitz order), which cuts the update work of
-a c = 2 sweep matrix at n = 300 by about a quarter.  Full column rank mod p
-ends the search: the columns are independent, and a square matrix gets
-its determinant residue off the same diagonal, times the sign of the
-column order, returned with the factorization for the verifier to
-check.  Rank n_cols - 1 runs Dixon p-adic lifting on that
-factorization, O(n^2) solve steps until rational reconstruction yields
-a vector that passes an exact check; the rational kernel is then
-one-dimensional, so that vector, mapped back and made primitive, is
-the canonical one.  ``_primitive`` divides an integer vector by the gcd
-of its entries and signs it so that its first nonzero entry is
-positive; no Fraction is built on the lift path.  Lower rank refactors
-in natural order, where the lift's first free column makes the vector
-canonical.  A matrix with fewer than n_cols - 1 distinct nonzero rows
-has lower rank for every prime, so it is factored in natural order
-from the start.  An unlucky prime moves on to the next one; when the
-budget or the sequence is spent, one Bareiss elimination ends the
-search: it yields the canonical kernel vector (its Fractions scaled
-by the lcm of their denominators, then made primitive) or, for a
-square matrix, the exact determinant.  Every kernel here is a right
-kernel; the left kernel of ``m`` is the right kernel of
-``m.transpose()``.
+matrix once per prime it tries, drawn lazily from the caller's sequence
+(the whole fixed list by default), with the columns in ascending
+column-count order: sparse columns first delay the fill-in (a static
+Markowitz order), which cuts the update work of a c = 2 sweep matrix at
+n = 300 by about a quarter.  Full column rank mod p ends the search:
+the columns are independent, and a square matrix gets its determinant
+residue off the same diagonal, times the sign of the column order,
+returned with the factorization for the verifier to check.  Rank
+n_cols - 1 runs Dixon p-adic lifting on that factorization, O(n^2)
+solve steps until rational reconstruction yields a vector that passes
+an exact check; the rational kernel is then one-dimensional, so that
+vector, mapped back and made primitive, is the canonical one.
+``_primitive`` divides an integer vector by the gcd of its entries and
+signs it so that its first nonzero entry is positive; no Fraction is
+built on the lift path.  Lower rank refactors in natural order, where
+the lift's first free column makes the vector canonical.  A matrix with
+fewer than n_cols - 1 distinct nonzero rows has lower rank for every
+prime, so it is factored in natural order from the start.
+
+An unlucky prime moves on to the next one, and the matrix bounds how
+many there can be.  Every nonzero minor of a zero-one matrix is at most
+sqrt(norms), norms the product of max(row weight, 1) over the rows
+(Hadamard).  A prime that fails divides a nonzero minor: the
+determinant of a nonsingular matrix, or else the minor on the column
+rank profile of the sparse-first or of the natural order, since a prime
+that divides neither keeps that profile mod p and the lift
+reconstructs the canonical vector.  So the distinct failing primes
+multiply to at most norms, and a search whose primes pass that product
+raises KernelLiftFailed, as does a finite sequence that runs out.
+Every kernel here is a right kernel; the left kernel of ``m`` is the
+right kernel of ``m.transpose()``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import islice
-from math import gcd, isqrt, lcm, log
+from itertools import count
+from math import gcd, isqrt, log
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import SelfCheckFailed
+from .errors import KernelLiftFailed, SelfCheckFailed
 from .matrices import BitMatrix, pack_rows
 from .modular import PRIME_CEILING, crt_primes, rational_reconstruct, symmetric_lift
 
@@ -88,8 +92,6 @@ from .modular import PRIME_CEILING, crt_primes, rational_reconstruct, symmetric_
 # in one _BLOCK and have at most (5/4) n ln n nonzeros: the list loop
 # touches only the nonzeros of each pivot row.
 _MOD_NUMPY_MIN = 24
-# Primes one kernel search factors before falling back to Bareiss.
-_PRIME_BUDGET = 3
 # Pivots per block of the lift's triangular solves, and the mask of the
 # 16-bit halves its products split an operand into: 64 products of a
 # residue below 2**31 and a half below 2**16 sum to less than 2**53.
@@ -265,24 +267,22 @@ def _lu_det(lu: _LU, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Rational kernels and exact determinants
+# Rational kernels
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int], int]:
+def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Fraction-free forward elimination; returns (echelon rows, pivot
-    cols, sign of the row permutation).
+    cols).
 
     All divisions are exact integer divisions by the previous pivot, so
     pivot k is the leading (k+1) x (k+1) minor of the row-permuted
-    matrix; for a square matrix of full rank the last pivot times the
-    sign is its determinant (Bareiss 1968).
+    matrix (Bareiss 1968).
     """
     M = [list(r) for r in rows]
     m_rows = len(M)
     n = len(M[0]) if M else 0
     pivots: list[int] = []
     prev = 1
-    sign = 1
     r = 0
     for c in range(n):
         pivot = None
@@ -294,7 +294,6 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int],
             continue
         if pivot != r:
             M[r], M[pivot] = M[pivot], M[r]
-            sign = -sign
         prc = M[r][c]
         for i in range(r + 1, m_rows):
             mic = M[i][c]
@@ -307,7 +306,7 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int],
         r += 1
         if r == m_rows:
             break
-    return M, pivots, sign
+    return M, pivots
 
 
 def _kernel_from_echelon(
@@ -342,7 +341,7 @@ def kernel_rational(m: BitMatrix) -> tuple[tuple[Fraction, ...], ...]:
     arithmetic before return; a failure raises SelfCheckFailed.
     """
     rows = m.to_lists()
-    ech, pivots, _ = _bareiss_echelon(rows)
+    ech, pivots = _bareiss_echelon(rows)
     basis = tuple(_kernel_from_echelon(ech, pivots, m.n_cols))
     if any(sum(e * xi for e, xi in zip(row, x)) for x in basis for row in rows):
         raise SelfCheckFailed("rational kernel vector fails its check")
@@ -519,17 +518,20 @@ def _reconstruct(residues: list[int], modulus: int) -> tuple[int, list[int]] | N
     return den, nums
 
 
-def _padic_kernel_vector(a: np.ndarray, rows: Sequence[int], lu: _LU) -> tuple[int, ...] | None:
+def _padic_kernel_vector(
+    a: np.ndarray, rows: Sequence[int], lu: _LU, target: int
+) -> tuple[int, ...] | None:
     """Dixon lifting of the canonical kernel vector over one prime p,
-    with ``lu = _lu_mod(a, p)`` and ``rows`` the packed rows of ``a``.
+    with ``lu = _lu_mod(a, p)``, ``rows`` the packed rows of ``a`` and
+    ``target`` the modulus that rational reconstruction must pass.
 
     With pivots P and first free column f mod p, solves a[:, P] y =
     -a[:, f] p-adically; the kernel vector has y on P, 1 at f and 0 on
     the other free columns.  Returns it, made primitive, once rational
     reconstruction gives a vector that is zero past f and passes the
     exact check against ``rows``; None when the system is
-    inconsistent mod p or the modulus passes the reconstruction target
-    first (both mean p is unlucky).  The columns before f are pivots,
+    inconsistent mod p or the modulus passes ``target`` first (both
+    mean p is unlucky).  The columns before f are pivots,
     so independent over Q: a kernel vector that is zero past f makes f
     the first rational free column, and the vector does not depend on
     p.  With rank n_cols - 1 mod p, the column order does not matter:
@@ -538,14 +540,6 @@ def _padic_kernel_vector(a: np.ndarray, rows: Sequence[int], lu: _LU) -> tuple[i
     factorization then, passing the column-permuted array and its
     packed rows, and maps the vector back.
     """
-    # Numerators and denominators are r x r minors, at most the
-    # Hadamard bound of the nonzero rows; reconstruction needs a
-    # modulus past twice its square.
-    norms = 1
-    for row in rows:
-        norms *= row.bit_count() or 1
-    bound = isqrt(norms) + 1
-    target = 2 * bound * bound
     n_cols = a.shape[1]
     p, pivots, solve = lu.p, lu.pivots, _lu_solve(lu)
     pivot_set = set(pivots)
@@ -586,21 +580,17 @@ class Factorization(NamedTuple):
 
 
 class KernelSearch(NamedTuple):
-    """What one kernel search found.  ``vector`` is a verified integer
-    right-kernel vector, or None when the columns are independent;
-    ``stage`` is "lift" or "bareiss".  When a prime's factorization had
-    full column rank, ``prime`` is that prime and, for a square matrix,
-    ``residue`` is the determinant modulo it (nonzero) and
-    ``factorization`` the factors it was read off, which let a verifier
-    check the residue without eliminating again; they stay in memory and
-    are never serialized.  When Bareiss found the columns independent,
-    ``det`` is the exact determinant of a square matrix (nonzero)."""
+    """What one kernel search found.  ``vector`` is the canonical integer
+    right-kernel vector, verified exactly, or None when the columns are
+    independent; then ``prime`` is the prime whose factorization had
+    full column rank and, for a square matrix, ``residue`` is the
+    determinant modulo it (nonzero) and ``factorization`` the factors it
+    was read off, which let a verifier check the residue without
+    eliminating again; they stay in memory and are never serialized."""
 
     vector: tuple[int, ...] | None
-    stage: str
     prime: int | None = None
     residue: int | None = None
-    det: int | None = None
     factorization: Factorization | None = None
 
 
@@ -620,15 +610,24 @@ def _permutation_sign(order: Sequence[int]) -> int:
 
 def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> KernelSearch:
     """The kernel search of a zero-one matrix (see the module docstring):
-    p-adic lifting over at most ``_PRIME_BUDGET`` primes drawn lazily
-    from ``primes`` (default: the fixed list), each factored once from
-    the int64 array built here, then one Bareiss elimination (stage
-    "bareiss") if every prime was unlucky.  A vector returned is the
-    canonical one, verified exactly.  A prime of 2**31 or more raises
-    ValueError: the lift's residue updates are int64 arithmetic.
+    p-adic lifting over primes drawn lazily from ``primes`` (default: the
+    fixed list), each factored once from the int64 array built here,
+    until one is lucky.  A vector returned is the canonical one, verified
+    exactly.  Raises KernelLiftFailed when ``primes`` runs out first or
+    its distinct unlucky primes multiply past the product of the row
+    weights, and ValueError for a prime of 2**31 or more: the lift's
+    residue updates are int64 arithmetic.
     """
     a = m.to_bit_array().astype(np.int64)
     n_cols = m.n_cols
+    # Every nonzero minor is at most sqrt(norms); numerators and
+    # denominators of the lift are such minors, so reconstruction needs
+    # a modulus past twice the square of that bound.
+    norms = 1
+    for row in m.rows:
+        norms *= row.bit_count() or 1
+    bound = isqrt(norms) + 1
+    target = 2 * bound * bound
     # Fewer distinct nonzero rows than n_cols - 1 bound the rank below it.
     sparse_first = len(set(m.rows) - {0}) >= n_cols - 1
     if sparse_first:
@@ -637,8 +636,9 @@ def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> Kern
         # the row updates on it cost as much as the fill-in saves.
         a_sparse = a.take(order, axis=1)
     if primes is None:
-        primes = (crt_primes(k + 1)[k] for k in range(_PRIME_BUDGET))
-    for p in islice(primes, _PRIME_BUDGET):
+        primes = (crt_primes(k + 1)[k] for k in count())
+    unlucky = 1  # the product of the distinct unlucky primes
+    for p in primes:
         if p >= PRIME_CEILING:
             raise ValueError(f"kernel_vector_crt needs primes below 2**31, got {p}")
         if sparse_first:
@@ -647,37 +647,28 @@ def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> Kern
             if rank == n_cols:
                 # Independent mod p, so independent over Q.
                 if m.n_rows != n_cols:
-                    return KernelSearch(None, "lift", p)
+                    return KernelSearch(None, p)
                 cols = order.tolist()
                 residue = _lu_det(lu, n_cols) * _permutation_sign(cols) % p
-                found = Factorization(lu.factors, lu.perm, cols)
-                return KernelSearch(None, "lift", p, residue, factorization=found)
+                return KernelSearch(None, p, residue, Factorization(lu.factors, lu.perm, cols))
             if rank == n_cols - 1:
-                v = _padic_kernel_vector(a_sparse, pack_rows(a_sparse), lu)
-                if v is None:
-                    continue
-                w = [0] * n_cols
-                for k, c in enumerate(order.tolist()):
-                    w[c] = v[k]
-                return KernelSearch(_primitive(w), "lift")
-        # Nullity two or more mod p: the lift needs the natural order's
-        # first free column for the canonical vector.
-        lu = _lu_mod(a, p)
-        v = _padic_kernel_vector(a, m.rows, lu)
-        if v is not None:
-            return KernelSearch(v, "lift")
-    rows = a.tolist()
-    ech, pivots, sign = _bareiss_echelon(rows)
-    if len(pivots) == n_cols:
-        if m.n_rows != n_cols:
-            return KernelSearch(None, "bareiss")
-        return KernelSearch(None, "bareiss", det=sign * ech[-1][-1] if ech else 1)  # 0 x 0: det 1
-    q = _kernel_from_echelon(ech, pivots, n_cols)[0]
-    den = lcm(*(e.denominator for e in q))
-    v = _primitive([int(e * den) for e in q])
-    if any(sum(e * x for e, x in zip(row, v)) for row in rows):
-        raise SelfCheckFailed("rational kernel vector fails its check")
-    return KernelSearch(v, "bareiss")
+                v = _padic_kernel_vector(a_sparse, pack_rows(a_sparse), lu, target)
+                if v is not None:
+                    w = [0] * n_cols
+                    for k, c in enumerate(order.tolist()):
+                        w[c] = v[k]
+                    return KernelSearch(_primitive(w))
+        if not sparse_first or rank < n_cols - 1:
+            # Nullity two or more mod p: the lift needs the natural
+            # order's first free column for the canonical vector.
+            v = _padic_kernel_vector(a, m.rows, _lu_mod(a, p), target)
+            if v is not None:
+                return KernelSearch(v)
+        if unlucky % p:
+            unlucky *= p
+            if unlucky > norms:
+                raise KernelLiftFailed(f"unlucky primes past the bound 2**{norms.bit_length()}")
+    raise KernelLiftFailed("the prime sequence ran out before a lift succeeded")
 
 
 # ---------------------------------------------------------------------------

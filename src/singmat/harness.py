@@ -105,6 +105,8 @@ class SweepConfig:
             raise ValueError("n_grid and c_grid must be nonempty")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if not 0 <= self.master_seed < 1 << 64:  # derive_seed reduces it mod 2**64
+            raise ValueError("master_seed must be a 64-bit unsigned integer")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "c_grid", tuple(Fraction(c) for c in self.c_grid))
         for name, grid in (("n_grid", self.n_grid), ("c_grid", self.c_grid)):
@@ -539,6 +541,8 @@ def verify_complement(n: int, d: int, trials: int, seed: int) -> ComplementRepor
     sums only away from the degenerate densities)."""
     if not 0 < d < n:
         raise InfeasibleDensity("needs 0 < d < n")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     agreements = disagreements = 0
     for i in range(trials):
         trial_seed = derive_seed(seed, i)

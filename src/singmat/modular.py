@@ -1,9 +1,9 @@
-"""Prime generation, CRT combination, and rational reconstruction.
+"""Prime generation, symmetric residues, and rational reconstruction.
 
 Working primes are 31-bit: the largest size for which a*b with
 a, b < p stays below 2**62, so vectorized int64 modular elimination
-never overflows.  The CRT prime list is fixed and descending from
-2**31, making every multi-modular result reproducible.
+never overflows.  The fixed prime list (``crt_primes``) descends from
+2**31, making every search over it reproducible.
 """
 
 from __future__ import annotations
@@ -69,12 +69,6 @@ def random_prime(stream: Stream) -> int:
         candidate = (stream.below(PRIME_CEILING // 2 - 1) * 2 + 3)
         if is_prime(candidate):
             return candidate
-
-
-def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    """Residue mod m1*m2 matching r1 mod m1 and r2 mod m2 (coprime moduli)."""
-    inv = pow(m1 % m2, -1, m2)
-    return (r1 + m1 * ((r2 - r1) * inv % m2)) % (m1 * m2)
 
 
 def symmetric_lift(r: int, m: int) -> int:

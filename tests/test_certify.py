@@ -9,6 +9,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +33,7 @@ from singmat.certify import (
     is_singular_exact,
     verify_certificate,
 )
-from singmat.errors import DimensionMismatch, NotSquare
+from singmat.errors import DimensionMismatch, KernelLiftFailed, NotSquare
 from singmat.exactla import kernel_rational
 from singmat.harness import bernoulli_density, combinatorial_density
 from singmat.matrices import BitMatrix
@@ -136,7 +137,7 @@ def test_prime_2_certificate_is_checked_to_the_last_row():
     dependency it finds there must reject, at the first row as at the
     last."""
     stats = CertStats(gf2_rank=-1, primes_tried=(2,), elapsed=0.0)
-    cert = SingularityCertificate("nonsingular", None, 2, 1, None, stats)
+    cert = SingularityCertificate("nonsingular", None, 2, 1, stats)
     assert verify_certificate(BitMatrix.identity(6), cert)
     assert verify_certificate(BitMatrix.zeros(0, 0), cert)
     # Rows 0-4 are e_i + e_(i+1), independent; row 5 is rows 0 + 2 + 4.
@@ -157,7 +158,7 @@ def test_verifier_checks_primes_past_the_int64_range():
     a = rng.integers(0, 2, (30, 30))
     a[:, 29] = a[:, 28]
     stats = CertStats(gf2_rank=-1, primes_tried=(big,), elapsed=0.0)
-    forged = SingularityCertificate("nonsingular", None, big, 1102162409910891877, None, stats)
+    forged = SingularityCertificate("nonsingular", None, big, 1102162409910891877, stats)
     assert not verify_certificate(BitMatrix.from_bit_array(a), forged)
     b = rng.integers(0, 2, (30, 30))
     det = naive_det(b.tolist()).numerator
@@ -178,7 +179,7 @@ def _factored(n, seed, density=0.3):
         if found.factorization is not None:
             break
     stats = CertStats(gf2_rank=-1, primes_tried=(p,), elapsed=0.0)
-    cert = SingularityCertificate("nonsingular", None, p, found.residue, None, stats)
+    cert = SingularityCertificate("nonsingular", None, p, found.residue, stats)
     return m, cert, found.factorization
 
 
@@ -337,63 +338,23 @@ def test_hand_built_wide_prime_certificates(n, p):
             break
     m = BitMatrix.from_bit_array(a)
     stats = CertStats(gf2_rank=-1, primes_tried=(p,), elapsed=0.0)
-    genuine = SingularityCertificate("nonsingular", None, p, det % p, None, stats)
+    genuine = SingularityCertificate("nonsingular", None, p, det % p, stats)
     assert verify_certificate(m, genuine)
     assert verify_certificate(m, SingularityCertificate.from_json(genuine.to_json()))
     for forged in ((det + 1) % p or 2, (det - 1) % p or p - 2, p - det % p):
         assert not verify_certificate(m, replace(genuine, residue=forged))
 
 
-def _det_certificate(det):
-    stats = CertStats(gf2_rank=-1, primes_tried=(), elapsed=0.0)
-    return SingularityCertificate("nonsingular", None, None, None, det, stats)
-
-
 def test_forged_det_divisible_by_fixed_primes_is_rejected():
-    """A singular matrix with a claimed determinant that vanishes modulo
-    the first two fixed primes: checking the claim modulo those primes
-    alone accepted it."""
-    m = bm([[1, 1, 0], [1, 1, 0], [0, 0, 1]])
-    forged = _det_certificate(2147483629 * 2147483587)
-    assert not verify_certificate(m, forged)
-    assert not verify_certificate(m, _det_certificate(-2147483629 * 2147483587))
-
-
-def test_det_above_the_hadamard_bound_is_rejected_unchecked(monkeypatch):
-    """|det| of a zero-one matrix is at most the square root of the
-    product of its row weights; a larger claim is rejected before any
-    modular elimination, even one congruent to the true determinant."""
-    m = bm([[1, 1, 0], [0, 1, 1], [1, 0, 1]])  # det 2, row weights 2, 2, 2
-    p = crt_primes(1)[0]
-    calls = []
-    check = certify._check_det_mod
-    monkeypatch.setattr(certify, "_check_det_mod", lambda m, p: calls.append(p) or check(m, p))
-    for claim in (3, -3, 2 + p, 2 - p, 2**4000):
-        assert not verify_certificate(m, _det_certificate(claim))
-    assert calls == []
-    assert verify_certificate(m, _det_certificate(2))
-    assert calls == [p]
-
-
-def test_genuine_det_certificates_verify():
-    """Nonsingular zero-one matrices up to n = 30, the identity among
-    them (|det| equal to the bound): the true determinant is accepted,
-    also after a JSON round trip, and its negation is rejected."""
-    rng = random.Random(9)
-    matrices = [BitMatrix.identity(n) for n in (1, 4)]
-    while len(matrices) < 12:
-        n = rng.randint(1, 30)
-        rows = [[int(rng.random() < 0.3) for _ in range(n)] for _ in range(n)]
-        if naive_det(rows) != 0:
-            matrices.append(bm(rows))
-    for m in matrices:
-        det = naive_det(m.to_lists()).numerator
-        cert = _det_certificate(det)
-        assert verify_certificate(m, cert)
-        back = SingularityCertificate.from_json(cert.to_json())
-        assert back.det == det and back.prime is None
-        assert verify_certificate(m, back)
-        assert not verify_certificate(m, _det_certificate(-det))
+    """A witness that claims an exact determinant, here one that
+    vanishes modulo the first two fixed primes for a singular matrix, is
+    no certificate kind: reading it back raises ValueError, as does a
+    witness of no kind."""
+    doc = json.loads(is_singular_exact(BitMatrix.identity(3)).to_json())
+    for witness in ({"det": str(2147483629 * 2147483587)}, {"det": "2"}, {}):
+        doc["witness"] = witness
+        with pytest.raises(ValueError):
+            SingularityCertificate.from_json(json.dumps(doc))
 
 
 def test_witness_length_mismatch_raises():
@@ -405,7 +366,7 @@ def test_witness_length_mismatch_raises():
 
 
 def _kernel_claim(v):
-    return SingularityCertificate("singular", tuple(v), None, None, None, CertStats(-1, (), 0.0))
+    return SingularityCertificate("singular", tuple(v), None, None, CertStats(-1, (), 0.0))
 
 
 def _alternating_rows(n, seed):
@@ -524,6 +485,30 @@ def test_json_round_trip():
     doc = json.loads(text)
     del doc["stats"]["stage"]
     assert SingularityCertificate.from_json(json.dumps(doc)).stats.stage is None
+
+
+def test_json_round_trip_of_each_witness_kind():
+    """A kernel vector (structural and lift), a prime-2 residue (gf2) and
+    an odd-prime residue (random_prime): each reads back to the same
+    witness and stage, and verifies."""
+    matrices = {
+        "structural": bm([[1, 0], [1, 0]]),
+        "lift": _zero_row_matrix(12, 2),
+        "gf2": BitMatrix.identity(4),
+        "random_prime": bm([[1, 1, 0], [0, 1, 1], [1, 0, 1]]),
+    }
+    for stage, m in matrices.items():
+        cert = is_singular_exact(m)
+        assert cert.stats.stage == stage
+        back = SingularityCertificate.from_json(cert.to_json())
+        assert json.loads(cert.to_json())["witness"].keys() == (
+            {"kernel_vector"} if cert.is_singular else {"prime", "residue"}
+        )
+        assert (back.verdict, back.kernel_vector, back.prime, back.residue) == (
+            cert.verdict, cert.kernel_vector, cert.prime, cert.residue
+        )
+        assert back.stats.stage == stage and back.stats.primes_tried == cert.stats.primes_tried
+        assert verify_certificate(m, back)
 
 
 def test_witness_is_canonical():
@@ -785,7 +770,7 @@ def test_edge_shapes_through_the_sparse_first_order():
                 assert found.residue == det % p
         elif found.vector is not None:
             stats = CertStats(gf2_rank=0, primes_tried=(), elapsed=0.0)
-            cert = SingularityCertificate("singular", found.vector, None, None, None, stats)
+            cert = SingularityCertificate("singular", found.vector, None, None, stats)
             assert verify_certificate(m, cert)
 
 
@@ -804,29 +789,37 @@ def _canonical(m):
 
 @pytest.fixture
 def prime_source(monkeypatch):
-    """Replace certify's random primes by a finite sequence: set
-    ``source.primes`` before each certificate."""
+    """Replace certify's endless stream of random primes by a finite
+    list: set ``source.primes`` before each certificate.  The search
+    draws at most the list's length, so running out ends it as it ends
+    any finite sequence, by KernelLiftFailed."""
 
     class Source:
-        primes = iter(())
+        primes: list[int] = []
 
     source = Source()
-    monkeypatch.setattr(certify, "random_prime", lambda stream: next(source.primes))
+    search = certify.kernel_vector_crt
+    monkeypatch.setattr(certify, "random_prime", lambda stream: source.primes.pop(0))
+    monkeypatch.setattr(
+        certify, "kernel_vector_crt", lambda m, primes: search(m, islice(primes, len(source.primes)))
+    )
     return source
 
 
 def test_unlucky_first_lift_prime_moves_on(prime_source):
     """No kernel vector of these matrices lifts over 2 alone (the
-    search over [2] ends in Bareiss), so the loop moves on to the
-    second prime and lifts the canonical vector."""
+    search over [2] raises KernelLiftFailed), so the loop moves on to
+    the second prime and lifts the canonical vector."""
     big = crt_primes(2)
     checked = 0
     for seed in range(40):
         m = _zero_row_matrix(30, 100 + seed)
-        if exactla.kernel_vector_crt(m, [2]).stage != "bareiss":
+        try:
+            exactla.kernel_vector_crt(m, [2])
             continue
-        checked += 1
-        prime_source.primes = iter([2] + big)
+        except KernelLiftFailed:
+            checked += 1
+        prime_source.primes = [2] + big
         cert = is_singular_exact(m)
         assert cert.stats.primes_tried == (2, big[0])
         assert cert.stats.stage == "lift"
@@ -847,65 +840,83 @@ def _block_diagonal(*blocks):
 def test_tiny_primes_only_still_certify(prime_source):
     """With the primes 2, 3 and 5 only, the lift certifies most
     zero-row matrices; a matrix with blocks of determinant 2, 3 and 5
-    beats all three and reaches Bareiss."""
+    beats all three and raises KernelLiftFailed, with or without its
+    zero-row block.  One more prime, the first fixed one, certifies it:
+    a lift with the zero-row block, its residue without (the row
+    shuffles flip the sign of det = -30)."""
     det2 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     det3 = [[int(i != j) for j in range(4)] for i in range(4)]
     det5 = [[0, 1, 1, 1, 0], [1, 1, 1, 0, 1], [1, 1, 0, 1, 1], [1, 0, 1, 1, 0], [0, 0, 1, 1, 1]]
     assert [naive_det(b) for b in (det2, det3, det5)] == [2, -3, 5]
     matrices = [_zero_row_matrix(30, 200 + seed) for seed in range(10)]
-    matrices.append(_block_diagonal(det2, det3, det5, _zero_row_matrix(6, 1).to_lists()))
-    stages = set()
-    for m in matrices:
-        prime_source.primes = iter([2, 3, 5])
-        cert = is_singular_exact(m)
-        stages.add(cert.stats.stage)
+    blocked = _block_diagonal(det2, det3, det5, _zero_row_matrix(6, 1).to_lists())
+    beaten = []
+    for m in matrices + [blocked]:
+        prime_source.primes = [2, 3, 5]
+        try:
+            cert = is_singular_exact(m)
+        except KernelLiftFailed:
+            beaten.append(m)
+            prime_source.primes = [2, 3, 5] + crt_primes(1)
+            cert = is_singular_exact(m)
+            assert cert.stats.primes_tried == (2, 3, 5, crt_primes(1)[0])
+        assert cert.stats.stage == "lift"
         assert verify_certificate(m, cert)
         assert cert.kernel_vector == _canonical(m)
-    assert stages == {"lift", "bareiss"}
-
-
-def test_det_exact_stage_reads_the_bareiss_determinant(prime_source):
-    """Blocks of determinant 2, -3 and 5 beat the primes 2, 3 and 5, and
-    no kernel vector exists, so the one Bareiss elimination gives the
-    exact determinant; row shuffles flip its sign."""
-    det2 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
-    det3 = [[int(i != j) for j in range(4)] for i in range(4)]
-    det5 = [[0, 1, 1, 1, 0], [1, 1, 1, 0, 1], [1, 1, 0, 1, 1], [1, 0, 1, 1, 0], [0, 0, 1, 1, 1]]
+    assert blocked in beaten and len(beaten) < len(matrices) // 2
+    p = crt_primes(1)[0]
     rows = _block_diagonal(det2, det3, det5).to_lists()
     assert naive_det(rows) == -30
     rng = random.Random(8)
-    dets = set()
+    residues = set()
     for _ in range(6):
         m = BitMatrix.from_rows(rows)
-        prime_source.primes = iter([2, 3, 5])
+        prime_source.primes = [2, 3, 5]
+        with pytest.raises(KernelLiftFailed):
+            is_singular_exact(m)
+        prime_source.primes = [2, 3, 5, p]
         cert = is_singular_exact(m)
-        assert cert.stats.stage == "det_exact"
-        assert cert.stats.primes_tried == (2, 3, 5)
-        assert cert.det == naive_det(rows)
+        assert cert.stats.stage == "random_prime"
+        assert cert.stats.primes_tried == (2, 3, 5, p)
+        assert (cert.prime, cert.residue) == (p, naive_det(rows).numerator % p)
         assert verify_certificate(m, cert)
-        dets.add(cert.det)
+        residues.add(cert.residue)
         rng.shuffle(rows)
-    assert dets == {-30, 30}
+    assert residues == {-30 % p, 30}
 
 
-def test_failed_lift_falls_back_to_bareiss(monkeypatch):
-    """Every prime unlucky: the loop spends its whole budget, then
-    fraction-free elimination gives the canonical vector."""
-    monkeypatch.setattr(exactla, "_padic_kernel_vector", lambda a, rows, lu: None)
-    m = _zero_row_matrix(30, 7)
-    cert = is_singular_exact(m)
-    assert cert.stats.stage == "bareiss"
-    assert len(cert.stats.primes_tried) == exactla._PRIME_BUDGET
-    assert cert.kernel_vector == _canonical(m)
+def test_failed_lifts_raise_past_the_row_weight_bound(lu_calls, monkeypatch):
+    """Every lift unlucky: the search over certify's endless prime
+    stream stops with KernelLiftFailed at the first prime whose product
+    with the distinct primes before it passes the product of the row
+    weights (zero rows count 1), the bound no run of genuinely unlucky
+    primes can pass."""
+    monkeypatch.setattr(exactla, "_padic_kernel_vector", lambda *args: None)
+    for n, seed in ((12, 3), (30, 7), (40, 8)):
+        m = _zero_row_matrix(n, seed)
+        norms = math.prod(row.bit_count() or 1 for row in m.rows)
+        lu_calls.clear()
+        with pytest.raises(KernelLiftFailed):
+            is_singular_exact(m, prime_seed=seed)
+        assert len(set(lu_calls)) == len(lu_calls) >= (n > 12) + 1
+        assert math.prod(lu_calls[:-1]) <= norms < math.prod(lu_calls)
+        lu_calls.clear()
+        with pytest.raises(KernelLiftFailed):
+            exactla.kernel_vector_crt(m)
+        assert lu_calls == crt_primes(len(lu_calls))
+        assert math.prod(lu_calls[:-1]) <= norms < math.prod(lu_calls)
 
 
 def _certificate_digest(matrices):
     """sha256 prefix of (verdict, kernel_vector, prime, residue, det,
-    stage) over every certificate of a seeded matrix sequence."""
+    stage) over every certificate of a seeded matrix sequence.  The
+    digests were recorded while certificates still had an exact
+    determinant field, which held None on every one of them, so None
+    stands in its place."""
     h = hashlib.sha256()
     for seed, m in enumerate(matrices):
         cert = is_singular_exact(m, prime_seed=seed)
-        fields = (cert.verdict, cert.kernel_vector, cert.prime, cert.residue, cert.det)
+        fields = (cert.verdict, cert.kernel_vector, cert.prime, cert.residue, None)
         h.update(repr(fields + (cert.stats.stage,)).encode())
     return h.hexdigest()[:16]
 
@@ -979,10 +990,13 @@ def test_lift_certificates_above_one_block_match_pinned_digest(lu_calls):
         assert cert.stats.stage == "lift"
         refactored += len(lu_calls) == 2 and lu_calls[0] == lu_calls[1]
         s = cert.stats
-        fields = (cert.verdict, cert.kernel_vector, cert.prime, cert.residue, cert.det)
+        # Recorded when certificates had an exact determinant field and
+        # the search a stage; the field was None and the stage "lift" on
+        # every case, so those constants stand in their places.
+        fields = (cert.verdict, cert.kernel_vector, cert.prime, cert.residue, None)
         fields += (s.gf2_rank, s.primes_tried, s.stage, s.lines)
         wide = exactla.kernel_vector_crt(BitMatrix.from_rows(m.to_lists()[:-1]))
-        h.update(repr(fields + (wide.vector, wide.stage)).encode())
+        h.update(repr(fields + (wide.vector, "lift")).encode())
     assert refactored == 2
     assert h.hexdigest()[:16] == LIFT_DIGEST
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from singmat import certify
+from singmat import certify, exactla
 from singmat.bounds import p_even, union_bound_ber
 from singmat.cli import EXIT_INTERNAL, main
 from singmat.errors import MatrixFormatError
@@ -101,6 +101,19 @@ def test_cli_certify_rejected_certificate_is_an_internal_error(tmp_path, capsys,
     write_matrix(BitMatrix.identity(2), ident)
     assert main(["certify", "--in", str(ident)]) == EXIT_INTERNAL
     assert "failed verification" in capsys.readouterr().err
+
+
+def test_cli_certify_failed_kernel_search_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    """A zero row and no column witness send certify to the kernel
+    search; with every lift failing, the search stops at its bound on
+    unlucky primes, and the CLI reports an internal error."""
+    monkeypatch.setattr(exactla, "_padic_kernel_vector", lambda *args: None)
+    zero_row = tmp_path / "zero_row.txt"
+    write_matrix(BitMatrix.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 0]]), zero_row)
+    assert main(["certify", "--in", str(zero_row)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert "internal error" in captured.err
+    assert "verdict" not in captured.out
 
 
 def test_cli_certify_json(tmp_path, capsys):
@@ -248,6 +261,17 @@ def test_cli_sweep_repeated_grid_value_or_no_jobs_exits_2(tmp_path, capsys, extr
     args = ["sweep", "--model", "bernoulli", *extra, "--trials", "5", "--seed", "1"]
     assert main([*args, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_sweep_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    """Master seeds are reduced mod 2**64, so -1 would alias 2**64 - 1
+    and 2**64 would alias 0: both are refused."""
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--model", "bernoulli", "--n-grid", "12", "--c-grid", "1", "--trials", "2"]
+    assert main([*args, f"--seed={seed}", "--out", str(out)]) == 2
+    assert "master_seed must be a 64-bit unsigned integer" in capsys.readouterr().err
     assert not out.exists()
 
 

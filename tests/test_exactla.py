@@ -170,35 +170,38 @@ def test_kernel_gf2_basis_is_pinned_canonical(key):
 # -- exact determinants -----------------------------------------------------
 
 
-def _det(rows):
-    """The determinant the Bareiss end of kernel_vector_crt reports."""
-    return kernel_vector_crt(bm(rows), []).det
+def _residue(rows):
+    """The determinant residue the kernel search reports for the first
+    fixed prime, or None when it finds a kernel vector."""
+    return kernel_vector_crt(bm(rows), crt_primes(1)).residue
 
 
 def test_det_examples():
-    assert _det([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == 1
-    assert _det([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 2
-    assert _det([[0, 1], [1, 0]]) == -1
-    assert _det([[1, 1], [1, 1]]) is None
+    p = crt_primes(1)[0]
+    assert _residue([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]) == 1
+    assert _residue([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 2
+    assert _residue([[0, 1], [1, 0]]) == p - 1
+    assert _residue([[1, 1], [1, 1]]) is None
 
 
 def test_det_not_square():
-    """Independent columns of a tall matrix: no vector and no determinant."""
-    found = kernel_vector_crt(bm([[1, 0], [0, 1], [1, 1]]), [])
-    assert found == (None, "bareiss", None, None, None, None)
+    """Independent columns of a tall matrix: no vector and no residue."""
+    p = crt_primes(1)[0]
+    assert kernel_vector_crt(bm([[1, 0], [0, 1], [1, 1]]), [p]) == (None, p, None, None)
 
 
 def test_det_matches_fraction_elimination():
-    """The last Bareiss pivot times the row-swap sign, on integer entries."""
+    """The last Bareiss pivot is the determinant up to sign, on integer
+    entries."""
     rng = random.Random(5)
     for _ in range(60):
         n = rng.randint(1, 8)
         rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
         expect = naive_det(rows)
         assert expect.denominator == 1
-        ech, pivots, sign = _bareiss_echelon(rows)
+        ech, pivots = _bareiss_echelon(rows)
         if len(pivots) == n:
-            assert sign * ech[n - 1][n - 1] == expect.numerator
+            assert abs(ech[n - 1][n - 1]) == abs(expect.numerator)
         else:
             assert expect == 0
 
@@ -206,22 +209,24 @@ def test_det_matches_fraction_elimination():
 @pytest.mark.parametrize("n", [3, 5, 12, exactla._MOD_NUMPY_MIN, 30])
 def test_bareiss_det_matches_naive_det_with_row_swaps(n):
     """Nonsingular zero-one matrices whose first column starts with a
-    zero, so the elimination swaps rows; odd and even swap counts both
-    occur.  An empty prime sequence sends kernel_vector_crt straight
-    to Bareiss."""
+    zero, so both eliminations swap rows; both signs of the determinant
+    occur.  The last Bareiss pivot is the determinant up to sign, and
+    the kernel search's residue is the determinant mod p."""
     rng = random.Random(90 + n)
+    p = crt_primes(1)[0]
     signs = set()
     checked = 0
     while checked < 12:
         rows = random_bit_rows(rng, n, n)
         rows[0][0] = 0
-        want = naive_det(rows)
+        want = naive_det(rows).numerator
         if want == 0:
             continue
         checked += 1
-        signs.add(_bareiss_echelon(rows)[2])
-        assert _det(rows) == want
-    assert signs == {1, -1}
+        signs.add(want > 0)
+        assert abs(_bareiss_echelon(rows)[0][-1][-1]) == abs(want)
+        assert _residue(rows) == want % p
+    assert signs == {True, False}
 
 
 def test_det_mod_p_agrees_for_twenty_random_primes():
@@ -373,9 +378,7 @@ def test_kernel_vector_crt_matches_bareiss_on_singulars():
         n = rng.randint(2, 12)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
         basis = kernel_rational(bm(rows))
-        search = kernel_vector_crt(bm(rows))
-        assert search.stage == "lift", "lift failed on a small instance"
-        v = search.vector
+        v = kernel_vector_crt(bm(rows)).vector
         if not basis:
             assert v is None
         else:
@@ -630,9 +633,9 @@ def test_lift_independent_columns_give_none():
 
 
 def test_primitive_matches_the_clearing_oracle():
-    """Every kernel vector the lift and the Bareiss fallback return has
-    an entry equal to the lcm of its denominators, so it is primitive
-    already; the content is divided out all the same."""
+    """Every kernel vector the lift returns has an entry equal to the
+    lcm of its denominators, so it is primitive already; the content is
+    divided out all the same."""
     assert exactla._primitive([0, -4, 6, 2]) == (0, 2, -3, -1)
     assert exactla._primitive([0, 0, 7]) == (0, 0, 1)
     rng = random.Random(26)
@@ -669,39 +672,42 @@ def _drawn(primes, drawn):
 @pytest.mark.parametrize("n", [12, 30])
 def test_kernel_vector_moves_past_an_unlucky_prime(n):
     """Each prime is factored once, in order: no kernel vector of these
-    matrices lifts over 2 alone (the search over [2] ends in Bareiss),
-    so the search moves on and the next prime gives the canonical
-    vector."""
+    matrices lifts over 2 alone (the search over [2] raises
+    KernelLiftFailed), so the search moves on and the next prime gives
+    the canonical vector."""
     rng = random.Random(30 + n)
     q = crt_primes(2)
     checked = 0
     while checked < 3:
         a = np.array(random_bit_rows(rng, n, n), dtype=np.int64)
         a[rng.randrange(n)] = 0
-        if kernel_vector_crt(bma(a), [2]).stage != "bareiss":
+        try:
+            kernel_vector_crt(bma(a), [2])
             continue
-        checked += 1
+        except KernelLiftFailed:
+            checked += 1
         want = _bareiss_vector(a)
         drawn = []
         found = kernel_vector_crt(bma(a), _drawn([2] + q, drawn))
         assert drawn == [2, q[0]]
-        assert found == (want, "lift", None, None, None, None)
+        assert found == (want, None, None, None)
 
 
 def test_lift_over_an_unlucky_prime_is_canonical_or_fails():
     """Two zero rows leave a kernel of dimension two or more, where a
     prime that loses rank early could lift some other kernel vector;
     the lift must give the canonical vector or give up on that prime,
-    and then Bareiss gives it."""
+    which ends a search over [2] in KernelLiftFailed."""
     rng = random.Random(50)
     failed = 0
     for _ in range(150):
         n = 12
         a = np.array(random_bit_rows(rng, n, n), dtype=np.int64)
         a[rng.sample(range(n), 2)] = 0
-        found = kernel_vector_crt(bma(a), [2])
-        assert found.vector == _bareiss_vector(a)
-        failed += found.stage == "bareiss"
+        try:
+            assert kernel_vector_crt(bma(a), [2]).vector == _bareiss_vector(a)
+        except KernelLiftFailed:
+            failed += 1
     assert 0 < failed < 150
 
 
@@ -720,16 +726,20 @@ def test_kernel_vector_residue_comes_from_the_first_full_rank_prime(n):
     drawn = []
     found = kernel_vector_crt(bma(a), _drawn([2] + q, drawn))
     assert drawn == [2, q[0]]
-    assert found[:5] == (None, "lift", q[0], d % q[0], None)
+    assert found[:3] == (None, q[0], d % q[0])
     lu, perm, order = found.factorization
     assert naive_lu_product(np.asarray(lu).tolist(), q[0]) == a[perm][:, order].tolist()
     assert kernel_vector_crt(bma(a)).prime == q[0]  # the fixed list by default
 
 
-def test_kernel_vector_falls_back_to_bareiss_when_the_primes_run_out():
-    assert kernel_vector_crt(bm([[1, 1, 1]] * 3), []) == ((1, -1, 0), "bareiss", None, None, None, None)
-    assert kernel_vector_crt(BitMatrix.identity(3), iter([])) == (None, "bareiss", None, None, 1, None)
-    assert kernel_vector_crt(BitMatrix.zeros(0, 0), []) == (None, "bareiss", None, None, 1, None)
+def test_kernel_vector_raises_when_a_finite_sequence_runs_out():
+    """No prime, no verdict: a finite sequence that runs out before a
+    lucky prime raises, whether the matrix is singular or not."""
+    for m in (BitMatrix.identity(3), BitMatrix.zeros(0, 0), bm([[1, 1, 1]] * 3)):
+        for primes in ([], iter([])):
+            with pytest.raises(KernelLiftFailed):
+                kernel_vector_crt(m, primes)
+    assert kernel_vector_crt(bm([[1, 1, 1]] * 3), [7]).vector == (1, -1, 0)
 
 
 def test_kernel_lift_failed_is_a_singmat_error():

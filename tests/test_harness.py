@@ -128,6 +128,17 @@ def test_sweep_config_rejects_a_repeated_cell_or_no_jobs(tmp_path, n_grid, c_gri
         SweepConfig("bernoulli", n_grid, c_grid, 5, 1, str(tmp_path / "x.csv"), jobs=jobs)
 
 
+def test_sweep_config_refuses_seeds_outside_64_bits(tmp_path):
+    """derive_seed reduces the master seed mod 2**64, so a seed outside
+    [0, 2**64) would repeat another seed's cells under its own name."""
+    out = str(tmp_path / "x.csv")
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="master_seed must be a 64-bit unsigned integer"):
+            SweepConfig("bernoulli", (12,), (1,), 5, seed, out)
+    for seed in (0, 2**64 - 1):
+        assert SweepConfig("bernoulli", (12,), (1,), 5, seed, out).master_seed == seed
+
+
 def test_sweep_records_are_sliced_per_cell(tmp_path):
     """Cell k aggregates exactly records[k * T:(k + 1) * T], in grid order."""
     grids = (8, 12), (Fraction(1, 2), Fraction(2))
@@ -188,6 +199,13 @@ def test_complement_rejects_degenerate_density():
         verify_complement(5, 0, 1, 0)
     with pytest.raises(InfeasibleDensity):
         verify_complement(5, 5, 1, 0)
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_complement_rejects_no_trials(trials):
+    """No trials is no report, as in verify_lemma21."""
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        verify_complement(16, 4, trials, 1)
 
 
 def test_lemma21_support_one_property_forces_term2_zero():
