@@ -840,10 +840,8 @@ def _block_diagonal(*blocks):
 def test_tiny_primes_only_still_certify(prime_source):
     """With the primes 2, 3 and 5 only, the lift certifies most
     zero-row matrices; a matrix with blocks of determinant 2, 3 and 5
-    beats all three and raises KernelLiftFailed, with or without its
-    zero-row block.  One more prime, the first fixed one, certifies it:
-    a lift with the zero-row block, its residue without (the row
-    shuffles flip the sign of det = -30)."""
+    beats all three and raises KernelLiftFailed; one more prime, the
+    first fixed one, certifies it with a lift."""
     det2 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     det3 = [[int(i != j) for j in range(4)] for i in range(4)]
     det5 = [[0, 1, 1, 1, 0], [1, 1, 1, 0, 1], [1, 1, 0, 1, 1], [1, 0, 1, 1, 0], [0, 0, 1, 1, 1]]
@@ -864,6 +862,16 @@ def test_tiny_primes_only_still_certify(prime_source):
         assert verify_certificate(m, cert)
         assert cert.kernel_vector == _canonical(m)
     assert blocked in beaten and len(beaten) < len(matrices) // 2
+
+
+def test_det_exact_stage_reads_the_bareiss_determinant(prime_source):
+    """Blocks of determinant 2, -3 and 5 beat the primes 2, 3 and 5, and
+    no kernel vector exists, so the search raises KernelLiftFailed; the
+    next prime gives a residue that reads the exact determinant, the
+    last Bareiss pivot up to sign, and row shuffles flip its sign."""
+    det2 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+    det3 = [[int(i != j) for j in range(4)] for i in range(4)]
+    det5 = [[0, 1, 1, 1, 0], [1, 1, 1, 0, 1], [1, 1, 0, 1, 1], [1, 0, 1, 1, 0], [0, 0, 1, 1, 1]]
     p = crt_primes(1)[0]
     rows = _block_diagonal(det2, det3, det5).to_lists()
     assert naive_det(rows) == -30
@@ -880,6 +888,9 @@ def test_tiny_primes_only_still_certify(prime_source):
         assert cert.stats.primes_tried == (2, 3, 5, p)
         assert (cert.prime, cert.residue) == (p, naive_det(rows).numerator % p)
         assert verify_certificate(m, cert)
+        det = cert.residue if cert.residue <= p // 2 else cert.residue - p
+        assert det == naive_det(rows)
+        assert abs(det) == abs(exactla._bareiss_echelon(rows)[0][-1][-1])
         residues.add(cert.residue)
         rng.shuffle(rows)
     assert residues == {-30 % p, 30}
