@@ -206,6 +206,9 @@ def cmd_sweep(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"sweep: cannot read config: {exc}", file=sys.stderr)
             return EXIT_USAGE
+        if not isinstance(cfg_dict, dict):
+            print("sweep: config must be a JSON object", file=sys.stderr)
+            return EXIT_USAGE
     overrides = {
         "model": args.model,
         "n_grid": args.n_grid,
@@ -223,9 +226,12 @@ def cmd_sweep(args) -> int:
     if missing:
         print(f"sweep: missing configuration: {', '.join(missing)}", file=sys.stderr)
         return EXIT_USAGE
+    for key in ("n_grid", "c_grid"):
+        if not isinstance(cfg_dict[key], list):
+            print(f"sweep: {key} must be a list, not {cfg_dict[key]!r}", file=sys.stderr)
+            return EXIT_USAGE
     cfg_dict["model"] = _canon_model(str(cfg_dict["model"]))
     cfg_dict["c_grid"] = tuple(Fraction(str(c)) for c in cfg_dict["c_grid"])
-    cfg_dict["n_grid"] = tuple(int(n) for n in cfg_dict["n_grid"])
     try:
         cfg = harness.SweepConfig(**cfg_dict)
     except (TypeError, ValueError) as exc:

@@ -23,9 +23,9 @@ import csv
 import decimal
 import io
 import logging
+import numbers
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -99,6 +99,10 @@ class SweepConfig:
     def __post_init__(self):
         if self.model not in ("bernoulli", "combinatorial"):
             raise ValueError(f"unknown model {self.model!r}")
+        for name in ("trials_per_cell", "master_seed", "jobs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
         if not self.n_grid or not self.c_grid:
@@ -107,6 +111,9 @@ class SweepConfig:
             raise ValueError("jobs must be >= 1")
         if not 0 <= self.master_seed < 1 << 64:  # derive_seed reduces it mod 2**64
             raise ValueError("master_seed must be a 64-bit unsigned integer")
+        for n in self.n_grid:
+            if isinstance(n, bool) or not isinstance(n, numbers.Real) or n % 1 != 0:
+                raise ValueError(f"n_grid holds a non-integral size: {n!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "c_grid", tuple(Fraction(c) for c in self.c_grid))
         for name, grid in (("n_grid", self.n_grid), ("c_grid", self.c_grid)):
@@ -184,7 +191,12 @@ def run_trial(
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[CellAggregate], list[TrialRecord]]:
     """Run the grid, write the aggregate CSV (and optional SVG plus a
-    companion .trials.csv), and return both tables."""
+    companion .trials.csv), and return both tables.
+
+    With ``jobs > 1`` the trials are mapped over a process pool, whose
+    module is imported only then; a serial sweep runs them in this
+    process and loads no multiprocessing machinery.  A cell's interval
+    loads scipy only when its count is interior (see ``stats``)."""
     cells = [(n, c) for n in cfg.n_grid for c in cfg.c_grid]
     t = cfg.trials_per_cell
     args = []
@@ -194,6 +206,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[CellAggregate], list[TrialRecord]]
         args += [(cfg.model, n, c, density, i, derive_seed(cell_seed, i)) for i in range(t)]
     columns = list(zip(*args))
     if cfg.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             records = list(pool.map(run_trial, *columns, chunksize=max(1, len(args) // (cfg.jobs * 4))))
     else:

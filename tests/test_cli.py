@@ -264,6 +264,28 @@ def test_cli_sweep_repeated_grid_value_or_no_jobs_exits_2(tmp_path, capsys, extr
     assert not out.exists()
 
 
+@pytest.mark.parametrize("config, message", [
+    ([1, 2], "config must be a JSON object"),
+    ({"n_grid": 5}, "n_grid must be a list"),
+    ({"c_grid": 1}, "c_grid must be a list"),
+    ({"trials_per_cell": 2.5}, "trials_per_cell must be an integer"),
+    ({"master_seed": 1.5}, "master_seed must be an integer"),
+    ({"n_grid": [5.5]}, "n_grid holds a non-integral size"),
+])
+def test_cli_sweep_malformed_config_exits_2(tmp_path, capsys, config, message):
+    """A config that is not an object, a scalar grid and a non-integer
+    count, seed or size are refused with a message, not a traceback."""
+    out = tmp_path / "s.csv"
+    if isinstance(config, dict):
+        config = {"model": "bernoulli", "n_grid": [5], "c_grid": [1], "trials_per_cell": 2,
+                  "master_seed": 1, **config}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("seed", ["-1", str(2**64)])
 def test_cli_sweep_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
     """Master seeds are reduced mod 2**64, so -1 would alias 2**64 - 1

@@ -139,6 +139,24 @@ def test_sweep_config_refuses_seeds_outside_64_bits(tmp_path):
         assert SweepConfig("bernoulli", (12,), (1,), 5, seed, out).master_seed == seed
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("trials_per_cell", 2.5, "trials_per_cell must be an integer"),
+    ("trials_per_cell", True, "trials_per_cell must be an integer"),
+    ("master_seed", 1.5, "master_seed must be an integer"),
+    ("jobs", 2.0, "jobs must be an integer"),
+    ("n_grid", (12, 5.5), "n_grid holds a non-integral size"),
+    ("n_grid", (False,), "n_grid holds a non-integral size"),
+])
+def test_sweep_config_refuses_non_integer_counts_seeds_and_sizes(tmp_path, field, value, message):
+    """run_sweep would fail on these (range(2.5)) or silently truncate
+    them (n = 5.5 ran as 5), so the config refuses them up front."""
+    args = dict(model="bernoulli", n_grid=(12,), c_grid=(1,), trials_per_cell=5, master_seed=1,
+                output=str(tmp_path / "x.csv"))
+    with pytest.raises(ValueError, match=message):
+        SweepConfig(**{**args, field: value})
+    assert SweepConfig(**{**args, "n_grid": (12.0, Fraction(13))}).n_grid == (12, 13)
+
+
 def test_sweep_records_are_sliced_per_cell(tmp_path):
     """Cell k aggregates exactly records[k * T:(k + 1) * T], in grid order."""
     grids = (8, 12), (Fraction(1, 2), Fraction(2))

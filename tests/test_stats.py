@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import betaincinv
 from scipy.stats import beta
 
 import singmat
@@ -48,20 +49,51 @@ def test_clopper_pearson_matches_the_beta_quantiles():
         assert got == list(zip(lo.tolist(), hi.tolist())), t
 
 
-def test_one_cell_sweep_leaves_scipy_stats_unloaded(tmp_path):
-    """The sweep's intervals need scipy.special only."""
+def _modules_after_sweep(tmp_path, n_grid, c_grid, seed, modules):
+    """Run one serial sweep in a fresh interpreter; return its singular
+    counts and whether each named module was loaded afterwards."""
     code = (
         "import sys\n"
         "from fractions import Fraction\n"
         "from singmat.harness import SweepConfig, run_sweep\n"
-        f"cfg = SweepConfig('bernoulli', (12,), (Fraction(1),), 3, 1, {str(tmp_path / 'cell.csv')!r})\n"
+        f"cfg = SweepConfig('bernoulli', {n_grid!r}, tuple(map(Fraction, {c_grid!r})), 3, {seed},"
+        f" {str(tmp_path / 'cell.csv')!r})\n"
         "aggs, _ = run_sweep(cfg)\n"
-        "print(len(aggs), 'scipy.special' in sys.modules, 'scipy.stats' in sys.modules)\n"
+        "print([a.singular_count for a in aggs])\n"
+        f"print([m in sys.modules for m in {modules!r}])\n"
     )
     src = str(Path(singmat.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.stdout.split() == ["1", "True", "False"], proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_one_cell_sweep_leaves_scipy_stats_unloaded(tmp_path):
+    """A cell with an interior count (2 of 3 singular) needs
+    scipy.special only."""
+    out = _modules_after_sweep(tmp_path, (16,), (1,), 1, ("scipy.special", "scipy.stats"))
+    assert out == ["[2]", "[True, False]"]
+
+
+def test_boundary_only_sweep_loads_neither_scipy_nor_a_process_pool(tmp_path):
+    """At c = 0 every trial is singular, and this c = 2 cell has none:
+    both intervals come from the closed forms, and a serial sweep
+    starts no pool."""
+    out = _modules_after_sweep(tmp_path, (12,), (0, 2), 1, ("scipy", "concurrent.futures.process"))
+    assert out == ["[3, 0]", "[False, False]"]
+
+
+def test_clopper_pearson_boundary_bounds_match_betaincinv():
+    """The closed forms at k = 0 and k = t equal betaincinv bit for bit,
+    for every t up to 10**5 and for log-spaced t up to 10**12."""
+    alpha = 1 - 0.99
+    log_spaced = np.unique(np.logspace(5, 12, 2000).round().astype(np.int64))
+    for t in (np.arange(1, 10**5 + 1), log_spaced):
+        lo = betaincinv(t, 1, alpha / 2).tolist()
+        hi = betaincinv(1, t, 1 - alpha / 2).tolist()
+        assert [clopper_pearson(j, j)[0] for j in t.tolist()] == lo
+        assert [clopper_pearson(0, j)[1] for j in t.tolist()] == hi
 
 
 def test_clopper_pearson_validation():
