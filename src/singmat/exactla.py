@@ -35,31 +35,32 @@ Every product is an exact float64 GEMM: the left operand goes in as
 2**53, where float64 is exact in any summation order (the scheme of
 FFLAS-FFPACK, Dumas, Giorgi and Pernet 2008); the halves are
 recombined and reduced in int64.
-Over the rationals it is fraction-free (Bareiss) elimination:
-``kernel_rational`` back-substitutes its basis exactly and returns it as
-tuples of Fractions, one per free column with that column 1.
+The rationals have no elimination of their own: both rational kernel
+searches lift through that factorization, one p-adic solve per vector.
 
-``kernel_vector_crt`` is the one kernel search, and a lucky prime ends
-it.  It takes the BitMatrix to solve and builds the int64 array the
-prime-field elimination runs on, once per search.  It factors the
-matrix once per prime it tries, drawn lazily from the caller's sequence
-(the whole fixed list by default), with the columns in ascending
-column-count order: sparse columns first delay the fill-in (a static
-Markowitz order), which cuts the update work of a c = 2 sweep matrix at
-n = 300 by about a quarter.  Full column rank mod p ends the search:
-the columns are independent, and a square matrix gets its determinant
-residue off the same diagonal, times the sign of the column order,
-returned with the factorization for the verifier to check.  Rank
-n_cols - 1 runs Dixon p-adic lifting on that factorization, O(n^2)
-solve steps until rational reconstruction yields a vector that passes
-an exact check; the rational kernel is then one-dimensional, so that
-vector, mapped back and made primitive, is the canonical one.
-``_primitive`` divides an integer vector by the gcd of its entries and
-signs it so that its first nonzero entry is positive; no Fraction is
-built on the lift path.  Lower rank refactors in natural order, where
-the lift's first free column makes the vector canonical.  A matrix with
-fewer than n_cols - 1 distinct nonzero rows has lower rank for every
-prime, so it is factored in natural order from the start.
+``kernel_vector_crt`` is the certificates' kernel search, and a lucky
+prime ends it.  It takes the BitMatrix to solve and builds the int64
+array the prime-field elimination runs on, once per search.  It factors
+the matrix once per prime it tries, drawn lazily from the caller's
+sequence (the whole fixed list by default), with the columns in
+ascending column-count order: sparse columns first delay the fill-in (a
+static Markowitz order), which cuts the update work of a c = 2 sweep
+matrix at n = 300 by about a quarter.  Full column rank mod p ends the
+search: the columns are independent, and a square matrix gets its
+determinant residue off the same diagonal, times the sign of the column
+order, returned with the factorization for the verifier to check.  Rank
+n_cols - 1 runs Dixon p-adic lifting on that factorization, O(n^2) solve
+steps until rational reconstruction yields a vector that passes an exact
+check; the rational kernel is then one-dimensional, so that vector,
+mapped back and made primitive, is the canonical one.  ``_primitive``
+divides an integer vector by the gcd of its entries and signs it so that
+its first nonzero entry is positive; no Fraction is built on the lift
+path.  Lower rank refactors in natural order, where the lift's first
+free column makes the vector canonical.  A matrix with fewer than
+n_cols - 1 distinct nonzero rows has lower rank for every prime, so it
+is factored in natural order from the start.  ``kernel_rational`` lifts
+the vector of every free column of the natural order, which gives the
+reduced-echelon basis.
 
 An unlucky prime moves on to the next one, and the matrix bounds how
 many there can be.  Every nonzero minor of a zero-one matrix is at most
@@ -68,9 +69,9 @@ sqrt(norms), norms the product of max(row weight, 1) over the rows
 determinant of a nonsingular matrix, or else the minor on the column
 rank profile of the sparse-first or of the natural order, since a prime
 that divides neither keeps that profile mod p and the lift
-reconstructs the canonical vector.  So the distinct failing primes
-multiply to at most norms, and a search whose primes pass that product
-raises KernelLiftFailed, as does a finite sequence that runs out.
+reconstructs each vector.  So the distinct failing primes multiply to
+at most norms, and a search whose primes pass that product raises
+KernelLiftFailed, as does a finite sequence that runs out.
 Every kernel here is a right kernel; the left kernel of ``m`` is the
 right kernel of ``m.transpose()``.
 """
@@ -79,8 +80,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, log
-from typing import Callable, Iterable, NamedTuple, Sequence
+from math import gcd, isqrt, log, prod
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -270,84 +271,6 @@ def _lu_det(lu: _LU, n: int) -> int:
 # Rational kernels
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Fraction-free forward elimination; returns (echelon rows, pivot
-    cols).
-
-    All divisions are exact integer divisions by the previous pivot, so
-    pivot k is the leading (k+1) x (k+1) minor of the row-permuted
-    matrix (Bareiss 1968).
-    """
-    M = [list(r) for r in rows]
-    m_rows = len(M)
-    n = len(M[0]) if M else 0
-    pivots: list[int] = []
-    prev = 1
-    r = 0
-    for c in range(n):
-        pivot = None
-        for i in range(r, m_rows):
-            if M[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            M[r], M[pivot] = M[pivot], M[r]
-        prc = M[r][c]
-        for i in range(r + 1, m_rows):
-            mic = M[i][c]
-            Mi, Mr = M[i], M[r]
-            for j in range(c + 1, n):
-                Mi[j] = (prc * Mi[j] - mic * Mr[j]) // prev
-            Mi[c] = 0
-        prev = prc
-        pivots.append(c)
-        r += 1
-        if r == m_rows:
-            break
-    return M, pivots
-
-
-def _kernel_from_echelon(
-    ech: list[list[int]], pivots: list[int], n_cols: int
-) -> list[tuple[Fraction, ...]]:
-    """Back-substitute one basis vector per free column (that column set
-    to 1, other free columns 0)."""
-    pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        x = [Fraction(0)] * n_cols
-        x[f] = Fraction(1)
-        for k in range(len(pivots) - 1, -1, -1):
-            c = pivots[k]
-            row = ech[k]
-            s = Fraction(0)
-            for j in range(c + 1, n_cols):
-                if row[j] and x[j]:
-                    s += row[j] * x[j]
-            x[c] = -s / row[c]
-        basis.append(tuple(x))
-    return basis
-
-
-def kernel_rational(m: BitMatrix) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact rational right-kernel basis via fraction-free elimination:
-    one vector per free column, that column 1 and the other free
-    columns 0, with no denominators multiplied out.
-
-    Each basis vector is verified against the matrix in exact
-    arithmetic before return; a failure raises SelfCheckFailed.
-    """
-    rows = m.to_lists()
-    ech, pivots = _bareiss_echelon(rows)
-    basis = tuple(_kernel_from_echelon(ech, pivots, m.n_cols))
-    if any(sum(e * xi for e, xi in zip(row, x)) for x in basis for row in rows):
-        raise SelfCheckFailed("rational kernel vector fails its check")
-    return basis
-
-
 def _primitive(ints: Sequence[int]) -> tuple[int, ...]:
     """The integer vector divided by the gcd of its entries, with its
     sign flipped so that the first nonzero entry is positive."""
@@ -519,31 +442,27 @@ def _reconstruct(residues: list[int], modulus: int) -> tuple[int, list[int]] | N
 
 
 def _padic_kernel_vector(
-    a: np.ndarray, rows: Sequence[int], lu: _LU, target: int
+    a: np.ndarray, rows: Sequence[int], lu: _LU, solve: _Solve, f: int, target: int
 ) -> tuple[int, ...] | None:
-    """Dixon lifting of the canonical kernel vector over one prime p,
-    with ``lu = _lu_mod(a, p)``, ``rows`` the packed rows of ``a`` and
-    ``target`` the modulus that rational reconstruction must pass.
+    """Dixon lifting over one prime p of the kernel vector of free
+    column f, with ``lu = _lu_mod(a, p)``, ``solve = _lu_solve(lu)``,
+    ``rows`` the packed rows of ``a`` and ``target`` the modulus that
+    rational reconstruction must pass.
 
-    With pivots P and first free column f mod p, solves a[:, P] y =
-    -a[:, f] p-adically; the kernel vector has y on P, 1 at f and 0 on
-    the other free columns.  Returns it, made primitive, once rational
-    reconstruction gives a vector that is zero past f and passes the
-    exact check against ``rows``; None when the system is
-    inconsistent mod p or the modulus passes ``target`` first (both
-    mean p is unlucky).  The columns before f are pivots,
-    so independent over Q: a kernel vector that is zero past f makes f
-    the first rational free column, and the vector does not depend on
-    p.  With rank n_cols - 1 mod p, the column order does not matter:
-    the rational kernel is then one-dimensional, so a verified vector
-    spans it; ``kernel_vector_crt`` lifts on its sparse-first
-    factorization then, passing the column-permuted array and its
-    packed rows, and maps the vector back.
+    With pivots P mod p, solves a[:, P] y = -a[:, f] p-adically; the
+    kernel vector has y on P, 1 at f and 0 on the other free columns.
+    Returns it, made primitive, once rational reconstruction gives a
+    vector that is zero past f and passes the exact check against
+    ``rows``; None when the system is inconsistent mod p or the modulus
+    passes ``target`` first (both mean p is unlucky).  The pivots are
+    independent mod p, so over Q, and the vector is the only kernel
+    vector with its zeros: it does not depend on p.  With rank
+    n_cols - 1 mod p, the column order does not matter: the rational
+    kernel is then one-dimensional, so a verified vector spans it;
+    ``kernel_vector_crt`` lifts on its sparse-first factorization then,
+    passing the column-permuted array and its packed rows.
     """
-    n_cols = a.shape[1]
-    p, pivots, solve = lu.p, lu.pivots, _lu_solve(lu)
-    pivot_set = set(pivots)
-    f = next(c for c in range(n_cols) if c not in pivot_set)
+    p, pivots = lu.p, lu.pivots
     a_piv = a[:, pivots]
     b = -a[:, f]
     x = [0] * len(pivots)
@@ -560,7 +479,7 @@ def _padic_kernel_vector(
         if found is None:
             continue
         den, nums = found
-        v = [0] * n_cols
+        v = [0] * a.shape[1]
         v[f] = den
         for c, num in zip(pivots, nums):
             v[c] = num
@@ -608,6 +527,34 @@ def _permutation_sign(order: Sequence[int]) -> int:
     return -1 if (len(order) - cycles) & 1 else 1
 
 
+def _free_columns(lu: _LU, n_cols: int) -> list[int]:
+    """The columns without a pivot mod p, in ascending order."""
+    return sorted(set(range(n_cols)) - set(lu.pivots))
+
+
+def _search_primes(m: BitMatrix, primes: Iterable[int] | None) -> Iterator[tuple[int, int]]:
+    """The prime loop of both kernel searches: yields each prime with the
+    modulus that reconstruction must pass, and drawing the next one
+    counts the last one unlucky.  Raises as ``kernel_vector_crt`` says."""
+    # Every nonzero minor is at most sqrt(norms); numerators and
+    # denominators of the lift are such minors, so reconstruction needs
+    # a modulus past twice the square of that bound.
+    norms = prod(row.bit_count() or 1 for row in m.rows)
+    target = 2 * (isqrt(norms) + 1) ** 2
+    if primes is None:
+        primes = (crt_primes(k + 1)[k] for k in count())
+    unlucky = 1  # the product of the distinct unlucky primes
+    for p in primes:
+        if p >= PRIME_CEILING:
+            raise ValueError(f"the kernel search needs primes below 2**31, got {p}")
+        yield p, target
+        if unlucky % p:
+            unlucky *= p
+            if unlucky > norms:
+                raise KernelLiftFailed(f"unlucky primes past the bound 2**{norms.bit_length()}")
+    raise KernelLiftFailed("the prime sequence ran out before a lift succeeded")
+
+
 def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> KernelSearch:
     """The kernel search of a zero-one matrix (see the module docstring):
     p-adic lifting over primes drawn lazily from ``primes`` (default: the
@@ -620,14 +567,6 @@ def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> Kern
     """
     a = m.to_bit_array().astype(np.int64)
     n_cols = m.n_cols
-    # Every nonzero minor is at most sqrt(norms); numerators and
-    # denominators of the lift are such minors, so reconstruction needs
-    # a modulus past twice the square of that bound.
-    norms = 1
-    for row in m.rows:
-        norms *= row.bit_count() or 1
-    bound = isqrt(norms) + 1
-    target = 2 * bound * bound
     # Fewer distinct nonzero rows than n_cols - 1 bound the rank below it.
     sparse_first = len(set(m.rows) - {0}) >= n_cols - 1
     if sparse_first:
@@ -635,12 +574,7 @@ def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> Kern
         # take keeps rows contiguous; a[:, order] is column-major, and
         # the row updates on it cost as much as the fill-in saves.
         a_sparse = a.take(order, axis=1)
-    if primes is None:
-        primes = (crt_primes(k + 1)[k] for k in count())
-    unlucky = 1  # the product of the distinct unlucky primes
-    for p in primes:
-        if p >= PRIME_CEILING:
-            raise ValueError(f"kernel_vector_crt needs primes below 2**31, got {p}")
+    for p, target in _search_primes(m, primes):
         if sparse_first:
             lu = _lu_mod(a_sparse, p)
             rank = len(lu.pivots)
@@ -652,23 +586,41 @@ def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> Kern
                 residue = _lu_det(lu, n_cols) * _permutation_sign(cols) % p
                 return KernelSearch(None, p, residue, Factorization(lu.factors, lu.perm, cols))
             if rank == n_cols - 1:
-                v = _padic_kernel_vector(a_sparse, pack_rows(a_sparse), lu, target)
-                if v is not None:
-                    w = [0] * n_cols
-                    for k, c in enumerate(order.tolist()):
-                        w[c] = v[k]
-                    return KernelSearch(_primitive(w))
+                f = _free_columns(lu, n_cols)[0]
+                v = _padic_kernel_vector(a_sparse, pack_rows(a_sparse), lu, _lu_solve(lu), f, target)
+                if v is not None:  # back to the natural column order
+                    return KernelSearch(_primitive([v[k] for k in np.argsort(order)]))
         if not sparse_first or rank < n_cols - 1:
             # Nullity two or more mod p: the lift needs the natural
             # order's first free column for the canonical vector.
-            v = _padic_kernel_vector(a, m.rows, _lu_mod(a, p), target)
+            lu = _lu_mod(a, p)
+            f = _free_columns(lu, n_cols)[0]
+            v = _padic_kernel_vector(a, m.rows, lu, _lu_solve(lu), f, target)
             if v is not None:
                 return KernelSearch(v)
-        if unlucky % p:
-            unlucky *= p
-            if unlucky > norms:
-                raise KernelLiftFailed(f"unlucky primes past the bound 2**{norms.bit_length()}")
-    raise KernelLiftFailed("the prime sequence ran out before a lift succeeded")
+
+
+def kernel_rational(m: BitMatrix) -> tuple[tuple[Fraction, ...], ...]:
+    """The reduced-echelon basis of the rational right kernel: one
+    vector per free column f, 1 at f, 0 at the other free columns and
+    past f, as tuples of Fractions in the order of f.
+
+    Over a prime p it lifts the vector of every free column mod p of
+    the natural order, which must pass the exact check and be zero past
+    f.  Then no free column mod p is a rational pivot, and as the rank
+    mod p is at most the rank over Q, the pivots mod p are the rational
+    column rank profile: the vectors, divided by their entries at f, are
+    the unique reduced-echelon basis.  A failed lift makes p unlucky;
+    raises KernelLiftFailed as ``kernel_vector_crt`` does.
+    """
+    a = m.to_bit_array().astype(np.int64)
+    for p, target in _search_primes(m, None):
+        lu = _lu_mod(a, p)
+        solve = _lu_solve(lu)
+        free = _free_columns(lu, m.n_cols)
+        lifted = [_padic_kernel_vector(a, m.rows, lu, solve, f, target) for f in free]
+        if None not in lifted:
+            return tuple(tuple(Fraction(e, v[f]) for e in v) for f, v in zip(free, lifted))
 
 
 # ---------------------------------------------------------------------------

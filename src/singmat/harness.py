@@ -105,6 +105,10 @@ class SweepConfig:
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be >= 1")
+        if not isinstance(self.output, str):
+            raise ValueError(f"output must be a path, not {self.output!r}")
+        if self.svg is not None and not isinstance(self.svg, str):
+            raise ValueError(f"svg must be a path or null, not {self.svg!r}")
         if not self.n_grid or not self.c_grid:
             raise ValueError("n_grid and c_grid must be nonempty")
         if self.jobs < 1:

@@ -1,13 +1,14 @@
 """Combinatorial structure of kernel vectors: supports and fibres.
 
-A vector is any sequence of exact rationals: the integer kernel
-vectors of the lift, or Fractions from ``exactla.kernel_rational`` and
-the CLI.  A fibre of a vector is a maximal set of indices holding one
-common value; the complement size of the largest fibre (here ``s``)
-measures how far the vector is from constant.  Fibre equality is exact
-rational equality (an int equals the Fraction of the same value), never
-a tolerance.  The lightest vector of a GF(2) kernel is found by
-walking its whole span, so only small kernels are searched.
+A vector is any sequence of exact rationals: the kernel vectors of the
+p-adic lift, primitive integers from ``exactla.kernel_vector_crt`` or
+Fractions from ``exactla.kernel_rational`` for ``singmat analyze``.  A
+fibre of a vector is a maximal set of indices holding one common value;
+the complement size of the largest fibre (here ``s``) measures how far
+the vector is from constant.  Fibre equality is exact rational equality
+(an int equals the Fraction of the same value), never a tolerance.  The
+lightest vector of a GF(2) kernel is found by walking its whole span,
+so only small kernels are searched.
 """
 
 from __future__ import annotations
@@ -115,9 +116,12 @@ def enumerate_gf2_kernel_min_support(m: BitMatrix, max_dim: int = 20) -> MinSupp
     vectors (pass ``m.transpose()`` for the left kernel).
 
     Walks the kernel span in Gray-code order (one basis XOR per step).
-    Raises KernelTooLarge when the kernel dimension exceeds max_dim, and
-    SelfCheckFailed if the lightest vector fails its kernel check.
+    Raises ValueError for a negative max_dim, KernelTooLarge when the
+    kernel dimension exceeds max_dim, and SelfCheckFailed if the
+    lightest vector fails its kernel check.
     """
+    if max_dim < 0:
+        raise ValueError(f"max_dim must be >= 0, not {max_dim}")
     vectors = kernel_gf2(m)
     k = len(vectors)
     if k == 0:

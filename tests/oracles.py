@@ -114,6 +114,38 @@ def naive_rank(rows: list[list], n_cols: int) -> int:
     return rank
 
 
+def naive_rational_kernel(rows: list[list], n_cols: int) -> tuple[tuple[Fraction, ...], ...]:
+    """Reduced-echelon basis of the rational right kernel by Fraction
+    Gauss-Jordan elimination: each pivot row is scaled to 1 at its
+    pivot and cleared from every other row, and free column f gives the
+    vector with 1 at f, 0 at the other free columns and minus each
+    pivot row's entry in column f at that row's pivot."""
+    M = [[Fraction(e) for e in row] for row in rows]
+    pivots: list[int] = []
+    for c in range(n_cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(M)) if M[i][c] != 0), None)
+        if pivot is None:
+            continue
+        M[r], M[pivot] = M[pivot], M[r]
+        M[r] = [e / M[r][c] for e in M[r]]
+        for i in range(len(M)):
+            factor = M[i][c]
+            if i != r and factor != 0:
+                M[i] = [a - factor * b for a, b in zip(M[i], M[r])]
+        pivots.append(c)
+    basis = []
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        v = [Fraction(0)] * n_cols
+        v[f] = Fraction(1)
+        for row, c in zip(M, pivots):
+            v[c] = -row[f]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
 def cleared(vector: Sequence) -> tuple[int, ...]:
     """The primitive integer multiple of a nonzero rational vector whose
     first nonzero entry is positive: scaled by the product of the

@@ -25,6 +25,7 @@ from oracles import (
     naive_lu_product,
     naive_matvec,
     naive_rank,
+    naive_rational_kernel,
 )
 from singmat import certify, exactla
 from singmat.certify import (
@@ -34,7 +35,6 @@ from singmat.certify import (
     verify_certificate,
 )
 from singmat.errors import DimensionMismatch, KernelLiftFailed, NotSquare
-from singmat.exactla import kernel_rational
 from singmat.harness import bernoulli_density, combinatorial_density
 from singmat.matrices import BitMatrix
 from singmat.models import LineReport, SampleSpec, find_duplicate_or_zero_lines, sample
@@ -784,7 +784,7 @@ def test_line_report_rides_on_the_certificate():
 
 
 def _canonical(m):
-    return cleared(kernel_rational(m)[0])
+    return cleared(naive_rational_kernel(m.to_lists(), m.n_cols)[0])
 
 
 @pytest.fixture
@@ -867,8 +867,8 @@ def test_tiny_primes_only_still_certify(prime_source):
 def test_det_exact_stage_reads_the_bareiss_determinant(prime_source):
     """Blocks of determinant 2, -3 and 5 beat the primes 2, 3 and 5, and
     no kernel vector exists, so the search raises KernelLiftFailed; the
-    next prime gives a residue that reads the exact determinant, the
-    last Bareiss pivot up to sign, and row shuffles flip its sign."""
+    next prime gives a residue that reads the exact determinant, and
+    row shuffles flip its sign."""
     det2 = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     det3 = [[int(i != j) for j in range(4)] for i in range(4)]
     det5 = [[0, 1, 1, 1, 0], [1, 1, 1, 0, 1], [1, 1, 0, 1, 1], [1, 0, 1, 1, 0], [0, 0, 1, 1, 1]]
@@ -890,7 +890,6 @@ def test_det_exact_stage_reads_the_bareiss_determinant(prime_source):
         assert verify_certificate(m, cert)
         det = cert.residue if cert.residue <= p // 2 else cert.residue - p
         assert det == naive_det(rows)
-        assert abs(det) == abs(exactla._bareiss_echelon(rows)[0][-1][-1])
         residues.add(cert.residue)
         rng.shuffle(rows)
     assert residues == {-30 % p, 30}
@@ -1068,25 +1067,28 @@ def test_forged_factorization_raises_under_optimize():
 
 
 def test_self_checks_raise_under_optimize():
-    """kernel_gf2, kernel_rational and the minimum-support search check
-    their results with explicit tests that survive python -O."""
+    """kernel_gf2, the minimum-support search and kernel_rational check
+    their results with explicit tests that survive python -O: with
+    every exact check failing, kernel_rational's lift finds no vector
+    and its search ends in KernelLiftFailed."""
     code = (
         "import sys\n"
         "import singmat.exactla as e\n"
         "import singmat.structure as s\n"
-        "from singmat.errors import SelfCheckFailed\n"
+        "from singmat.errors import KernelLiftFailed, SelfCheckFailed\n"
         "from singmat.matrices import BitMatrix\n"
         "assert False, 'asserts must be stripped'\n"
         "m = BitMatrix.from_rows([[1, 1], [1, 1]])\n"
         "e._gf2_right_kernel_vectors = lambda rows, n: [1]\n"
-        "e._kernel_from_echelon = lambda ech, pivots, n: [(1, 0)]\n"
+        "e.exact_dot = lambda v, row: 1\n"
         "s.kernel_gf2 = lambda m: (1,)\n"
-        "calls = (lambda: e.kernel_gf2(m), lambda: s.enumerate_gf2_kernel_min_support(m),\n"
-        "         lambda: e.kernel_rational(m))\n"
-        "for call in calls:\n"
+        "calls = ((lambda: e.kernel_gf2(m), SelfCheckFailed),\n"
+        "         (lambda: s.enumerate_gf2_kernel_min_support(m), SelfCheckFailed),\n"
+        "         (lambda: e.kernel_rational(m), KernelLiftFailed))\n"
+        "for call, error in calls:\n"
         "    try:\n"
         "        call()\n"
-        "    except SelfCheckFailed:\n"
+        "    except error:\n"
         "        print('failed', sys.flags.optimize)\n"
     )
     src = str(Path(singmat.__file__).resolve().parents[1])

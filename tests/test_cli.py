@@ -271,17 +271,20 @@ def test_cli_sweep_repeated_grid_value_or_no_jobs_exits_2(tmp_path, capsys, extr
     ({"trials_per_cell": 2.5}, "trials_per_cell must be an integer"),
     ({"master_seed": 1.5}, "master_seed must be an integer"),
     ({"n_grid": [5.5]}, "n_grid holds a non-integral size"),
+    ({"output": 5}, "output must be a path"),
+    ({"svg": 7}, "svg must be a path or null"),
 ])
 def test_cli_sweep_malformed_config_exits_2(tmp_path, capsys, config, message):
-    """A config that is not an object, a scalar grid and a non-integer
-    count, seed or size are refused with a message, not a traceback."""
+    """A config that is not an object, a scalar grid, a non-integer
+    count, seed or size and a non-string output or svg are refused with
+    a message, not a traceback."""
     out = tmp_path / "s.csv"
     if isinstance(config, dict):
         config = {"model": "bernoulli", "n_grid": [5], "c_grid": [1], "trials_per_cell": 2,
-                  "master_seed": 1, **config}
+                  "master_seed": 1, "output": str(out), **config}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+    assert main(["sweep", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 
@@ -359,6 +362,16 @@ def test_cli_analyze_budget_exit(tmp_path, capsys):
     path = tmp_path / "z.txt"
     write_matrix(BitMatrix.zeros(25, 25), path)
     assert main(["analyze", "--in", str(path)]) == 3
+
+
+@pytest.mark.parametrize("matrix", [BitMatrix.zeros(2, 2), BitMatrix.identity(2)])
+def test_cli_analyze_negative_budget_exits_2(tmp_path, capsys, matrix):
+    """A negative --max-dim is refused whether or not the matrix has a
+    GF(2) kernel."""
+    path = tmp_path / "m.txt"
+    write_matrix(matrix, path)
+    assert main(["analyze", "--in", str(path), "--max-dim", "-1"]) == 2
+    assert "max_dim must be >= 0" in capsys.readouterr().err
 
 
 def test_cli_analyze_pins_a_fractional_kernel(tmp_path, capsys):

@@ -8,7 +8,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -18,6 +18,7 @@ from oracles import (
     naive_lu_product,
     naive_lu_solve,
     naive_rank_gf2,
+    naive_rational_kernel,
     unpack_bits,
 )
 from singmat import exactla
@@ -28,7 +29,6 @@ from singmat.exactla import (
     kernel_rational,
     kernel_vector_crt,
     rank_gf2,
-    _bareiss_echelon,
     _lu_det,
     _lu_mod,
     _lu_mod_np,
@@ -190,28 +190,11 @@ def test_det_not_square():
     assert kernel_vector_crt(bm([[1, 0], [0, 1], [1, 1]]), [p]) == (None, p, None, None)
 
 
-def test_det_matches_fraction_elimination():
-    """The last Bareiss pivot is the determinant up to sign, on integer
-    entries."""
-    rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(1, 8)
-        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-        expect = naive_det(rows)
-        assert expect.denominator == 1
-        ech, pivots = _bareiss_echelon(rows)
-        if len(pivots) == n:
-            assert abs(ech[n - 1][n - 1]) == abs(expect.numerator)
-        else:
-            assert expect == 0
-
-
 @pytest.mark.parametrize("n", [3, 5, 12, exactla._MOD_NUMPY_MIN, 30])
 def test_bareiss_det_matches_naive_det_with_row_swaps(n):
     """Nonsingular zero-one matrices whose first column starts with a
-    zero, so both eliminations swap rows; both signs of the determinant
-    occur.  The last Bareiss pivot is the determinant up to sign, and
-    the kernel search's residue is the determinant mod p."""
+    zero, so the elimination swaps rows; both signs of the determinant
+    occur, and the kernel search's residue is the determinant mod p."""
     rng = random.Random(90 + n)
     p = crt_primes(1)[0]
     signs = set()
@@ -224,7 +207,6 @@ def test_bareiss_det_matches_naive_det_with_row_swaps(n):
             continue
         checked += 1
         signs.add(want > 0)
-        assert abs(_bareiss_echelon(rows)[0][-1][-1]) == abs(want)
         assert _residue(rows) == want % p
     assert signs == {True, False}
 
@@ -311,13 +293,13 @@ def test_det_mod_with_primes_past_the_int64_range():
 def test_kernel_vector_crt_rejects_primes_past_the_int64_range():
     """The lift's residue updates are int64 arithmetic, so a wide prime
     is refused rather than factored; the default primes find the
-    vector Bareiss finds."""
+    oracle's vector."""
     for seed in range(20):
         a = _with_duplicate_column(np.random.default_rng(seed), 40)
         with pytest.raises(ValueError):
             kernel_vector_crt(bma(a), [_WIDE_PRIMES[seed % 2]])
         if seed < 4:
-            assert kernel_vector_crt(bma(a)).vector == _bareiss_vector(a)
+            assert kernel_vector_crt(bma(a)).vector == _oracle_vector(a)
 
 
 # -- rational kernels -------------------------------------------------------
@@ -377,7 +359,7 @@ def test_kernel_vector_crt_matches_bareiss_on_singulars():
     for _ in range(200):
         n = rng.randint(2, 12)
         rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-        basis = kernel_rational(bm(rows))
+        basis = naive_rational_kernel(rows, n)
         v = kernel_vector_crt(bm(rows)).vector
         if not basis:
             assert v is None
@@ -399,8 +381,8 @@ def test_kernel_vector_crt_wide_system_always_finds_vector():
         assert all(sum(r[j] * v[j] for j in range(n)) == 0 for r in rows)
 
 
-def _bareiss_vector(a: np.ndarray) -> tuple[int, ...]:
-    return cleared(kernel_rational(bma(a))[0])
+def _oracle_vector(a: np.ndarray) -> tuple[int, ...]:
+    return cleared(naive_rational_kernel(a.tolist(), a.shape[1])[0])
 
 
 def _sparse_rows(rng, n_rows, n_cols, density=0.15):
@@ -424,7 +406,7 @@ def test_lift_matches_bareiss_on_rank_deficient_numpy_path(deficiency):
     rng = random.Random(20 + deficiency)
     for _ in range(4):
         a = _with_dependent_columns(rng, rng.randint(24, 40), deficiency)
-        basis = kernel_rational(bma(a))
+        basis = naive_rational_kernel(a.tolist(), a.shape[1])
         assert len(basis) >= deficiency
         assert kernel_vector_crt(bma(a)).vector == cleared(basis[0])
 
@@ -440,7 +422,7 @@ def test_lift_matches_bareiss_on_degenerate_rows(zero_row, duplicate_row):
             a[i] = 0
         if duplicate_row:
             a[j] = a[k]
-        assert kernel_vector_crt(bma(a)).vector == _bareiss_vector(a)
+        assert kernel_vector_crt(bma(a)).vector == _oracle_vector(a)
 
 
 def test_numpy_and_list_solvers_agree():
@@ -610,7 +592,7 @@ def test_lift_wide_system_numpy_path():
     for _ in range(5):
         n = rng.randint(24, 48)
         a = _sparse_rows(rng, n - 1, n, 0.2)
-        assert kernel_vector_crt(bma(a)).vector == _bareiss_vector(a)
+        assert kernel_vector_crt(bma(a)).vector == _oracle_vector(a)
 
 
 def test_lift_left_kernel_from_transpose():
@@ -619,7 +601,7 @@ def test_lift_left_kernel_from_transpose():
         n = rng.randint(24, 40)
         a = _sparse_rows(rng, n, n)
         a[:, rng.randrange(n)] = 0  # singular, so the left kernel is nontrivial too
-        want = cleared(kernel_rational(bma(a.T))[0])
+        want = cleared(naive_rational_kernel(a.T.tolist(), n)[0])
         assert kernel_vector_crt(bma(a).transpose()).vector == want
 
 
@@ -628,7 +610,7 @@ def test_lift_independent_columns_give_none():
     a = np.eye(30, dtype=np.int64)
     assert kernel_vector_crt(bma(a)).vector is None
     tall = _sparse_rows(rng, 40, 24, 0.5)
-    if kernel_rational(bma(tall)) == ():
+    if naive_rational_kernel(tall.tolist(), 24) == ():
         assert kernel_vector_crt(bma(tall)).vector is None
 
 
@@ -686,7 +668,7 @@ def test_kernel_vector_moves_past_an_unlucky_prime(n):
             continue
         except KernelLiftFailed:
             checked += 1
-        want = _bareiss_vector(a)
+        want = _oracle_vector(a)
         drawn = []
         found = kernel_vector_crt(bma(a), _drawn([2] + q, drawn))
         assert drawn == [2, q[0]]
@@ -705,7 +687,7 @@ def test_lift_over_an_unlucky_prime_is_canonical_or_fails():
         a = np.array(random_bit_rows(rng, n, n), dtype=np.int64)
         a[rng.sample(range(n), 2)] = 0
         try:
-            assert kernel_vector_crt(bma(a), [2]).vector == _bareiss_vector(a)
+            assert kernel_vector_crt(bma(a), [2]).vector == _oracle_vector(a)
         except KernelLiftFailed:
             failed += 1
     assert 0 < failed < 150
@@ -788,3 +770,52 @@ def test_kernel_vectors_always_verify(m):
     for v in basis:
         assert all((row & v).bit_count() % 2 == 0 for row in m.rows)
     assert len(basis) == m.n_cols - rank_gf2(m)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(n_cols, rows) of a zero-one matrix of up to 12 x 12, empty sides
+    included, with one column a copy of another, the sum of two disjoint
+    others, or neither."""
+    n_rows = draw(st.integers(0, 12))
+    n_cols = draw(st.integers(0, 12))
+    cells = st.lists(st.integers(0, 1), min_size=n_cols, max_size=n_cols)
+    rows = draw(st.lists(cells, min_size=n_rows, max_size=n_rows))
+    dependence = draw(st.sampled_from(["none", "copy", "sum"]))
+    if dependence == "copy" and n_cols >= 2:
+        i, k = draw(st.permutations(range(n_cols)))[:2]
+        for row in rows:
+            row[k] = row[i]
+    elif dependence == "sum" and n_cols >= 3:
+        i, j, k = draw(st.permutations(range(n_cols)))[:3]
+        for row in rows:
+            row[j] &= 1 - row[i]
+            row[k] = row[i] + row[j]
+    return n_cols, rows
+
+
+@given(kernel_cases())
+@example((0, []))
+@example((1, [[0]]))
+@example((1, [[1]]))
+@example((1, []))
+@example((0, [[]]))
+@settings(max_examples=150, deadline=None)
+def test_kernel_rational_matches_the_gauss_jordan_oracle(case):
+    n_cols, rows = case
+    m = bm(rows) if rows else BitMatrix.zeros(0, n_cols)
+    assert (m.n_rows, m.n_cols) == (len(rows), n_cols)
+    assert kernel_rational(m) == naive_rational_kernel(rows, n_cols)
+
+
+def test_kernel_rational_matches_the_oracle_past_one_block():
+    """More than ``_BLOCK`` pivots take the blocked triangular solve, and
+    every free column's vector lifts through the one set-up."""
+    rng = random.Random(27)
+    for deficiency in (1, 5):
+        a = _with_dependent_columns(rng, 72, deficiency)
+        a[rng.randrange(72)] = 0
+        basis = kernel_rational(bma(a))
+        assert 72 - len(basis) > exactla._BLOCK
+        assert len(basis) >= deficiency
+        assert basis == naive_rational_kernel(a.tolist(), 72)
