@@ -10,7 +10,7 @@ and m entries, and divides once at the end.
 Vectors are plain sequences of exact rationals (ints or Fractions),
 such as the integer kernel vectors of ``exactla``.  Entry probabilities
 must lie in [0, 1], atom moduli be at least 1, the union bound's q at
-least 2 and its s_max nonnegative; anything else raises ValueError.
+least 2 and its s_max nonnegative; anything else raises InvalidInput.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .errors import BudgetExceeded, PairingInfeasible
+from .errors import BudgetExceeded, InvalidInput, PairingInfeasible
 from .models import sample_pairing
 from .stats import clopper_pearson
 
@@ -36,7 +36,7 @@ def _probability(p) -> Fraction:
     """p as a Fraction, if it lies in [0, 1]."""
     p = Fraction(p)
     if not 0 <= p <= 1:
-        raise ValueError(f"p = {p} is not a probability")
+        raise InvalidInput(f"p = {p} is not a probability")
     return p
 
 
@@ -44,7 +44,7 @@ def p_even(s: int, p) -> Fraction:
     """Probability that a Binomial(s, p) variable is even:
     1/2 + (1-2p)**s / 2, exactly."""
     if s < 0:
-        raise ValueError("s must be nonnegative")
+        raise InvalidInput("s must be nonnegative")
     p = _probability(p)
     return (1 + (1 - 2 * p) ** s) / 2
 
@@ -79,7 +79,7 @@ def _pow_round_up(base: Fraction, exponent: int, bits: int = ROUND_BITS) -> Frac
 
 def _check_s_max(n: int, s_max: int) -> None:
     if not 0 <= s_max <= n:
-        raise ValueError(f"s_max must lie in [0, n], got {s_max}")
+        raise InvalidInput(f"s_max must lie in [0, n], got {s_max}")
 
 
 def union_bound_ber(n: int, p, s_max: int) -> Fraction:
@@ -106,13 +106,13 @@ def union_bound_comb(n: int, q: int, s_max: int, P_values: Sequence) -> Fraction
     P_values supplies the per-s orthogonality bounds (from exact atom
     enumeration or an analytic surrogate)."""
     if q < 2:
-        raise ValueError(f"q must be at least 2, got {q}")
+        raise InvalidInput(f"q must be at least 2, got {q}")
     _check_s_max(n, s_max)
     if len(P_values) < s_max:
-        raise ValueError(f"need {s_max} P values, got {len(P_values)}")
+        raise InvalidInput(f"need {s_max} P values, got {len(P_values)}")
     values = [Fraction(v) for v in P_values]
     if any(not 0 <= v <= 1 for v in values):
-        raise ValueError("P values must lie in [0, 1]")
+        raise InvalidInput("P values must lie in [0, 1]")
     exact = n <= EXACT_UNION_N
     total = Fraction(0)
     for s in range(1, s_max + 1):
@@ -167,16 +167,16 @@ def max_atom_combinatorial(x: Sequence, d: int, modulus: int | None = None) -> A
     q >= 1 only), by full enumeration of all C(n, d) subsets."""
     n = len(x)
     if not 0 <= d <= n:
-        raise ValueError("need 0 <= d <= n")
+        raise InvalidInput("need 0 <= d <= n")
     total = comb(n, d)
     if total > ATOM_COMB_BUDGET:
         raise BudgetExceeded(f"C({n},{d}) = {total} exceeds budget {ATOM_COMB_BUDGET}")
     entries = x
     if modulus is not None:
         if modulus < 1:
-            raise ValueError(f"modulus must be at least 1, got {modulus}")
+            raise InvalidInput(f"modulus must be at least 1, got {modulus}")
         if any(Fraction(e).denominator != 1 for e in x):
-            raise ValueError("a modulus needs integer entries")
+            raise InvalidInput("a modulus needs integer entries")
         entries = [int(e) for e in x]
     counts: dict = {}
     for subset in combinations(range(n), d):
@@ -192,7 +192,7 @@ def max_atom_combinatorial(x: Sequence, d: int, modulus: int | None = None) -> A
 def binomial_point_mass(n: int, p, d: int) -> Fraction:
     """C(n, d) p**d (1-p)**(n-d), exactly."""
     if not 0 <= d <= n:
-        raise ValueError("need 0 <= d <= n")
+        raise InvalidInput("need 0 <= d <= n")
     p = _probability(p)
     return comb(n, d) * p**d * (1 - p) ** (n - d)
 
@@ -219,11 +219,11 @@ def pairing_disagreement_prob(
     """Estimate the probability that at least one of d random disjoint
     pairs (i, j) has v_i != v_j, with a 99% Clopper-Pearson interval."""
     if len(v) != n:
-        raise ValueError("vector length must equal n")
+        raise InvalidInput("vector length must equal n")
     if 2 * d > n:
         raise PairingInfeasible(f"cannot place {2 * d} distinct indices in [0, {n})")
     if trials < 1:
-        raise ValueError("trials must be positive")
+        raise InvalidInput("trials must be positive")
     from .rng import derive_seed
 
     hits = 0

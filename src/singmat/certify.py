@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateRejected, DimensionMismatch, NotSquare
+from .errors import CertificateRejected, DimensionMismatch, InvalidInput, NotSquare
 from .exactla import Factorization, kernel_vector_crt, rank_gf2
 from .matrices import BitMatrix
 from .models import LineReport, find_duplicate_or_zero_lines
@@ -141,7 +141,7 @@ class SingularityCertificate:
             prime = int(witness["prime"])
             residue = int(witness["residue"])
         else:
-            raise ValueError(f"unknown witness kind: {', '.join(witness) or 'none'}")
+            raise InvalidInput(f"unknown witness kind: {', '.join(witness) or 'none'}")
         stats = doc.get("stats", {})
         return cls(
             verdict=doc["verdict"],

@@ -5,10 +5,11 @@ a thin adapter over the library; nothing numeric happens here.  The
 remaining experiments, ``harness.verify_lemma21`` and
 ``harness.verify_complement``, are run from the library only; no
 subcommand wraps them.  Exit
-codes: 0 success (or nonsingular), 10 singular, 2 usage or parse
-failure, 3 enumeration budget exceeded, 4 internal error (a result
-failed its own check, CertificateRejected or SelfCheckFailed, or the
-kernel search passed its bound on unlucky primes, KernelLiftFailed).
+codes: 0 success (or nonsingular), 10 singular; a failure is a
+``SingmatError`` whose ``exit_code`` ``main`` returns, and
+``singmat.errors`` is the one table of those codes (2 usage or input,
+3 budget exceeded, 4 internal error).  An unreadable file exits 2; any
+other exception is a bug and propagates.
 """
 
 from __future__ import annotations
@@ -22,24 +23,13 @@ from pathlib import Path
 from . import bounds as bounds_mod
 from . import harness, matio
 from .certify import is_singular_exact
-from .errors import (
-    BudgetExceeded,
-    CertificateRejected,
-    InfeasibleDensity,
-    KernelLiftFailed,
-    KernelTooLarge,
-    MatrixFormatError,
-    SelfCheckFailed,
-    SingmatError,
-)
+from .errors import InvalidInput, SelfCheckFailed, SingmatError
 from .exactla import kernel_rational
 from .models import SampleSpec, sample
 from .structure import analyze_vector, enumerate_gf2_kernel_min_support
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_BUDGET = 3
-EXIT_INTERNAL = 4
+EXIT_INTERNAL = SelfCheckFailed.exit_code
 EXIT_SINGULAR = 10
 
 
@@ -115,21 +105,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _canon_model(name: str) -> str:
-    return "combinatorial" if name in ("comb", "combinatorial") else "bernoulli"
+def _canon_model(name):
+    """Resolve the ``comb`` alias; any other value passes through."""
+    return "combinatorial" if name == "comb" else name
 
 
 def cmd_sample(args) -> int:
     model = _canon_model(args.model)
     if model == "bernoulli":
         if args.p is None:
-            print("sample: --p is required for the bernoulli model", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidInput("sample: --p is required for the bernoulli model")
         spec = SampleSpec.bernoulli(args.n, args.p, args.seed)
     else:
         if args.d is None:
-            print("sample: --d is required for the combinatorial model", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidInput("sample: --d is required for the combinatorial model")
         spec = SampleSpec.combinatorial(args.n, args.d, args.seed)
     matio.write_matrix(sample(spec), args.out)
     return EXIT_OK
@@ -154,13 +143,11 @@ def cmd_certify(args) -> int:
     return EXIT_SINGULAR if cert.is_singular else EXIT_OK
 
 
-def _require(args, names: list[str]) -> bool:
+def _require(args, names: list[str]) -> None:
     missing = [n for n in names if getattr(args, n) is None]
     if missing:
         flags = ", ".join(f"--{n}" for n in missing)
-        print(f"bounds --formula {args.formula}: missing {flags}", file=sys.stderr)
-        return False
-    return True
+        raise InvalidInput(f"bounds --formula {args.formula}: missing {flags}")
 
 
 def _print_fraction(value: Fraction, suffix: str = "") -> None:
@@ -170,30 +157,24 @@ def _print_fraction(value: Fraction, suffix: str = "") -> None:
 def cmd_bounds(args) -> int:
     f = args.formula
     if f == "p_even":
-        if not _require(args, ["s", "p"]):
-            return EXIT_USAGE
+        _require(args, ["s", "p"])
         _print_fraction(bounds_mod.p_even(args.s, args.p))
     elif f == "union_ber":
-        if not _require(args, ["n", "p", "smax"]):
-            return EXIT_USAGE
+        _require(args, ["n", "p", "smax"])
         _print_fraction(bounds_mod.union_bound_ber(args.n, args.p, args.smax))
     elif f == "union_comb":
-        if not _require(args, ["n", "q", "smax", "pvalues"]):
-            return EXIT_USAGE
+        _require(args, ["n", "q", "smax", "pvalues"])
         _print_fraction(bounds_mod.union_bound_comb(args.n, args.q, args.smax, args.pvalues))
     elif f == "atom_ber":
-        if not _require(args, ["x", "p"]):
-            return EXIT_USAGE
+        _require(args, ["x", "p"])
         atom = bounds_mod.max_atom_bernoulli(args.x, args.p)
         _print_fraction(atom.max_prob, suffix=f" at a={atom.argmax}")
     elif f == "atom_comb":
-        if not _require(args, ["x", "d"]):
-            return EXIT_USAGE
+        _require(args, ["x", "d"])
         atom = bounds_mod.max_atom_combinatorial(args.x, args.d, modulus=args.modulus)
         _print_fraction(atom.max_prob, suffix=f" at a={atom.argmax}")
     else:  # binom_pm
-        if not _require(args, ["n", "p", "d"]):
-            return EXIT_USAGE
+        _require(args, ["n", "p", "d"])
         _print_fraction(bounds_mod.binomial_point_mass(args.n, args.p, args.d))
     return EXIT_OK
 
@@ -203,12 +184,10 @@ def cmd_sweep(args) -> int:
     if args.config:
         try:
             cfg_dict = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"sweep: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8 or not JSON
+            raise InvalidInput(f"sweep: cannot read config: {exc}") from None
         if not isinstance(cfg_dict, dict):
-            print("sweep: config must be a JSON object", file=sys.stderr)
-            return EXIT_USAGE
+            raise InvalidInput("sweep: config must be a JSON object")
     overrides = {
         "model": args.model,
         "n_grid": args.n_grid,
@@ -224,26 +203,24 @@ def cmd_sweep(args) -> int:
             cfg_dict[key] = value
     missing = [k for k in ("model", "n_grid", "c_grid", "trials_per_cell", "master_seed", "output") if k not in cfg_dict]
     if missing:
-        print(f"sweep: missing configuration: {', '.join(missing)}", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidInput(f"sweep: missing configuration: {', '.join(missing)}")
     for key in ("n_grid", "c_grid"):
         if not isinstance(cfg_dict[key], list):
-            print(f"sweep: {key} must be a list, not {cfg_dict[key]!r}", file=sys.stderr)
-            return EXIT_USAGE
-    cfg_dict["model"] = _canon_model(str(cfg_dict["model"]))
-    cfg_dict["c_grid"] = tuple(Fraction(str(c)) for c in cfg_dict["c_grid"])
+            raise InvalidInput(f"sweep: {key} must be a list, not {cfg_dict[key]!r}")
+    cfg_dict["model"] = _canon_model(cfg_dict["model"])
+    try:  # str() turns a JSON float into its decimal rational
+        cfg_dict["c_grid"] = tuple(Fraction(str(c)) for c in cfg_dict["c_grid"])
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"sweep: c_grid holds a non-rational: {cfg_dict['c_grid']!r}") from None
     try:
         cfg = harness.SweepConfig(**cfg_dict)
-    except (TypeError, ValueError) as exc:
-        print(f"sweep: invalid configuration: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except TypeError as exc:  # a key SweepConfig does not have
+        raise InvalidInput(f"sweep: invalid configuration: {exc}") from None
     out_dir = Path(cfg.output).resolve().parent
     if not out_dir.is_dir():
-        print(f"sweep: output directory {out_dir} does not exist", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidInput(f"sweep: output directory {out_dir} does not exist")
     if cfg.svg and not Path(cfg.svg).resolve().parent.is_dir():
-        print("sweep: svg output directory does not exist", file=sys.stderr)
-        return EXIT_USAGE
+        raise InvalidInput("sweep: svg output directory does not exist")
     aggregates, _records = harness.run_sweep(cfg)
     print(harness.summary_table(aggregates))
     return EXIT_OK
@@ -286,21 +263,13 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except MatrixFormatError as exc:
-        print(f"{parser.prog}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (BudgetExceeded, KernelTooLarge) as exc:
-        print(f"{parser.prog}: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (CertificateRejected, KernelLiftFailed, SelfCheckFailed) as exc:
-        print(f"{parser.prog}: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except (InfeasibleDensity, SingmatError, ValueError) as exc:
-        print(f"{parser.prog}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except SingmatError as exc:
+        prefix = "internal error: " if exc.exit_code == EXIT_INTERNAL else ""
+        print(f"{parser.prog}: {prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:
         print(f"{parser.prog}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return SingmatError.exit_code
 
 
 if __name__ == "__main__":

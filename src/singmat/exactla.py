@@ -85,7 +85,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import KernelLiftFailed, SelfCheckFailed
+from .errors import InvalidInput, KernelLiftFailed, SelfCheckFailed
 from .matrices import BitMatrix, pack_rows
 from .modular import PRIME_CEILING, crt_primes, rational_reconstruct, symmetric_lift
 
@@ -546,7 +546,7 @@ def _search_primes(m: BitMatrix, primes: Iterable[int] | None) -> Iterator[tuple
     unlucky = 1  # the product of the distinct unlucky primes
     for p in primes:
         if p >= PRIME_CEILING:
-            raise ValueError(f"the kernel search needs primes below 2**31, got {p}")
+            raise InvalidInput(f"the kernel search needs primes below 2**31, got {p}")
         yield p, target
         if unlucky % p:
             unlucky *= p
@@ -562,7 +562,7 @@ def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> Kern
     until one is lucky.  A vector returned is the canonical one, verified
     exactly.  Raises KernelLiftFailed when ``primes`` runs out first or
     its distinct unlucky primes multiply past the product of the row
-    weights, and ValueError for a prime of 2**31 or more: the lift's
+    weights, and InvalidInput for a prime of 2**31 or more: the lift's
     residue updates are int64 arithmetic.
     """
     a = m.to_bit_array().astype(np.int64)

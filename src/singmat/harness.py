@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 from .bounds import ATOM_BERNOULLI_MAX_LEN, ATOM_COMB_BUDGET, max_atom_bernoulli, max_atom_combinatorial
 from .certify import SingularityCertificate, is_singular_exact
-from .errors import InfeasibleDensity, KernelLiftFailed, KernelTooLarge
+from .errors import InfeasibleDensity, InvalidInput, KernelLiftFailed, KernelTooLarge
 from .exactla import exact_dot, kernel_vector_crt
 from .matrices import BitMatrix
 from .models import SampleSpec, sample, sample_rows
@@ -54,7 +54,7 @@ def ln_rational(n: int) -> Fraction:
     """log(n) as the exact rational value of its correctly-rounded
     30-digit decimal expansion (platform independent)."""
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise InvalidInput("n must be >= 1")
     with decimal.localcontext() as ctx:
         ctx.prec = LN_DIGITS
         return Fraction(decimal.Decimal(n).ln())
@@ -98,31 +98,31 @@ class SweepConfig:
 
     def __post_init__(self):
         if self.model not in ("bernoulli", "combinatorial"):
-            raise ValueError(f"unknown model {self.model!r}")
+            raise InvalidInput(f"unknown model {self.model!r}")
         for name in ("trials_per_cell", "master_seed", "jobs"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, not {value!r}")
+                raise InvalidInput(f"{name} must be an integer, not {value!r}")
         if self.trials_per_cell < 1:
-            raise ValueError("trials_per_cell must be >= 1")
+            raise InvalidInput("trials_per_cell must be >= 1")
         if not isinstance(self.output, str):
-            raise ValueError(f"output must be a path, not {self.output!r}")
+            raise InvalidInput(f"output must be a path, not {self.output!r}")
         if self.svg is not None and not isinstance(self.svg, str):
-            raise ValueError(f"svg must be a path or null, not {self.svg!r}")
+            raise InvalidInput(f"svg must be a path or null, not {self.svg!r}")
         if not self.n_grid or not self.c_grid:
-            raise ValueError("n_grid and c_grid must be nonempty")
+            raise InvalidInput("n_grid and c_grid must be nonempty")
         if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise InvalidInput("jobs must be >= 1")
         if not 0 <= self.master_seed < 1 << 64:  # derive_seed reduces it mod 2**64
-            raise ValueError("master_seed must be a 64-bit unsigned integer")
+            raise InvalidInput("master_seed must be a 64-bit unsigned integer")
         for n in self.n_grid:
             if isinstance(n, bool) or not isinstance(n, numbers.Real) or n % 1 != 0:
-                raise ValueError(f"n_grid holds a non-integral size: {n!r}")
+                raise InvalidInput(f"n_grid holds a non-integral size: {n!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
         object.__setattr__(self, "c_grid", tuple(Fraction(c) for c in self.c_grid))
         for name, grid in (("n_grid", self.n_grid), ("c_grid", self.c_grid)):
             if len(set(grid)) < len(grid):  # a cell would be run twice
-                raise ValueError(f"{name} repeats a value: {', '.join(map(str, grid))}")
+                raise InvalidInput(f"{name} repeats a value: {', '.join(map(str, grid))}")
 
 
 @dataclass(frozen=True)
@@ -464,9 +464,9 @@ def verify_lemma21(
     whose support decides the event.
     """
     if t < 1:
-        raise ValueError("t must be >= 1")
+        raise InvalidInput("t must be >= 1")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidInput("trials must be >= 1")
     scale = n / t
     singular_hits = 0
     ev1_hits = 0
@@ -560,7 +560,7 @@ def verify_complement(n: int, d: int, trials: int, seed: int) -> ComplementRepor
     if not 0 < d < n:
         raise InfeasibleDensity("needs 0 < d < n")
     if trials < 1:
-        raise ValueError("trials must be >= 1")
+        raise InvalidInput("trials must be >= 1")
     agreements = disagreements = 0
     for i in range(trials):
         trial_seed = derive_seed(seed, i)

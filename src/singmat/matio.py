@@ -57,4 +57,6 @@ def parse_matrix(text: str) -> BitMatrix:
 
 
 def read_matrix(path: str | Path) -> BitMatrix:
-    return parse_matrix(Path(path).read_text(encoding="utf-8"))
+    # A byte that is not UTF-8 decodes to U+FFFD, which the parser refuses
+    # with its line number.
+    return parse_matrix(Path(path).read_text(encoding="utf-8", errors="replace"))

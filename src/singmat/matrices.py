@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, InvalidInput
 
 
 def pack_rows(a: np.ndarray) -> tuple[int, ...]:
@@ -43,12 +43,12 @@ class BitMatrix:
 
     def __post_init__(self):
         if self.n_rows < 0 or self.n_cols < 0:
-            raise ValueError("negative dimensions")
+            raise InvalidInput("negative dimensions")
         if len(self.rows) != self.n_rows:
-            raise ValueError("row count does not match n_rows")
+            raise InvalidInput("row count does not match n_rows")
         if self.rows and (min(self.rows) < 0 or max(self.rows).bit_length() > self.n_cols):
             bad = next(i for i, r in enumerate(self.rows) if r < 0 or r.bit_length() > self.n_cols)
-            raise ValueError(f"row {bad} has bits outside the logical width")
+            raise InvalidInput(f"row {bad} has bits outside the logical width")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[int]], n_cols: int | None = None) -> BitMatrix:
@@ -60,7 +60,7 @@ class BitMatrix:
                 raise DimensionMismatch("ragged rows")
             for j, b in enumerate(r):
                 if b not in (0, 1):
-                    raise ValueError(f"entry ({i}, {j}) is {b!r}, not a bit")
+                    raise InvalidInput(f"entry ({i}, {j}) is {b!r}, not a bit")
         return cls.from_bit_array(np.array(rows, dtype=bool).reshape(len(rows), n_cols))
 
     @classmethod
@@ -100,7 +100,7 @@ class BitMatrix:
     def from_bit_array(cls, a: np.ndarray) -> BitMatrix:
         a = np.asarray(a)
         if a.size and (a.min() < 0 or a.max() > 1):
-            raise ValueError("entries must be 0 or 1")
+            raise InvalidInput("entries must be 0 or 1")
         return cls(a.shape[0], a.shape[1], pack_rows(a.astype(np.uint8, copy=False)))
 
     def __str__(self) -> str:

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import PairingInfeasible
+from .errors import InvalidInput, PairingInfeasible
 from .matrices import BitMatrix, pack_rows
 from .rng import MASK64, Stream, bernoulli_threshold, derive_seeds, u64_block
 
@@ -42,18 +42,18 @@ class SampleSpec:
 
     def __post_init__(self):
         if self.model not in ("bernoulli", "combinatorial"):
-            raise ValueError(f"unknown model {self.model!r}")
+            raise InvalidInput(f"unknown model {self.model!r}")
         if self.n < 0:
-            raise ValueError("n must be nonnegative")
+            raise InvalidInput("n must be nonnegative")
         if not 0 <= self.seed <= MASK64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+            raise InvalidInput("seed must be a 64-bit unsigned integer")
         if self.model == "bernoulli":
             if self.p is None or not 0 <= self.p <= 1:
-                raise ValueError("bernoulli model needs 0 <= p <= 1")
+                raise InvalidInput("bernoulli model needs 0 <= p <= 1")
             object.__setattr__(self, "p", Fraction(self.p))
         else:
             if self.d is None or not 0 <= self.d <= self.n:
-                raise ValueError("combinatorial model needs 0 <= d <= n")
+                raise InvalidInput("combinatorial model needs 0 <= d <= n")
 
     @classmethod
     def bernoulli(cls, n: int, p, seed: int) -> SampleSpec:
@@ -80,14 +80,14 @@ class PairingSample:
         seen = set()
         for i, j in self.pairs:
             if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError("pair index out of range")
+                raise InvalidInput("pair index out of range")
             seen.update((i, j))
         if len(seen) != 2 * len(self.pairs):
-            raise ValueError("pair indices must be distinct")
+            raise InvalidInput("pair indices must be distinct")
         if len(self.choices) != len(self.pairs):
-            raise ValueError("one choice bit per pair")
+            raise InvalidInput("one choice bit per pair")
         if any(c not in (0, 1) for c in self.choices):
-            raise ValueError("choices must be bits")
+            raise InvalidInput("choices must be bits")
 
     def one_set(self) -> frozenset[int]:
         return frozenset(i if c else j for (i, j), c in zip(self.pairs, self.choices))

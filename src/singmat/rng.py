@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInput
+
 MASK64 = (1 << 64) - 1
 
 # SplitMix64 increment and finalizer constants.
@@ -72,7 +74,7 @@ def _counter_grid(seeds, count: int, gamma: int) -> np.ndarray:
     ``_BLOCK`` entries, with one scratch block; numpy uint64 arithmetic
     wraps modulo 2**64 exactly as the scalar path does."""
     if count < 0:
-        raise ValueError(f"count must be nonnegative, got {count}")
+        raise InvalidInput(f"count must be nonnegative, got {count}")
     seeds = np.asarray(seeds, dtype=np.uint64)
     steps = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(gamma)
     out = np.empty(seeds.shape + (count,), dtype=np.uint64)
@@ -96,14 +98,14 @@ def _counter_grid(seeds, count: int, gamma: int) -> np.ndarray:
 def u64_block(seeds, count: int) -> np.ndarray:
     """Outputs [0, count) of every stream in ``seeds``, as uint64 of
     shape ``np.shape(seeds) + (count,)``: entry [i, k] is
-    ``value_at(seeds[i], k)``.  Raises ValueError if count < 0."""
+    ``value_at(seeds[i], k)``.  Raises InvalidInput if count < 0."""
     return _counter_grid(seeds, count, GAMMA)
 
 
 def derive_seeds(seeds, count: int) -> np.ndarray:
     """Child seeds [0, count) of every seed in ``seeds``, shaped like
     :func:`u64_block`: entry [i, k] is ``derive_seed(seeds[i], k)``.
-    Raises ValueError if count < 0."""
+    Raises InvalidInput if count < 0."""
     salted = np.asarray(seeds, dtype=np.uint64) ^ np.uint64(DERIVE_XOR)
     return _counter_grid(salted, count, DERIVE_GAMMA)
 
@@ -129,7 +131,7 @@ class Stream:
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by rejection; unbiased for any n >= 1."""
         if n <= 0:
-            raise ValueError("below() requires n >= 1")
+            raise InvalidInput("below() requires n >= 1")
         limit = MASK64 + 1 - ((MASK64 + 1) % n)
         while True:
             u = self.next_u64()
@@ -149,5 +151,5 @@ def bernoulli_threshold(num: int, den: int) -> int:
     {0, 1/2, 1}).
     """
     if not 0 <= num <= den or den <= 0:
-        raise ValueError("need 0 <= num/den <= 1")
+        raise InvalidInput("need 0 <= num/den <= 1")
     return (num << 64) // den

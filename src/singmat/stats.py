@@ -19,12 +19,14 @@ from __future__ import annotations
 
 from math import expm1, log1p, sqrt
 
+from .errors import InvalidInput
+
 
 def clopper_pearson(successes: int, trials: int) -> tuple[float, float]:
     """Exact (Clopper-Pearson) two-sided 99% binomial confidence interval,
     the level of every interval the harness reports."""
     if not 0 <= successes <= trials or trials < 1:
-        raise ValueError("need 0 <= successes <= trials, trials >= 1")
+        raise InvalidInput("need 0 <= successes <= trials, trials >= 1")
     alpha = 1 - 0.99  # not 0.01, a different float: the sweep CSV pins these bounds
     k, t = successes, trials
     if k == 0:

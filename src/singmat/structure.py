@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EmptyVector, KernelTooLarge, SelfCheckFailed
+from .errors import EmptyVector, InvalidInput, KernelTooLarge, SelfCheckFailed
 from .exactla import kernel_gf2
 from .matrices import BitMatrix
 
@@ -77,7 +77,7 @@ class PropertyPredicate:
 
     def __post_init__(self):
         if self.kind not in ("support_at_least", "largest_fibre_at_most"):
-            raise ValueError(f"unknown predicate kind {self.kind!r}")
+            raise InvalidInput(f"unknown predicate kind {self.kind!r}")
         object.__setattr__(self, "threshold", Fraction(self.threshold))
 
     @classmethod
@@ -116,12 +116,12 @@ def enumerate_gf2_kernel_min_support(m: BitMatrix, max_dim: int = 20) -> MinSupp
     vectors (pass ``m.transpose()`` for the left kernel).
 
     Walks the kernel span in Gray-code order (one basis XOR per step).
-    Raises ValueError for a negative max_dim, KernelTooLarge when the
+    Raises InvalidInput for a negative max_dim, KernelTooLarge when the
     kernel dimension exceeds max_dim, and SelfCheckFailed if the
     lightest vector fails its kernel check.
     """
     if max_dim < 0:
-        raise ValueError(f"max_dim must be >= 0, not {max_dim}")
+        raise InvalidInput(f"max_dim must be >= 0, not {max_dim}")
     vectors = kernel_gf2(m)
     k = len(vectors)
     if k == 0:

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import singmat
+from singmat.errors import InvalidInput
 from singmat.modular import PRIME_CEILING, crt_primes, random_prime
 from singmat.rng import Stream
 
@@ -25,6 +26,28 @@ def test_no_assert_statements_in_the_package():
             if isinstance(node, ast.Assert):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _value_error_raisers(node, scope):
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                yield scope
+        inner = child.name if isinstance(child, ast.FunctionDef) else scope
+        yield from _value_error_raisers(child, inner)
+
+
+def test_rejected_arguments_raise_invalid_input():
+    """A rejected argument raises InvalidInput: a ValueError to library
+    callers, exit 2 to the CLI.  The one bare ValueError guards an
+    internal invariant of bounds._round_up."""
+    assert issubclass(InvalidInput, ValueError)
+    found = []
+    for path in sorted(Path(singmat.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        found += [f"{path.name}:{scope}" for scope in _value_error_raisers(tree, None)]
+    assert found == ["bounds.py:_round_up"]
 
 
 def test_library_primes_fit_the_int64_eliminations():

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from singmat import certify, exactla
+from singmat import certify, errors, exactla
 from singmat.bounds import p_even, union_bound_ber
 from singmat.cli import EXIT_INTERNAL, main
-from singmat.errors import MatrixFormatError
+from singmat.errors import MatrixFormatError, SingmatError
 from singmat.matio import format_matrix, parse_matrix, read_matrix, write_matrix
 from singmat.matrices import BitMatrix
 
@@ -130,6 +130,13 @@ def test_cli_certify_truncated_file(tmp_path, capsys):
     bad.write_text("3 3\n101\n010\n")
     assert main(["certify", "--in", str(bad)]) == 2
     assert "line 4" in capsys.readouterr().err
+
+
+def test_cli_certify_non_utf8_file(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"2 2\n10\n0\xff\n")
+    assert main(["certify", "--in", str(bad)]) == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_cli_certify_surplus_rows(tmp_path, capsys):
@@ -273,11 +280,16 @@ def test_cli_sweep_repeated_grid_value_or_no_jobs_exits_2(tmp_path, capsys, extr
     ({"n_grid": [5.5]}, "n_grid holds a non-integral size"),
     ({"output": 5}, "output must be a path"),
     ({"svg": 7}, "svg must be a path or null"),
+    ({"model": "gaussian"}, "unknown model 'gaussian'"),
+    ({"model": 5}, "unknown model 5"),
+    ({"c_grid": ["1/0"]}, "c_grid holds a non-rational"),
+    ({"c_grid": ["abc"]}, "c_grid holds a non-rational"),
 ])
 def test_cli_sweep_malformed_config_exits_2(tmp_path, capsys, config, message):
     """A config that is not an object, a scalar grid, a non-integer
-    count, seed or size and a non-string output or svg are refused with
-    a message, not a traceback."""
+    count, seed or size, a non-string output or svg, a model other than
+    the two (and the ``comb`` alias) and a c that is not a rational are
+    refused with a message, not a traceback or a Bernoulli sweep."""
     out = tmp_path / "s.csv"
     if isinstance(config, dict):
         config = {"model": "bernoulli", "n_grid": [5], "c_grid": [1], "trials_per_cell": 2,
@@ -391,3 +403,46 @@ def test_cli_analyze_pins_a_fractional_kernel(tmp_path, capsys):
         ["1/2", "1/2", "-1/2", "-1", "0", "0", "1"],
     ]
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == "7a2a2789ee2ac616"
+
+
+# -- failure path ------------------------------------------------------------
+
+
+def _documented_exit_code(cls) -> int:
+    if issubclass(cls, (errors.BudgetExceeded, errors.KernelTooLarge)):
+        return 3
+    if issubclass(cls, (errors.CertificateRejected, errors.KernelLiftFailed, errors.SelfCheckFailed)):
+        return 4
+    return 2
+
+
+@pytest.mark.parametrize("cls", [
+    cls for cls in vars(errors).values() if isinstance(cls, type) and issubclass(cls, SingmatError)
+], ids=lambda cls: cls.__name__)
+def test_cli_error_types_carry_their_exit_code(tmp_path, capsys, monkeypatch, cls):
+    """Raised inside a command, every SingmatError reaches main's one
+    handler and exits with the code the errors module gives its type."""
+    def fail(*args, **kwargs):
+        raise cls("boom")
+
+    monkeypatch.setattr("singmat.cli.is_singular_exact", fail)
+    path = tmp_path / "id.txt"
+    write_matrix(BitMatrix.identity(2), path)
+    code = _documented_exit_code(cls)
+    assert cls.exit_code == code
+    assert EXIT_INTERNAL == 4
+    assert main(["certify", "--in", str(path)]) == code
+    prefix = "internal error: " if code == EXIT_INTERNAL else ""
+    assert capsys.readouterr().err == f"singmat: {prefix}boom\n"
+
+
+def test_cli_bare_value_error_is_a_bug_not_a_usage_error(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr("singmat.cli.is_singular_exact", fail)
+    path = tmp_path / "id.txt"
+    write_matrix(BitMatrix.identity(2), path)
+    with pytest.raises(ValueError, match="boom") as err:
+        main(["certify", "--in", str(path)])
+    assert type(err.value) is ValueError
