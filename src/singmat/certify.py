@@ -179,8 +179,11 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
     ``prime_seed`` seeds the primes of the per-prime loop.  The verdict
     and any kernel vector never depend on it; a residue certificate
     names the first seeded prime whose factorization has full rank.
-    Raises CertificateRejected if the certificate fails verification.
+    Raises InvalidInput for a seed outside [0, 2**64), which the prime
+    stream would alias, and CertificateRejected if verification fails.
     """
+    if not 0 <= prime_seed < 1 << 64:
+        raise InvalidInput("prime_seed must be a 64-bit unsigned integer")
     if m.n_rows != m.n_cols:
         raise NotSquare(f"{m.n_rows}x{m.n_cols} matrix")
     n = m.n_rows

@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: sample, certify, bounds, sweep, analyze.  Every command is
-a thin adapter over the library; nothing numeric happens here.  The
-remaining experiments, ``harness.verify_lemma21`` and
-``harness.verify_complement``, are run from the library only; no
-subcommand wraps them.  Exit
+a thin adapter over the library: nothing numeric happens here, and no
+rule about a config's values (``sweep`` reads JSON and overlays flags;
+``harness.SweepConfig`` checks the result).  ``harness.verify_lemma21``
+and ``harness.verify_complement`` run from the library only.  Exit
 codes: 0 success (or nonsingular), 10 singular; a failure is a
 ``SingmatError`` whose ``exit_code`` ``main`` returns, and
 ``singmat.errors`` is the one table of those codes (2 usage or input,
@@ -204,23 +204,11 @@ def cmd_sweep(args) -> int:
     missing = [k for k in ("model", "n_grid", "c_grid", "trials_per_cell", "master_seed", "output") if k not in cfg_dict]
     if missing:
         raise InvalidInput(f"sweep: missing configuration: {', '.join(missing)}")
-    for key in ("n_grid", "c_grid"):
-        if not isinstance(cfg_dict[key], list):
-            raise InvalidInput(f"sweep: {key} must be a list, not {cfg_dict[key]!r}")
     cfg_dict["model"] = _canon_model(cfg_dict["model"])
-    try:  # str() turns a JSON float into its decimal rational
-        cfg_dict["c_grid"] = tuple(Fraction(str(c)) for c in cfg_dict["c_grid"])
-    except (ValueError, ZeroDivisionError):
-        raise InvalidInput(f"sweep: c_grid holds a non-rational: {cfg_dict['c_grid']!r}") from None
     try:
         cfg = harness.SweepConfig(**cfg_dict)
     except TypeError as exc:  # a key SweepConfig does not have
         raise InvalidInput(f"sweep: invalid configuration: {exc}") from None
-    out_dir = Path(cfg.output).resolve().parent
-    if not out_dir.is_dir():
-        raise InvalidInput(f"sweep: output directory {out_dir} does not exist")
-    if cfg.svg and not Path(cfg.svg).resolve().parent.is_dir():
-        raise InvalidInput("sweep: svg output directory does not exist")
     aggregates, _records = harness.run_sweep(cfg)
     print(harness.summary_table(aggregates))
     return EXIT_OK

@@ -460,10 +460,12 @@ def _padic_kernel_vector(
     n_cols - 1 mod p, the column order does not matter: the rational
     kernel is then one-dimensional, so a verified vector spans it;
     ``kernel_vector_crt`` lifts on its sparse-first factorization then,
-    passing the column-permuted array and its packed rows.
+    passing the column-permuted array and its packed rows.  The residue
+    update is a float64 GEMV, exact: the entries are 0/1 and y < p < 2**31,
+    so every partial sum stays below n * 2**31 < 2**53 for n < 2**22.
     """
     p, pivots = lu.p, lu.pivots
-    a_piv = a[:, pivots]
+    a_piv = a[:, pivots].astype(np.float64)
     b = -a[:, f]
     x = [0] * len(pivots)
     modulus = 1
@@ -472,7 +474,7 @@ def _padic_kernel_vector(
         if y is None:
             return None
         # Exact: a[:, P] y = b mod p on every row of a consistent system.
-        b = (b - a_piv @ np.array(y, dtype=np.int64)) // p
+        b = (b - (a_piv @ np.array(y, dtype=np.float64)).astype(np.int64)) // p
         x = [xi + yi * modulus for xi, yi in zip(x, y)]
         modulus *= p
         found = _reconstruct(x, modulus)
@@ -562,8 +564,8 @@ def kernel_vector_crt(m: BitMatrix, primes: Iterable[int] | None = None) -> Kern
     until one is lucky.  A vector returned is the canonical one, verified
     exactly.  Raises KernelLiftFailed when ``primes`` runs out first or
     its distinct unlucky primes multiply past the product of the row
-    weights, and InvalidInput for a prime of 2**31 or more: the lift's
-    residue updates are int64 arithmetic.
+    weights, and InvalidInput for a prime of 2**31 or more: its int64
+    elimination and float64 residue updates are exact only below that.
     """
     a = m.to_bit_array().astype(np.int64)
     n_cols = m.n_cols

@@ -87,6 +87,10 @@ def combinatorial_density(c: Fraction, n: int) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
+    """A sweep's grid and outputs, and every rule on them: integer trials and jobs >= 1,
+    a seed in [0, 2**64), string paths, and each grid a nonempty list or tuple of distinct
+    integral n or rational c >= 0, read as Fraction(str(c)) so that 0.1 is 1/10."""
+
     model: str  # "bernoulli" | "combinatorial"
     n_grid: tuple[int, ...]
     c_grid: tuple[Fraction, ...]
@@ -103,23 +107,27 @@ class SweepConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise InvalidInput(f"{name} must be an integer, not {value!r}")
-        if self.trials_per_cell < 1:
-            raise InvalidInput("trials_per_cell must be >= 1")
+            if name != "master_seed" and value < 1:
+                raise InvalidInput(f"{name} must be >= 1")
         if not isinstance(self.output, str):
             raise InvalidInput(f"output must be a path, not {self.output!r}")
         if self.svg is not None and not isinstance(self.svg, str):
             raise InvalidInput(f"svg must be a path or null, not {self.svg!r}")
-        if not self.n_grid or not self.c_grid:
-            raise InvalidInput("n_grid and c_grid must be nonempty")
-        if self.jobs < 1:
-            raise InvalidInput("jobs must be >= 1")
+        for name, grid in (("n_grid", self.n_grid), ("c_grid", self.c_grid)):
+            if not isinstance(grid, (list, tuple)) or not grid:
+                raise InvalidInput(f"{name} must be a list or tuple of values, not {grid!r}")
         if not 0 <= self.master_seed < 1 << 64:  # derive_seed reduces it mod 2**64
             raise InvalidInput("master_seed must be a 64-bit unsigned integer")
         for n in self.n_grid:
             if isinstance(n, bool) or not isinstance(n, numbers.Real) or n % 1 != 0:
                 raise InvalidInput(f"n_grid holds a non-integral size: {n!r}")
         object.__setattr__(self, "n_grid", tuple(int(n) for n in self.n_grid))
-        object.__setattr__(self, "c_grid", tuple(Fraction(c) for c in self.c_grid))
+        try:  # str() reads a float as its shortest decimal, not its binary value
+            object.__setattr__(self, "c_grid", tuple(Fraction(str(c)) for c in self.c_grid))
+        except (ValueError, ZeroDivisionError):
+            raise InvalidInput(f"c_grid holds a non-rational: {self.c_grid!r}") from None
+        if min(self.c_grid) < 0:  # the density p = c log(n) / n would be negative
+            raise InvalidInput(f"c_grid holds a negative c: {min(self.c_grid)}")
         for name, grid in (("n_grid", self.n_grid), ("c_grid", self.c_grid)):
             if len(set(grid)) < len(grid):  # a cell would be run twice
                 raise InvalidInput(f"{name} repeats a value: {', '.join(map(str, grid))}")
@@ -200,7 +208,11 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[CellAggregate], list[TrialRecord]]
     With ``jobs > 1`` the trials are mapped over a process pool, whose
     module is imported only then; a serial sweep runs them in this
     process and loads no multiprocessing machinery.  A cell's interval
-    loads scipy only when its count is interior (see ``stats``)."""
+    loads scipy only when its count is interior (see ``stats``).  A missing
+    output directory is refused before any trial runs."""
+    for parent in [Path(path).resolve().parent for path in (cfg.output, cfg.svg) if path]:
+        if not parent.is_dir():
+            raise InvalidInput(f"output directory {parent} does not exist")
     cells = [(n, c) for n in cfg.n_grid for c in cfg.c_grid]
     t = cfg.trials_per_cell
     args = []

@@ -10,6 +10,7 @@ from singmat import certify, errors, exactla
 from singmat.bounds import p_even, union_bound_ber
 from singmat.cli import EXIT_INTERNAL, main
 from singmat.errors import MatrixFormatError, SingmatError
+from singmat.harness import SweepConfig, run_sweep
 from singmat.matio import format_matrix, parse_matrix, read_matrix, write_matrix
 from singmat.matrices import BitMatrix
 
@@ -148,6 +149,26 @@ def test_cli_certify_surplus_rows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "line 4" in captured.err
     assert "verdict" not in captured.out
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_cli_certify_prime_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
+    """The prime stream reduces its seed mod 2**64, so -1 would draw the
+    primes of 2**64 - 1.  The seed is refused before any stage runs: on
+    a gf2-decided matrix that never draws a prime, and on a 12 x 12
+    matrix that a lift decides."""
+    ident = tmp_path / "id.txt"
+    write_matrix(BitMatrix.identity(3), ident)
+    lift = tmp_path / "lift.txt"
+    assert main(["sample", "--model", "bernoulli", "--n", "12", "--p", "1/4", "--seed", "3",
+                 "--out", str(lift)]) == 0
+    assert main(["certify", "--in", str(lift)]) == 10
+    assert "decided by: lift" in capsys.readouterr().out
+    for path in (ident, lift):
+        assert main(["certify", "--in", str(path), f"--prime-seed={seed}"]) == 2
+        captured = capsys.readouterr()
+        assert "prime_seed must be a 64-bit unsigned integer" in captured.err
+        assert captured.out == ""
 
 
 # -- bounds ------------------------------------------------------------------
@@ -310,6 +331,30 @@ def test_cli_sweep_seed_outside_64_bits_exits_2(tmp_path, capsys, seed):
     assert main([*args, f"--seed={seed}", "--out", str(out)]) == 2
     assert "master_seed must be a 64-bit unsigned integer" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_sweep_negative_c_exits_2(tmp_path, capsys):
+    """c < 0 would clamp the density to 0 and sweep zero matrices."""
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--model", "bernoulli", "--n-grid", "3", "--c-grid=-1", "--trials", "1"]
+    assert main([*args, "--seed", "1", "--out", str(out)]) == 2
+    assert "c_grid holds a negative c" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_and_library_read_a_float_c_alike(tmp_path):
+    """A JSON float c and a library float c are both read as their
+    decimal, so the two sweeps write the same bytes."""
+    cli_out, lib_out = tmp_path / "cli.csv", tmp_path / "lib.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "model": "bernoulli", "n_grid": [6], "c_grid": [0.1, 1.5],
+        "trials_per_cell": 2, "master_seed": 4, "output": str(cli_out),
+    }))
+    assert main(["sweep", "--config", str(cfg)]) == 0
+    run_sweep(SweepConfig("bernoulli", (6,), (0.1, 1.5), 2, 4, str(lib_out)))
+    assert cli_out.read_bytes() == lib_out.read_bytes()
+    assert b",1/10," in cli_out.read_bytes()
 
 
 # -- analyze -----------------------------------------------------------------

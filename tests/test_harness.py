@@ -11,7 +11,7 @@ import pytest
 
 from singmat import harness
 from singmat.certify import is_singular_exact
-from singmat.errors import InfeasibleDensity
+from singmat.errors import InfeasibleDensity, InvalidInput
 from singmat.harness import (
     PRIME_SEED_SALT,
     SweepConfig,
@@ -155,6 +155,53 @@ def test_sweep_config_refuses_non_integer_counts_seeds_and_sizes(tmp_path, field
     with pytest.raises(ValueError, match=message):
         SweepConfig(**{**args, field: value})
     assert SweepConfig(**{**args, "n_grid": (12.0, Fraction(13))}).n_grid == (12, 13)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("c_grid", (1, -1), "c_grid holds a negative c: -1"),
+    ("c_grid", (Fraction(-1, 2),), "c_grid holds a negative c: -1/2"),
+    ("c_grid", ("1/0",), "c_grid holds a non-rational"),
+    ("c_grid", ("abc",), "c_grid holds a non-rational"),
+    ("c_grid", (float("nan"),), "c_grid holds a non-rational"),
+    ("c_grid", 1, "c_grid must be a list"),
+    ("n_grid", 5, "n_grid must be a list"),
+    ("n_grid", range(3, 5), "n_grid must be a list"),
+    ("n_grid", (), "n_grid must be a list"),
+])
+def test_sweep_config_refuses_negative_or_non_rational_c_and_scalar_grids(tmp_path, field, value, message):
+    """A negative c would be clamped to p = 0 and run as a sweep of
+    zero matrices; a c of 1/0 or a grid that is not a list or tuple is a
+    typed input error, not a ZeroDivisionError or TypeError."""
+    args = dict(model="bernoulli", n_grid=(12,), c_grid=(1,), trials_per_cell=5, master_seed=1,
+                output=str(tmp_path / "x.csv"))
+    with pytest.raises(InvalidInput, match=message):
+        SweepConfig(**{**args, field: value})
+
+
+def test_sweep_config_reads_a_float_c_as_its_decimal(tmp_path):
+    """c is read as Fraction(str(c)), as a JSON config reads it: the
+    float 0.1 is 1/10, not its binary value."""
+    cfg = SweepConfig("bernoulli", (12,), (0.1, 1.5, "2/3", 0), 5, 1, str(tmp_path / "x.csv"))
+    assert cfg.c_grid == (Fraction(1, 10), Fraction(3, 2), Fraction(2, 3), Fraction(0))
+
+
+@pytest.mark.parametrize("paths", [
+    {"output": "missing/x.csv"},
+    {"output": "x.csv", "svg": "missing/x.svg"},
+])
+def test_run_sweep_refuses_a_missing_output_directory_before_any_trial(
+    tmp_path, monkeypatch, paths
+):
+    """The output and svg directories are checked before the first
+    trial, not after the last one when the CSV is written."""
+    calls = []
+    monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+    paths = {key: str(tmp_path / value) for key, value in paths.items()}
+    cfg = SweepConfig("bernoulli", (12,), (Fraction(1),), 5, 1, **paths)
+    with pytest.raises(InvalidInput, match="does not exist"):
+        run_sweep(cfg)
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_records_are_sliced_per_cell(tmp_path):
