@@ -3,9 +3,12 @@
 Subcommands: sample, certify, bounds, sweep, analyze.  Every command is
 a thin adapter over the library: nothing numeric happens here, and no
 rule about a config's values (``sweep`` reads JSON and overlays flags;
-``harness.SweepConfig`` checks the result).  ``harness.verify_lemma21``
-and ``harness.verify_complement`` run from the library only.  Exit
-codes: 0 success (or nonsingular), 10 singular; a failure is a
+``harness.SweepConfig`` checks the result, and ``harness.run_sweep``
+refuses an unusable ``--out`` before the first trial).  ``sweep`` writes
+``--out`` and its ``.trials.csv`` companion, one column per field of
+``CellAggregate`` and ``TrialRecord``.  ``harness.verify_lemma21`` and
+``harness.verify_complement`` run from the library only.  Exit codes:
+0 success (or nonsingular), 10 singular; a failure is a
 ``SingmatError`` whose ``exit_code`` ``main`` returns, and
 ``singmat.errors`` is the one table of those codes (2 usage or input,
 3 budget exceeded, 4 internal error).  An unreadable file exits 2; any
@@ -95,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--trials", type=int)
     p_sweep.add_argument("--seed", type=int)
     p_sweep.add_argument("--out")
-    p_sweep.add_argument("--svg")
     p_sweep.add_argument("--jobs", type=int)
 
     p_an = sub.add_parser("analyze", help="kernel structure of a matrix file")
@@ -195,7 +197,6 @@ def cmd_sweep(args) -> int:
         "trials_per_cell": args.trials,
         "master_seed": args.seed,
         "output": args.out,
-        "svg": args.svg,
         "jobs": args.jobs,
     }
     for key, value in overrides.items():

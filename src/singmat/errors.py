@@ -18,15 +18,15 @@ class InvalidInput(SingmatError, ValueError):
     """A caller's argument is out of range or malformed."""
 
 
-class NotSquare(SingmatError):
+class NotSquare(InvalidInput):
     """Operation requires a square matrix."""
 
 
-class DimensionMismatch(SingmatError):
+class DimensionMismatch(InvalidInput):
     """Operand shapes are incompatible."""
 
 
-class PairingInfeasible(SingmatError):
+class PairingInfeasible(InvalidInput):
     """Cannot place 2*d distinct indices into n slots."""
 
 
@@ -42,11 +42,11 @@ class BudgetExceeded(SingmatError):
     exit_code = 3
 
 
-class EmptyVector(SingmatError):
+class EmptyVector(InvalidInput):
     """Operation requires a nonempty vector."""
 
 
-class InfeasibleDensity(SingmatError):
+class InfeasibleDensity(InvalidInput):
     """Requested density is outside the valid range for the model."""
 
 

@@ -8,8 +8,9 @@ that have a zero or duplicate line.  All three sample and certify a
 trial's matrix in one step, ``_certify_sample``.  Every trial is a pure
 function of a derived seed, so sweeps are deterministic,
 parallelizable, and replayable trial by trial: ``run_sweep`` maps
-``run_trial`` over the grid's trials and aggregates each cell from its
-own slice of the records.
+``run_trial`` over the grid's trials, aggregates each cell from its own
+slice of the records, and writes both tables as CSVs with one column
+per field of ``CellAggregate`` and ``TrialRecord``.
 
 Density mapping: Bernoulli p = c * log(n) / n and combinatorial
 d = round(c * log(n)) (ties up), with log(n) taken as an exact rational
@@ -26,15 +27,15 @@ import logging
 import numbers
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from math import sqrt
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .bounds import ATOM_BERNOULLI_MAX_LEN, ATOM_COMB_BUDGET, max_atom_bernoulli, max_atom_combinatorial
+from .bounds import max_atom_bernoulli, max_atom_combinatorial
 from .certify import SingularityCertificate, is_singular_exact
-from .errors import InfeasibleDensity, InvalidInput, KernelLiftFailed, KernelTooLarge
+from .errors import BudgetExceeded, InfeasibleDensity, InvalidInput, KernelLiftFailed, KernelTooLarge
 from .exactla import exact_dot, kernel_vector_crt
 from .matrices import BitMatrix
 from .models import SampleSpec, sample, sample_rows
@@ -87,9 +88,10 @@ def combinatorial_density(c: Fraction, n: int) -> int:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """A sweep's grid and outputs, and every rule on them: integer trials and jobs >= 1,
-    a seed in [0, 2**64), string paths, and each grid a nonempty list or tuple of distinct
-    integral n or rational c >= 0, read as Fraction(str(c)) so that 0.1 is 1/10."""
+    """A sweep's grid and output, and every rule on them: integer trials and jobs >= 1,
+    a seed in [0, 2**64), an output path with a file name, and each grid a nonempty list
+    or tuple of distinct integral n or rational c >= 0, read as Fraction(str(c)) so that
+    0.1 is 1/10.  ``run_sweep`` writes ``output`` and its ``.trials.csv`` companion."""
 
     model: str  # "bernoulli" | "combinatorial"
     n_grid: tuple[int, ...]
@@ -97,7 +99,6 @@ class SweepConfig:
     trials_per_cell: int
     master_seed: int
     output: str
-    svg: str | None = None
     jobs: int = 1
 
     def __post_init__(self):
@@ -111,8 +112,8 @@ class SweepConfig:
                 raise InvalidInput(f"{name} must be >= 1")
         if not isinstance(self.output, str):
             raise InvalidInput(f"output must be a path, not {self.output!r}")
-        if self.svg is not None and not isinstance(self.svg, str):
-            raise InvalidInput(f"svg must be a path or null, not {self.svg!r}")
+        if not Path(self.output).name:  # "", "." or "/" names no file
+            raise InvalidInput(f"output must name a file, not {self.output!r}")
         for name, grid in (("n_grid", self.n_grid), ("c_grid", self.c_grid)):
             if not isinstance(grid, (list, tuple)) or not grid:
                 raise InvalidInput(f"{name} must be a list or tuple of values, not {grid!r}")
@@ -202,17 +203,23 @@ def run_trial(
 
 
 def run_sweep(cfg: SweepConfig) -> tuple[list[CellAggregate], list[TrialRecord]]:
-    """Run the grid, write the aggregate CSV (and optional SVG plus a
-    companion .trials.csv), and return both tables.
+    """Run the grid, write the aggregate CSV to ``cfg.output`` and the
+    per-trial CSV to its ``.trials.csv`` companion, and return both
+    tables.  Each CSV's columns are its record's fields, in field order.
 
     With ``jobs > 1`` the trials are mapped over a process pool, whose
     module is imported only then; a serial sweep runs them in this
     process and loads no multiprocessing machinery.  A cell's interval
     loads scipy only when its count is interior (see ``stats``).  A missing
-    output directory is refused before any trial runs."""
-    for parent in [Path(path).resolve().parent for path in (cfg.output, cfg.svg) if path]:
-        if not parent.is_dir():
-            raise InvalidInput(f"output directory {parent} does not exist")
+    output directory, or an output file that is an existing directory, is
+    refused before any trial runs."""
+    output, parent = Path(cfg.output), Path(cfg.output).resolve().parent
+    trials_path = output.with_suffix(".trials.csv")
+    if not parent.is_dir():
+        raise InvalidInput(f"output directory {parent} does not exist")
+    for path in (output, trials_path):
+        if path.is_dir():
+            raise InvalidInput(f"output {path} is a directory")
     cells = [(n, c) for n in cfg.n_grid for c in cfg.c_grid]
     t = cfg.trials_per_cell
     args = []
@@ -242,25 +249,8 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[CellAggregate], list[TrialRecord]]
             explained_fraction=explained, master_seed=cfg.master_seed,
         ))
 
-    _write_csv(Path(cfg.output), AGGREGATE_HEADER, (
-        [
-            a.model, a.n, str(a.c), _density_str(a.density), a.trials, a.singular_count,
-            repr(a.fraction), repr(a.ci_low), repr(a.ci_high),
-            "" if a.explained_fraction is None else repr(a.explained_fraction),
-            a.master_seed,
-        ]
-        for a in aggregates
-    ))
-    _write_csv(Path(cfg.output).with_suffix(".trials.csv"), TRIALS_HEADER, (
-        [
-            r.model, r.n, str(r.c), _density_str(r.density), r.trial_index,
-            r.derived_seed, r.verdict, r.gf2_rank, int(r.had_zero_line),
-            int(r.had_duplicate_line), repr(r.elapsed),
-        ]
-        for r in records
-    ))
-    if cfg.svg:
-        _write_svg(aggregates, Path(cfg.svg))
+    _write_table(output, aggregates)
+    _write_table(trials_path, records)
     return aggregates, records
 
 
@@ -272,79 +262,29 @@ def _density_str(density) -> str:
     return str(density)
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
-AGGREGATE_HEADER = [
-    "model", "n", "c", "density", "trials", "singular_count",
-    "fraction", "ci_low", "ci_high", "explained_fraction", "master_seed",
-]
-
-
-TRIALS_HEADER = [
-    "model", "n", "c", "density", "trial_index", "derived_seed",
-    "verdict", "gf2_rank", "had_zero_line", "had_duplicate_line", "elapsed",
-]
-
-
-def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+def _write_table(path: Path, records: Sequence) -> None:
+    """Atomically write records as a CSV with one column per record field,
+    in field order: a bool as 0/1, a density through ``_density_str``, and
+    anything else as csv writes it (``None`` as an empty cell)."""
+    names = [f.name for f in fields(records[0])]
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    _atomic_write_text(path, buf.getvalue())
+    w.writerow(names)
+    for r in records:
+        w.writerow([_csv_cell(name, getattr(r, name)) for name in names])
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(buf.getvalue(), encoding="utf-8")
+    try:
+        os.replace(tmp, path)
+    except OSError:  # leave no .tmp behind
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def _write_svg(aggregates: Sequence[CellAggregate], path: Path) -> None:
-    """Minimal self-contained line plot: singular fraction vs c, one
-    polyline per n."""
-    width, height, margin = 480, 320, 48
-    cs = sorted({float(a.c) for a in aggregates})
-    ns = sorted({a.n for a in aggregates})
-    c_lo, c_hi = min(cs), max(cs)
-    span = (c_hi - c_lo) or 1.0
-
-    def sx(c: float) -> float:
-        return margin + (width - 2 * margin) * (c - c_lo) / span
-
-    def sy(f: float) -> float:
-        return height - margin - (height - 2 * margin) * f
-
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
-        f'y2="{height - margin}" stroke="black"/>',
-        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
-        f'<text x="{width // 2}" y="{height - 12}" font-size="12" text-anchor="middle">c</text>',
-        f'<text x="12" y="{height // 2}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 12 {height // 2})">singular fraction</text>',
-    ]
-    palette = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
-    for k, n in enumerate(ns):
-        pts = sorted((float(a.c), a.fraction) for a in aggregates if a.n == n)
-        coords = " ".join(f"{sx(c):.2f},{sy(f):.2f}" for c, f in pts)
-        color = palette[k % len(palette)]
-        parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(
-            f'<text x="{width - margin + 4}" y="{margin + 14 * k + 10}" font-size="11" '
-            f'fill="{color}">n={n}</text>'
-        )
-    for c in cs:
-        parts.append(
-            f'<text x="{sx(c):.2f}" y="{height - margin + 14}" font-size="10" '
-            f'text-anchor="middle">{c:g}</text>'
-        )
-    for f in (0.0, 0.5, 1.0):
-        parts.append(
-            f'<text x="{margin - 6}" y="{sy(f):.2f}" font-size="10" text-anchor="end">{f:g}</text>'
-        )
-    parts.append("</svg>")
-    _atomic_write_text(path, "\n".join(parts) + "\n")
+def _csv_cell(name: str, value):
+    if isinstance(value, bool):
+        return int(value)
+    return _density_str(value) if name == "density" else value
 
 
 def summary_table(aggregates: Sequence[CellAggregate]) -> str:
@@ -435,18 +375,17 @@ def _atom_proxy(model: str, density, x: Sequence[int], seed: int) -> tuple[float
     """(value, sigma, exact?) for the atom of the integer vector x
     against one model row.
 
-    Exact maximal atom when the enumeration budgets allow; otherwise a
-    Monte Carlo estimate of Pr(x . row = 0) over fresh rows.
+    Exact maximal atom when the enumeration budgets of ``bounds`` allow;
+    otherwise a Monte Carlo estimate of Pr(x . row = 0) over fresh rows.
     """
-    from math import comb
-
-    support = [e for e in x if e != 0]
-    if model == "bernoulli" and len(support) <= ATOM_BERNOULLI_MAX_LEN:
-        atom = max_atom_bernoulli(support, density)
+    try:
+        if model == "bernoulli":
+            atom = max_atom_bernoulli([e for e in x if e != 0], density)
+        else:
+            atom = max_atom_combinatorial(x, int(density))
         return float(atom.max_prob), 0.0, True
-    if model == "combinatorial" and comb(len(x), int(density)) <= ATOM_COMB_BUDGET:
-        atom = max_atom_combinatorial(x, int(density))
-        return float(atom.max_prob), 0.0, True
+    except BudgetExceeded:  # too large to enumerate: estimate it below
+        pass
     # Fresh row k is row 0 of sample() of the child spec seeded derive_seed(seed, k).
     row_seeds = derive_seeds(derive_seeds(seed, ATOM_MC_INNER), 1)[:, 0]
     rows = sample_rows(_make_spec(model, len(x), density, seed), row_seeds)

@@ -6,10 +6,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import singmat
-from singmat.errors import InvalidInput
+from singmat.certify import is_singular_exact
+from singmat.errors import DimensionMismatch, EmptyVector, InfeasibleDensity, InvalidInput, NotSquare, PairingInfeasible
+from singmat.harness import verify_complement
+from singmat.matrices import BitMatrix
+from singmat.models import sample_pairing
 from singmat.modular import PRIME_CEILING, crt_primes, random_prime
 from singmat.rng import Stream
+from singmat.structure import analyze_vector
 
 
 def test_all_names_resolve_without_duplicates():
@@ -48,6 +55,22 @@ def test_rejected_arguments_raise_invalid_input():
         tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         found += [f"{path.name}:{scope}" for scope in _value_error_raisers(tree, None)]
     assert found == ["bounds.py:_round_up"]
+
+
+@pytest.mark.parametrize("error, call", [
+    (NotSquare, lambda: is_singular_exact(BitMatrix.zeros(2, 3))),
+    (DimensionMismatch, lambda: BitMatrix.from_rows([[1, 0, 1], [0, 1]])),
+    (EmptyVector, lambda: analyze_vector(())),
+    (InfeasibleDensity, lambda: verify_complement(5, 0, 1, 0)),
+    (PairingInfeasible, lambda: sample_pairing(5, 3, 0)),
+])
+def test_every_rejected_argument_is_a_value_error(error, call):
+    """The typed argument errors are InvalidInput too: a ValueError to
+    library callers, exit 2 to the CLI."""
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is error and isinstance(info.value, InvalidInput)
+    assert info.value.exit_code == 2
 
 
 def test_library_primes_fit_the_int64_eliminations():

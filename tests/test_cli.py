@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from singmat import certify, errors, exactla
+from singmat import certify, errors, exactla, harness
 from singmat.bounds import p_even, union_bound_ber
 from singmat.cli import EXIT_INTERNAL, main
 from singmat.errors import MatrixFormatError, SingmatError
@@ -300,7 +300,7 @@ def test_cli_sweep_repeated_grid_value_or_no_jobs_exits_2(tmp_path, capsys, extr
     ({"master_seed": 1.5}, "master_seed must be an integer"),
     ({"n_grid": [5.5]}, "n_grid holds a non-integral size"),
     ({"output": 5}, "output must be a path"),
-    ({"svg": 7}, "svg must be a path or null"),
+    ({"svg": 7}, "invalid configuration"),
     ({"model": "gaussian"}, "unknown model 'gaussian'"),
     ({"model": 5}, "unknown model 5"),
     ({"c_grid": ["1/0"]}, "c_grid holds a non-rational"),
@@ -308,7 +308,7 @@ def test_cli_sweep_repeated_grid_value_or_no_jobs_exits_2(tmp_path, capsys, extr
 ])
 def test_cli_sweep_malformed_config_exits_2(tmp_path, capsys, config, message):
     """A config that is not an object, a scalar grid, a non-integer
-    count, seed or size, a non-string output or svg, a model other than
+    count, seed or size, a non-string output, an unknown key, a model other than
     the two (and the ``comb`` alias) and a c that is not a rational are
     refused with a message, not a traceback or a Bernoulli sweep."""
     out = tmp_path / "s.csv"
@@ -340,6 +340,22 @@ def test_cli_sweep_negative_c_exits_2(tmp_path, capsys):
     assert main([*args, "--seed", "1", "--out", str(out)]) == 2
     assert "c_grid holds a negative c" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out, message", [
+    ("", "output must name a file"),
+    ("outdir", "is a directory"),
+])
+def test_cli_sweep_unusable_out_exits_2_before_any_trial(tmp_path, monkeypatch, capsys, out, message):
+    """An --out with no file name, or one that is an existing directory,
+    exits 2 with a message before the first trial, and leaves no .tmp."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "outdir").mkdir()
+    monkeypatch.setattr(harness, "run_trial", lambda *args: pytest.fail("a trial ran"))
+    args = ["sweep", "--model", "bernoulli", "--n-grid", "3", "--c-grid", "1", "--trials", "1"]
+    assert main([*args, "--seed", "1", "--out", out]) == 2
+    assert message in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["outdir"]
 
 
 def test_cli_and_library_read_a_float_c_alike(tmp_path):

@@ -4,7 +4,7 @@ complement agreement."""
 import csv
 import hashlib
 import logging
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +15,7 @@ from singmat.errors import InfeasibleDensity, InvalidInput
 from singmat.harness import (
     PRIME_SEED_SALT,
     SweepConfig,
+    TrialRecord,
     bernoulli_density,
     combinatorial_density,
     ln_rational,
@@ -94,16 +95,34 @@ def test_single_cell_sweep(tmp_path):
 
 def test_sweep_rerun_is_byte_identical(tmp_path):
     out = tmp_path / "sweep.csv"
-    svg = tmp_path / "sweep.svg"
-    cfg = SweepConfig(
-        "combinatorial", (10, 14), (Fraction(1, 2), Fraction(2)), 6, 99, str(out), svg=str(svg)
-    )
+    cfg = SweepConfig("combinatorial", (10, 14), (Fraction(1, 2), Fraction(2)), 6, 99, str(out))
     run_sweep(cfg)
-    first_csv, first_svg = out.read_bytes(), svg.read_bytes()
+    first_csv = out.read_bytes()
     run_sweep(cfg)
     assert out.read_bytes() == first_csv
-    assert svg.read_bytes() == first_svg
     assert (tmp_path / "sweep.trials.csv").exists()
+
+
+@dataclass(frozen=True)
+class _StagedRecord(TrialRecord):
+    stage: str = "gf2"
+
+
+@pytest.mark.parametrize("staged", [False, True])
+def test_sweep_csv_columns_are_the_record_fields(tmp_path, monkeypatch, staged):
+    """Each CSV's header is its record's field names, in field order, so a
+    field added to a record is a column added to its CSV; the sweep writes
+    these two files only."""
+    if staged:
+        trial = harness.run_trial
+        monkeypatch.setattr(harness, "run_trial", lambda *args: _StagedRecord(**vars(trial(*args))))
+    out = tmp_path / "sweep.csv"
+    aggs, recs = run_sweep(SweepConfig("bernoulli", (8,), (Fraction(1),), 3, 5, str(out)))
+    for path, record in ((out, aggs[0]), (tmp_path / "sweep.trials.csv", recs[0])):
+        with path.open(newline="") as fh:
+            assert next(csv.reader(fh)) == [f.name for f in fields(record)]
+    assert ("stage" in [f.name for f in fields(recs[0])]) == staged
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv", "sweep.trials.csv"]
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -187,13 +206,12 @@ def test_sweep_config_reads_a_float_c_as_its_decimal(tmp_path):
 
 @pytest.mark.parametrize("paths", [
     {"output": "missing/x.csv"},
-    {"output": "x.csv", "svg": "missing/x.svg"},
 ])
 def test_run_sweep_refuses_a_missing_output_directory_before_any_trial(
     tmp_path, monkeypatch, paths
 ):
-    """The output and svg directories are checked before the first
-    trial, not after the last one when the CSV is written."""
+    """The output directory is checked before the first trial, not after
+    the last one when the CSV is written."""
     calls = []
     monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
     paths = {key: str(tmp_path / value) for key, value in paths.items()}
@@ -202,6 +220,29 @@ def test_run_sweep_refuses_a_missing_output_directory_before_any_trial(
         run_sweep(cfg)
     assert calls == []
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("output", ["", ".", "/"])
+def test_sweep_config_refuses_an_output_with_no_file_name(output):
+    """Such a path has no name to derive the .trials.csv companion from."""
+    with pytest.raises(InvalidInput, match="output must name a file"):
+        SweepConfig("bernoulli", (12,), (Fraction(1),), 5, 1, output)
+
+
+@pytest.mark.parametrize("directory", ["out", "out.trials.csv"])
+def test_run_sweep_refuses_an_output_that_is_a_directory_before_any_trial(
+    tmp_path, monkeypatch, directory
+):
+    """An output, or its .trials.csv companion, that is an existing
+    directory is refused before the first trial, and no .tmp is left."""
+    calls = []
+    monkeypatch.setattr(harness, "run_trial", lambda *args: calls.append(args))
+    (tmp_path / directory).mkdir()
+    cfg = SweepConfig("bernoulli", (12,), (Fraction(1),), 5, 1, str(tmp_path / "out"))
+    with pytest.raises(InvalidInput, match="is a directory"):
+        run_sweep(cfg)
+    assert calls == []
+    assert [p.name for p in tmp_path.iterdir()] == [directory]
 
 
 def test_sweep_records_are_sliced_per_cell(tmp_path):
