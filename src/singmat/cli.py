@@ -6,8 +6,9 @@ rule about a config's values (``sweep`` reads JSON and overlays flags;
 ``harness.SweepConfig`` checks the result, and ``harness.run_sweep``
 refuses an unusable ``--out`` before the first trial).  ``sweep`` writes
 ``--out`` and its ``.trials.csv`` companion, one column per field of
-``CellAggregate`` and ``TrialRecord``.  ``harness.verify_lemma21`` and
-``harness.verify_complement`` run from the library only.  Exit codes:
+``CellAggregate`` and ``TrialRecord``, and prints the ``--out`` bytes.
+``harness.verify_lemma21`` and ``harness.verify_complement`` run on the
+sweep's trial loop, from the library only.  Exit codes:
 0 success (or nonsingular), 10 singular; a failure is a
 ``SingmatError`` whose ``exit_code`` ``main`` returns, and
 ``singmat.errors`` is the one table of those codes (2 usage or input,
@@ -210,8 +211,8 @@ def cmd_sweep(args) -> int:
         cfg = harness.SweepConfig(**cfg_dict)
     except TypeError as exc:  # a key SweepConfig does not have
         raise InvalidInput(f"sweep: invalid configuration: {exc}") from None
-    aggregates, _records = harness.run_sweep(cfg)
-    print(harness.summary_table(aggregates))
+    harness.run_sweep(cfg)
+    sys.stdout.write(Path(cfg.output).read_text(encoding="utf-8"))
     return EXIT_OK
 
 

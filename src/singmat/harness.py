@@ -4,13 +4,15 @@ Threshold sweeps over (n, c) grids for both models, the three-term
 decomposition check for the singularity probability, and exact
 complement agreement.  The sub-threshold autopsy is the sweep itself:
 each cell's ``explained_fraction`` is the share of its singular trials
-that have a zero or duplicate line.  All three sample and certify a
-trial's matrix in one step, ``_certify_sample``.  Every trial is a pure
-function of a derived seed, so sweeps are deterministic,
-parallelizable, and replayable trial by trial: ``run_sweep`` maps
-``run_trial`` over the grid's trials, aggregates each cell from its own
-slice of the records, and writes both tables as CSVs with one column
-per field of ``CellAggregate`` and ``TrialRecord``.
+that have a zero or duplicate line.  All three run one trial loop,
+``_run_trials``, which maps a pure per-trial function over each cell's
+trials, seeded ``derive_seed(cell_seed, i)``, in (cell, trial) order,
+in this process or over a process pool: ``run_trial`` for the sweep,
+``_lemma21_trial`` and ``_complement_trial``.  Each samples and
+certifies its matrix in one step, ``_certify_sample``, so every
+experiment is deterministic and replayable trial by trial.
+``run_sweep`` writes both its tables as CSVs with one column per field
+of ``CellAggregate`` and ``TrialRecord``.
 
 Density mapping: Bernoulli p = c * log(n) / n and combinatorial
 d = round(c * log(n)) (ties up), with log(n) taken as an exact rational
@@ -46,6 +48,7 @@ from .structure import PropertyPredicate, enumerate_gf2_kernel_min_support, eval
 log = logging.getLogger(__name__)
 
 PRIME_SEED_SALT = 0xC5
+COMPLEMENT_PRIME_SALT = 2
 FRESH_ROW_SALT = 0xF7
 ATOM_MC_INNER = 256
 LN_DIGITS = 30
@@ -83,6 +86,42 @@ def combinatorial_density(c: Fraction, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# The trial loop of every experiment
+
+
+def _check_count(name: str, value, seed: bool = False) -> None:
+    """Refuse a bool or a non-integer, a count below 1, or a seed outside
+    [0, 2**64): derive_seed reduces a seed mod 2**64, so such a seed would
+    repeat another seed's trials under its own name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, not {value!r}")
+    if seed and not 0 <= value < 1 << 64:
+        raise InvalidInput(f"{name} must be a 64-bit unsigned integer")
+    if not seed and value < 1:
+        raise InvalidInput(f"{name} must be >= 1")
+
+
+def _run_trials(trial, cells: Sequence[tuple[tuple, int]], trials: int, jobs: int = 1) -> list:
+    """``trial(*args, i, derive_seed(cell_seed, i))`` for each ``(args,
+    cell_seed)`` of ``cells`` and each i < ``trials``, in (cell, trial)
+    order.  With ``jobs > 1`` the trials are mapped over a process pool,
+    whose module is imported only then; a serial run loads no
+    multiprocessing machinery."""
+    _check_count("trials", trials)
+    calls = []
+    for args, cell_seed in cells:
+        _check_count("seed", cell_seed, seed=True)
+        calls += [(*args, i, derive_seed(cell_seed, i)) for i in range(trials)]
+    columns = list(zip(*calls))
+    if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(trial, *columns, chunksize=max(1, len(calls) // (jobs * 4))))
+    return list(map(trial, *columns))
+
+
+# ---------------------------------------------------------------------------
 # Threshold sweep; its explained_fraction is the sub-threshold autopsy
 
 
@@ -105,11 +144,7 @@ class SweepConfig:
         if self.model not in ("bernoulli", "combinatorial"):
             raise InvalidInput(f"unknown model {self.model!r}")
         for name in ("trials_per_cell", "master_seed", "jobs"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidInput(f"{name} must be an integer, not {value!r}")
-            if name != "master_seed" and value < 1:
-                raise InvalidInput(f"{name} must be >= 1")
+            _check_count(name, getattr(self, name), seed=name == "master_seed")
         if not isinstance(self.output, str):
             raise InvalidInput(f"output must be a path, not {self.output!r}")
         if not Path(self.output).name:  # "", "." or "/" names no file
@@ -117,8 +152,6 @@ class SweepConfig:
         for name, grid in (("n_grid", self.n_grid), ("c_grid", self.c_grid)):
             if not isinstance(grid, (list, tuple)) or not grid:
                 raise InvalidInput(f"{name} must be a list or tuple of values, not {grid!r}")
-        if not 0 <= self.master_seed < 1 << 64:  # derive_seed reduces it mod 2**64
-            raise InvalidInput("master_seed must be a 64-bit unsigned integer")
         for n in self.n_grid:
             if isinstance(n, bool) or not isinstance(n, numbers.Real) or n % 1 != 0:
                 raise InvalidInput(f"n_grid holds a non-integral size: {n!r}")
@@ -207,12 +240,12 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[CellAggregate], list[TrialRecord]]
     per-trial CSV to its ``.trials.csv`` companion, and return both
     tables.  Each CSV's columns are its record's fields, in field order.
 
-    With ``jobs > 1`` the trials are mapped over a process pool, whose
-    module is imported only then; a serial sweep runs them in this
-    process and loads no multiprocessing machinery.  A cell's interval
-    loads scipy only when its count is interior (see ``stats``).  A missing
-    output directory, or an output file that is an existing directory, is
-    refused before any trial runs."""
+    Cell k of the grid (n outer, c inner) runs ``run_trial`` through
+    ``_run_trials`` under the cell seed ``derive_seed(master_seed, k)``,
+    over ``cfg.jobs`` processes.  A cell's interval loads scipy only when
+    its count is interior (see ``stats``).  A missing output directory,
+    or an output file that is an existing directory, is refused before
+    any trial runs."""
     output, parent = Path(cfg.output), Path(cfg.output).resolve().parent
     trials_path = output.with_suffix(".trials.csv")
     if not parent.is_dir():
@@ -220,31 +253,20 @@ def run_sweep(cfg: SweepConfig) -> tuple[list[CellAggregate], list[TrialRecord]]
     for path in (output, trials_path):
         if path.is_dir():
             raise InvalidInput(f"output {path} is a directory")
-    cells = [(n, c) for n in cfg.n_grid for c in cfg.c_grid]
+    grid = [(n, c) for n in cfg.n_grid for c in cfg.c_grid]
+    cells = [((cfg.model, n, c, _cell_density(cfg.model, c, n)), derive_seed(cfg.master_seed, k))
+             for k, (n, c) in enumerate(grid)]
     t = cfg.trials_per_cell
-    args = []
-    for k, (n, c) in enumerate(cells):
-        density = _cell_density(cfg.model, c, n)
-        cell_seed = derive_seed(cfg.master_seed, k)
-        args += [(cfg.model, n, c, density, i, derive_seed(cell_seed, i)) for i in range(t)]
-    columns = list(zip(*args))
-    if cfg.jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            records = list(pool.map(run_trial, *columns, chunksize=max(1, len(args) // (cfg.jobs * 4))))
-    else:
-        records = list(map(run_trial, *columns))
+    records = _run_trials(run_trial, cells, t, cfg.jobs)  # read at call time, so it can be traced
 
     aggregates = []
-    for k, (n, c) in enumerate(cells):
-        cell = records[k * t : (k + 1) * t]
-        singular = [r for r in cell if r.verdict == "singular"]
+    for k, ((_, n, c, density), _) in enumerate(cells):
+        singular = [r for r in records[k * t : (k + 1) * t] if r.verdict == "singular"]
         lo, hi = clopper_pearson(len(singular), t)
         explained = None if not singular else sum(
             r.had_zero_line or r.had_duplicate_line for r in singular) / len(singular)
         aggregates.append(CellAggregate(
-            model=cfg.model, n=n, c=c, density=cell[0].density, trials=t,
+            model=cfg.model, n=n, c=c, density=density, trials=t,
             singular_count=len(singular), fraction=len(singular) / t, ci_low=lo, ci_high=hi,
             explained_fraction=explained, master_seed=cfg.master_seed,
         ))
@@ -285,21 +307,6 @@ def _csv_cell(name: str, value):
     if isinstance(value, bool):
         return int(value)
     return _density_str(value) if name == "density" else value
-
-
-def summary_table(aggregates: Sequence[CellAggregate]) -> str:
-    header = (
-        f"{'model':<15}{'n':>6}{'c':>8}{'density':>22}{'trials':>8}"
-        f"{'singular':>10}{'fraction':>10}{'99% CI':>18}"
-    )
-    lines = [header, "-" * len(header)]
-    for a in aggregates:
-        ci = f"[{a.ci_low:.3f}, {a.ci_high:.3f}]"
-        lines.append(
-            f"{a.model:<15}{a.n:>6}{str(a.c):>8}{_density_str(a.density):>22}"
-            f"{a.trials:>8}{a.singular_count:>10}{a.fraction:>10.3f}{ci:>18}"
-        )
-    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +400,37 @@ def _atom_proxy(model: str, density, x: Sequence[int], seed: int) -> tuple[float
     return hits / ATOM_MC_INNER, binomial_sigma(max(hits, 1), ATOM_MC_INNER), False
 
 
+def _lemma21_trial(model: str, n: int, density, t: int, pred: PropertyPredicate,
+                   trial_index: int, trial_seed: int) -> tuple:
+    """One decomposition trial: (singular?, term (1)'s small-support event?,
+    was that event assumed because the GF(2) screen ran out of budget?,
+    is x orthogonal to the last row?, ``_atom_proxy`` of x), where x is the
+    kernel vector of the first n-1 rows; off the property (term (2)'s
+    event) the last two are False and None."""
+    matrix, cert = _certify_sample(model, n, density, trial_seed)
+    small_support = budget_hit = False
+    # Term (1): some nonzero rational left-kernel vector with support < t.
+    if cert.is_singular:
+        mt = matrix.transpose()
+        try:
+            screen = enumerate_gf2_kernel_min_support(mt)
+            if screen.trivial or screen.min_support >= t:
+                pass  # a small-support rational vector would show up mod 2
+            elif screen.kernel_dim > 1:
+                small_support = True  # cannot rule out a lighter combination
+            else:
+                small_support = sum(1 for e in _kernel_vector(mt) if e) < t
+        except KernelTooLarge:
+            small_support = budget_hit = True  # conservative
+
+    # Terms (2) and (3): kernel vector of the first n-1 rows vs the last.
+    x = _kernel_vector(BitMatrix(n - 1, n, matrix.rows[:-1]))
+    if not eval_predicate(pred, x):
+        return cert.is_singular, small_support, budget_hit, False, None
+    atom = _atom_proxy(model, density, x, derive_seed(trial_seed, FRESH_ROW_SALT))
+    return cert.is_singular, small_support, budget_hit, exact_dot(x, matrix.rows[n - 1]) == 0, atom
+
+
 def verify_lemma21(
     model: str,
     n: int,
@@ -404,80 +442,41 @@ def verify_lemma21(
 ) -> DecompositionReport:
     """Estimate the three-term upper bound on Pr(singular) and check it.
 
-    Per trial, one n x n matrix is sampled; its first n-1 rows provide
-    the canonical kernel vector (tested against the property), its last
-    row is the fresh row for the atom indicator, and the full matrix is
-    certified for the left-hand side.  Events for the small-support term
-    use the GF(2) minimum-support screen of the transpose.  A screen
-    with support below t counts as a hit outright when its kernel spans
-    more than one dimension (a conservative over-estimate); only a
-    one-dimensional GF(2) left kernel is lifted to its integer vector,
-    whose support decides the event.
+    Runs ``_lemma21_trial`` through ``_run_trials`` on one cell seeded
+    ``seed`` and sums its records.  Per trial, one n x n matrix is
+    sampled; its first n-1 rows provide the canonical kernel vector
+    (tested against the property), its last row is the fresh row for the
+    atom indicator, and the full matrix is certified for the left-hand
+    side.  Events for the small-support term use the GF(2)
+    minimum-support screen of the transpose.  A screen with support
+    below t counts as a hit outright when its kernel spans more than one
+    dimension (a conservative over-estimate); only a one-dimensional
+    GF(2) left kernel is lifted to its integer vector, whose support
+    decides the event.  Term (3) is the first largest positive atom
+    proxy, with its sigma; when no atom is positive it is 0 with sigma 0.
     """
     if t < 1:
         raise InvalidInput("t must be >= 1")
-    if trials < 1:
-        raise InvalidInput("trials must be >= 1")
+    records = _run_trials(_lemma21_trial, [((model, n, density, t, pred), seed)], trials)
+    singular, small_support, budget_hits, zero_dots, atoms = zip(*records)
+    atoms = [atom for atom in atoms if atom is not None]
+    atom_exact = sum(exact for _, _, exact in atoms)
+    atom_mc = len(atoms) - atom_exact
+    positive = [(value, sigma) for value, sigma, _ in atoms if value > 0]
+    best_atom, best_atom_sigma = max(positive, key=lambda a: a[0], default=(0.0, 0.0))
     scale = n / t
-    singular_hits = 0
-    ev1_hits = 0
-    ev2_hits = 0
-    atom_zero_hits = 0
-    in_property_trials = 0
-    kernel_budget_hits = 0
-    atom_exact = 0
-    atom_mc = 0
-    best_atom = 0.0
-    best_atom_sigma = 0.0
-
-    for i in range(trials):
-        trial_seed = derive_seed(seed, i)
-        matrix, cert = _certify_sample(model, n, density, trial_seed)
-        singular = cert.is_singular
-        singular_hits += singular
-
-        # Term (1): some nonzero rational left-kernel vector with support < t.
-        if singular:
-            mt = matrix.transpose()
-            try:
-                screen = enumerate_gf2_kernel_min_support(mt)
-                if screen.trivial or screen.min_support >= t:
-                    pass  # a small-support rational vector would show up mod 2
-                elif screen.kernel_dim > 1:
-                    ev1_hits += 1  # cannot rule out a lighter combination
-                elif sum(1 for e in _kernel_vector(mt) if e) < t:
-                    ev1_hits += 1
-            except KernelTooLarge:
-                kernel_budget_hits += 1
-                ev1_hits += 1  # conservative
-
-        # Terms (2) and (3): kernel vector of the first n-1 rows vs the last.
-        x = _kernel_vector(BitMatrix(n - 1, n, matrix.rows[:-1]))
-        if eval_predicate(pred, x):
-            in_property_trials += 1
-            if exact_dot(x, matrix.rows[n - 1]) == 0:
-                atom_zero_hits += 1
-            value, sigma_a, exact = _atom_proxy(
-                model, density, x, derive_seed(trial_seed, FRESH_ROW_SALT)
-            )
-            atom_exact += exact
-            atom_mc += not exact
-            if value > best_atom:
-                best_atom, best_atom_sigma = value, sigma_a
-        else:
-            ev2_hits += 1
-
-    p_singular = _binomial_term(singular_hits, trials)
-    term1 = _binomial_term(ev1_hits, trials, note="small-support left kernel")
-    term2 = _binomial_term(ev2_hits, trials, scale=scale, note="kernel vector off the property")
+    p_singular = _binomial_term(sum(singular), trials)
+    term1 = _binomial_term(sum(small_support), trials, note="small-support left kernel")
+    off_property = trials - len(atoms)
+    term2 = _binomial_term(off_property, trials, scale=scale, note="kernel vector off the property")
     term3 = TermEstimate(
-        hits=None, trials=in_property_trials, scale=scale,
+        hits=None, trials=len(atoms), scale=scale,
         estimate=scale * best_atom,
         ci_low=scale * max(best_atom - 2.58 * best_atom_sigma, 0.0),
         ci_high=scale * min(best_atom + 2.58 * best_atom_sigma, 1.0),
         sigma=scale * best_atom_sigma,
         note=f"max observed atom proxy ({atom_exact} exact, {atom_mc} MC); "
-        f"pooled zero-dot hits {atom_zero_hits}/{trials}",
+        f"pooled zero-dot hits {sum(zero_dots)}/{trials}",
     )
     combined = sqrt(
         p_singular.sigma**2 + term1.sigma**2 + term2.sigma**2 + term3.sigma**2
@@ -487,7 +486,7 @@ def verify_lemma21(
         model=model, n=n, density=density, t=t, predicate=pred.describe(),
         trials=trials, p_singular=p_singular, term_small_support=term1,
         term_off_property=term2, term_atom=term3, combined_sigma=combined,
-        inequality_ok=ok, degenerate_t=t > n, kernel_budget_hits=kernel_budget_hits,
+        inequality_ok=ok, degenerate_t=t > n, kernel_budget_hits=sum(budget_hits),
         atom_exact_count=atom_exact, atom_mc_count=atom_mc,
     )
 
@@ -503,23 +502,22 @@ class ComplementReport:
     disagreements: int
 
 
+def _complement_trial(n: int, d: int, trial_index: int, trial_seed: int) -> bool:
+    """Whether Q and its complement get the same verdict; the complement
+    is certified under its own prime seed."""
+    q, cert_q = _certify_sample("combinatorial", n, d, trial_seed)
+    prime_seed = derive_seed(trial_seed, COMPLEMENT_PRIME_SALT)
+    return cert_q.verdict == is_singular_exact(q.complement(), prime_seed=prime_seed).verdict
+
+
 def verify_complement(n: int, d: int, trials: int, seed: int) -> ComplementReport:
-    """Certify Q and its complement exactly and count verdict agreement.
+    """Certify Q and its complement exactly and count verdict agreement,
+    running ``_complement_trial`` through ``_run_trials`` on one cell
+    seeded ``seed``.
 
     Requires 0 < d < n (the complement transform preserves constant row
     sums only away from the degenerate densities)."""
     if not 0 < d < n:
         raise InfeasibleDensity("needs 0 < d < n")
-    if trials < 1:
-        raise InvalidInput("trials must be >= 1")
-    agreements = disagreements = 0
-    for i in range(trials):
-        trial_seed = derive_seed(seed, i)
-        q, cert_q = _certify_sample("combinatorial", n, d, trial_seed)
-        cert_c = is_singular_exact(q.complement(), prime_seed=derive_seed(trial_seed, 2))
-        if cert_q.verdict == cert_c.verdict:
-            agreements += 1
-        else:
-            disagreements += 1
-    return ComplementReport(trials, agreements, disagreements)
-
+    agreements = sum(_run_trials(_complement_trial, [((n, d), seed)], trials))
+    return ComplementReport(trials, agreements, trials - agreements)

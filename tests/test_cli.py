@@ -263,6 +263,14 @@ def test_cli_sweep_flag_overrides_config(tmp_path):
     assert other.exists() and not out.exists()
 
 
+def test_cli_sweep_prints_the_aggregate_csv(tmp_path, capsys):
+    """The sweep's one table format: stdout is the --out file, byte for byte."""
+    out = tmp_path / "s.csv"
+    args = ["sweep", "--model", "bernoulli", "--n-grid", "6,8", "--c-grid", "1/2,2", "--trials", "3"]
+    assert main([*args, "--seed", "1", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
 def test_cli_sweep_missing_output_dir(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

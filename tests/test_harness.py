@@ -6,7 +6,10 @@ import hashlib
 import logging
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from itertools import combinations, permutations, product
+from math import comb
 
+import numpy as np
 import pytest
 
 from singmat import harness
@@ -21,7 +24,6 @@ from singmat.harness import (
     ln_rational,
     run_sweep,
     run_trial,
-    summary_table,
     verify_complement,
     verify_lemma21,
 )
@@ -258,6 +260,37 @@ def test_sweep_records_are_sliced_per_cell(tmp_path):
         assert a.singular_count == sum(r.verdict == "singular" for r in cell)
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_run_trials_returns_records_in_cell_and_trial_order(jobs):
+    """The one trial loop: trial i of each (args, cell_seed) runs as
+    trial(*args, i, derive_seed(cell_seed, i)), in (cell, trial) order,
+    in this process or over a pool."""
+    cells = [
+        (("bernoulli", 6, Fraction(1), bernoulli_density(Fraction(1), 6)), 5),
+        (("combinatorial", 7, Fraction(2), 4), 2**64 - 1),
+    ]
+    records = harness._run_trials(run_trial, cells, 3, jobs)
+    assert [(r.model, r.trial_index, r.derived_seed) for r in records] == [
+        (args[0], i, derive_seed(cell_seed, i)) for args, cell_seed in cells for i in range(3)
+    ]
+
+
+def test_sweep_calls_the_module_run_trial_once_per_trial(tmp_path, monkeypatch):
+    """run_sweep reads harness.run_trial when it runs, so a wrapper put
+    there (as the benchmark's tracer does) sees every trial exactly once."""
+    trial, calls = harness.run_trial, []
+
+    def counting_trial(*args):
+        calls.append(args[4:])
+        return trial(*args)
+
+    monkeypatch.setattr(harness, "run_trial", counting_trial)
+    cfg = SweepConfig("bernoulli", (6, 8), (Fraction(1), Fraction(2)), 3, 9, str(tmp_path / "s.csv"))
+    _aggs, recs = run_sweep(cfg)
+    assert calls == [(r.trial_index, r.derived_seed) for r in recs]
+    assert len(calls) == 12
+
+
 def test_trial_replay_determinism(tmp_path):
     cfg = SweepConfig("combinatorial", (9,), (Fraction(1),), 5, 17, str(tmp_path / "x.csv"))
     _aggs, recs = run_sweep(cfg)
@@ -268,13 +301,6 @@ def test_trial_replay_determinism(tmp_path):
         m = sample(SampleSpec.combinatorial(r.n, int(r.density), r.derived_seed))
         cert = is_singular_exact(m, prime_seed=derive_seed(r.derived_seed, PRIME_SEED_SALT))
         assert cert.verdict == r.verdict
-
-
-def test_summary_table_lists_cells(tmp_path):
-    cfg = SweepConfig("bernoulli", (6,), (Fraction(1, 2),), 3, 2, str(tmp_path / "t.csv"))
-    aggs, _ = run_sweep(cfg)
-    table = summary_table(aggs)
-    assert "bernoulli" in table and "fraction" in table
 
 
 def test_aggregate_ci_coverage():
@@ -312,6 +338,44 @@ def test_complement_rejects_no_trials(trials):
     """No trials is no report, as in verify_lemma21."""
     with pytest.raises(ValueError, match="trials must be >= 1"):
         verify_complement(16, 4, trials, 1)
+
+
+@pytest.mark.parametrize("trials, seed, message", [
+    (3, 2**64, "seed must be a 64-bit unsigned integer"),
+    (3, -1, "seed must be a 64-bit unsigned integer"),
+    (2.5, 1, "trials must be an integer, not 2.5"),
+    (True, 1, "trials must be an integer, not True"),
+])
+@pytest.mark.parametrize("experiment", ["lemma21", "complement"])
+def test_experiments_refuse_seeds_outside_64_bits_and_non_integer_trials(
+    monkeypatch, experiment, trials, seed, message
+):
+    """derive_seed reduces a seed mod 2**64, so 2**64 would repeat seed 0's
+    trials and -1 those of 2**64 - 1; 2.5 and True are no trial count.
+    Both experiments refuse them as a sweep config does, before any trial."""
+    monkeypatch.setattr(harness, "_certify_sample", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(InvalidInput, match=message):
+        if experiment == "lemma21":
+            verify_lemma21("bernoulli", 6, Fraction(1, 3), 2, PropertyPredicate.support_at_least(1),
+                           trials, seed)
+        else:
+            verify_complement(16, 4, trials, seed)
+
+
+@pytest.mark.parametrize("proxies, best", [
+    ([(0.5, 0.1, True), (0.0, 0.3, False), (0.5, 0.2, False), (0.25, 0.05, True)], (0.5, 0.1)),
+    ([(0.0, 0.3, False)] * 4, (0.0, 0.0)),
+])
+def test_lemma21_term_atom_is_the_first_largest_positive_atom(monkeypatch, proxies, best):
+    """Term (3) takes the first largest atom proxy with its own sigma; a
+    0.0 atom, even a Monte Carlo one with a sigma, leaves it at 0 with sigma 0."""
+    found = iter(proxies)
+    monkeypatch.setattr(harness, "_atom_proxy", lambda *args: next(found))
+    rep = verify_lemma21("bernoulli", 12, Fraction(1, 3), 3, PropertyPredicate.support_at_least(1), 4, 5)
+    scale = 12 / 3
+    assert (rep.term_atom.estimate, rep.term_atom.sigma) == (scale * best[0], scale * best[1])
+    assert (rep.term_atom.trials, rep.atom_exact_count, rep.atom_mc_count) == (
+        4, sum(p[2] for p in proxies), sum(not p[2] for p in proxies))
 
 
 def test_lemma21_support_one_property_forces_term2_zero():
@@ -411,3 +475,49 @@ def test_lemma21_lifts_only_one_dimensional_left_kernels(monkeypatch, t):
     below_t = [s.kernel_dim for s in screens if not s.trivial and s.min_support < t]
     assert any(dim > 1 for dim in below_t)
     assert sum(square_lifts) == below_t.count(1)
+
+
+def _determinants(a: np.ndarray) -> np.ndarray:
+    """Integer determinants of a stack of n x n matrices, by the Leibniz
+    formula: one signed product of n entries per permutation."""
+    n = a.shape[-1]
+    det = np.zeros(len(a), dtype=np.int64)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        det += (-1) ** inversions * a[:, np.arange(n), list(perm)].prod(axis=1)
+    return det
+
+
+def _exact_singular_probability(model: str, n: int, density) -> Fraction:
+    """P(singular) by enumeration: for Bernoulli(p), the sum over k of
+    S_n(k) p^k (1-p)^(n^2-k), where S_n(k) counts the singular zero-one
+    matrices with k ones; for weight-d rows, the share of singular tuples
+    among all C(n, d)^n."""
+    if model == "bernoulli":
+        a = (np.arange(1 << n * n)[:, None] >> np.arange(n * n) & 1).reshape(-1, n, n)
+        ones = a.reshape(len(a), -1).sum(axis=1)
+        counts = np.bincount(ones[_determinants(a) == 0], minlength=n * n + 1)
+        assert counts.sum() == {3: 338, 4: 42976}[n]  # OEIS A046747
+        if n == 4:
+            assert counts.tolist() == [1, 16, 120, 560, 1796, 4080, 6568, 7696, 7542, 5872,
+                                       4552, 2352, 1220, 464, 120, 16, 1]
+        p = Fraction(density)
+        return sum(int(s) * p**k * (1 - p) ** (n * n - k) for k, s in enumerate(counts))
+    rows = [[int(j in ones) for j in range(n)] for ones in combinations(range(n), density)]
+    a = np.array(list(product(rows, repeat=n)))
+    return Fraction(int((_determinants(a) == 0).sum()), comb(n, density) ** n)
+
+
+def test_sweep_estimates_cover_the_exact_singular_probability(tmp_path):
+    """Sampler, certifier and interval together: at n <= 4 each cell's
+    99% interval should hold the exact P(singular).  The grid, trial
+    count, seed and the number of misses allowed were fixed before the
+    first run: 16 cells of 1,000 trials, seed 7, at most 2 misses."""
+    misses = []
+    for model in ("bernoulli", "combinatorial"):
+        cfg = SweepConfig(model, (3, 4), (Fraction(1, 2), 1, 2, 3), 1000, 7, str(tmp_path / f"{model}.csv"))
+        for a in run_sweep(cfg)[0]:
+            exact = _exact_singular_probability(model, a.n, a.density)
+            if not a.ci_low <= exact <= a.ci_high:
+                misses.append((model, a.n, a.c, float(exact), a.ci_low, a.ci_high))
+    assert len(misses) <= 2, misses
