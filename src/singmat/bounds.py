@@ -10,7 +10,7 @@ and m entries, and divides once at the end.
 Vectors are plain sequences of exact rationals (ints or Fractions),
 such as the integer kernel vectors of ``exactla``.  Entry probabilities
 must lie in [0, 1], atom moduli be at least 1, the union bound's q at
-least 2 and its s_max nonnegative; anything else raises InvalidInput.
+least 2, its s_max in [0, n] and each count an integer; else InvalidInput.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
-from .errors import BudgetExceeded, InvalidInput, PairingInfeasible
+from .errors import BudgetExceeded, InvalidInput, check_int
 from .models import sample_pairing
+from .rng import derive_seed
 from .stats import clopper_pearson
 
 EXACT_UNION_N = 64
@@ -43,8 +44,7 @@ def _probability(p) -> Fraction:
 def p_even(s: int, p) -> Fraction:
     """Probability that a Binomial(s, p) variable is even:
     1/2 + (1-2p)**s / 2, exactly."""
-    if s < 0:
-        raise InvalidInput("s must be nonnegative")
+    check_int("s", s, 0)
     p = _probability(p)
     return (1 + (1 - 2 * p) ** s) / 2
 
@@ -77,11 +77,6 @@ def _pow_round_up(base: Fraction, exponent: int, bits: int = ROUND_BITS) -> Frac
     return result
 
 
-def _check_s_max(n: int, s_max: int) -> None:
-    if not 0 <= s_max <= n:
-        raise InvalidInput(f"s_max must lie in [0, n], got {s_max}")
-
-
 def union_bound_ber(n: int, p, s_max: int) -> Fraction:
     """Sum over s = 1..s_max of C(n, s) * p_even(s, p)**(n-1).
 
@@ -89,7 +84,8 @@ def union_bound_ber(n: int, p, s_max: int) -> Fraction:
     form, so the value remains a valid upper bound.
     """
     p = _probability(p)
-    _check_s_max(n, s_max)
+    check_int("n", n, 0)
+    check_int("s_max", s_max, 0, n + 1)
     exact = n <= EXACT_UNION_N
     total = Fraction(0)
     for s in range(1, s_max + 1):
@@ -105,9 +101,11 @@ def union_bound_comb(n: int, q: int, s_max: int, P_values: Sequence) -> Fraction
 
     P_values supplies the per-s orthogonality bounds (from exact atom
     enumeration or an analytic surrogate)."""
+    check_int("q", q)
     if q < 2:
         raise InvalidInput(f"q must be at least 2, got {q}")
-    _check_s_max(n, s_max)
+    check_int("n", n, 0)
+    check_int("s_max", s_max, 0, n + 1)
     if len(P_values) < s_max:
         raise InvalidInput(f"need {s_max} P values, got {len(P_values)}")
     values = [Fraction(v) for v in P_values]
@@ -166,15 +164,13 @@ def max_atom_combinatorial(x: Sequence, d: int, modulus: int | None = None) -> A
     indicator, optionally with sums reduced mod q (integer entries and
     q >= 1 only), by full enumeration of all C(n, d) subsets."""
     n = len(x)
-    if not 0 <= d <= n:
-        raise InvalidInput("need 0 <= d <= n")
+    check_int("d", d, 0, n + 1)
     total = comb(n, d)
     if total > ATOM_COMB_BUDGET:
         raise BudgetExceeded(f"C({n},{d}) = {total} exceeds budget {ATOM_COMB_BUDGET}")
     entries = x
     if modulus is not None:
-        if modulus < 1:
-            raise InvalidInput(f"modulus must be at least 1, got {modulus}")
+        check_int("modulus", modulus, 1)
         if any(Fraction(e).denominator != 1 for e in x):
             raise InvalidInput("a modulus needs integer entries")
         entries = [int(e) for e in x]
@@ -191,8 +187,8 @@ def max_atom_combinatorial(x: Sequence, d: int, modulus: int | None = None) -> A
 
 def binomial_point_mass(n: int, p, d: int) -> Fraction:
     """C(n, d) p**d (1-p)**(n-d), exactly."""
-    if not 0 <= d <= n:
-        raise InvalidInput("need 0 <= d <= n")
+    check_int("n", n, 0)
+    check_int("d", d, 0, n + 1)
     p = _probability(p)
     return comb(n, d) * p**d * (1 - p) ** (n - d)
 
@@ -220,12 +216,8 @@ def pairing_disagreement_prob(
     pairs (i, j) has v_i != v_j, with a 99% Clopper-Pearson interval."""
     if len(v) != n:
         raise InvalidInput("vector length must equal n")
-    if 2 * d > n:
-        raise PairingInfeasible(f"cannot place {2 * d} distinct indices in [0, {n})")
-    if trials < 1:
-        raise InvalidInput("trials must be positive")
-    from .rng import derive_seed
-
+    check_int("trials", trials, 1)
+    check_int("seed", seed, 0, 1 << 64)  # the first sample_pairing call checks d
     hits = 0
     for t in range(trials):
         pairing = sample_pairing(n, d, derive_seed(seed, t))

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificateRejected, DimensionMismatch, InvalidInput, NotSquare
+from .errors import CertificateRejected, DimensionMismatch, InvalidInput, NotSquare, check_int
 from .exactla import Factorization, kernel_vector_crt, rank_gf2
 from .matrices import BitMatrix
 from .models import LineReport, find_duplicate_or_zero_lines
@@ -182,8 +182,7 @@ def is_singular_exact(m: BitMatrix, prime_seed: int = 0) -> SingularityCertifica
     Raises InvalidInput for a seed outside [0, 2**64), which the prime
     stream would alias, and CertificateRejected if verification fails.
     """
-    if not 0 <= prime_seed < 1 << 64:
-        raise InvalidInput("prime_seed must be a 64-bit unsigned integer")
+    check_int("prime_seed", prime_seed, 0, 1 << 64)
     if m.n_rows != m.n_cols:
         raise NotSquare(f"{m.n_rows}x{m.n_cols} matrix")
     n = m.n_rows

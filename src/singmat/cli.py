@@ -29,12 +29,13 @@ from . import harness, matio
 from .certify import is_singular_exact
 from .errors import InvalidInput, SelfCheckFailed, SingmatError
 from .exactla import kernel_rational
-from .models import SampleSpec, sample
+from .models import MODELS, SampleSpec, sample
 from .structure import analyze_vector, enumerate_gf2_kernel_min_support
 
 EXIT_OK = 0
 EXIT_INTERNAL = SelfCheckFailed.exit_code
 EXIT_SINGULAR = 10
+MODEL_CHOICES = sorted([*MODELS, "comb"])  # "comb" is an alias of "combinatorial"
 
 
 def _fraction(text: str) -> Fraction:
@@ -61,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_sample = sub.add_parser("sample", help="draw a random matrix to a file")
-    p_sample.add_argument("--model", required=True, choices=["bernoulli", "comb", "combinatorial"])
+    p_sample.add_argument("--model", required=True, choices=MODEL_CHOICES)
     p_sample.add_argument("--n", type=int, required=True)
     p_sample.add_argument("--p", type=_fraction, help="entry probability (bernoulli)")
     p_sample.add_argument("--d", type=int, help="ones per row (combinatorial)")
@@ -93,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="run a threshold sweep to CSV")
     p_sweep.add_argument("--config", help="JSON config file; flags override its keys")
-    p_sweep.add_argument("--model", choices=["bernoulli", "comb", "combinatorial"])
+    p_sweep.add_argument("--model", choices=MODEL_CHOICES)
     p_sweep.add_argument("--n-grid", type=_int_list)
     p_sweep.add_argument("--c-grid", type=_fraction_list)
     p_sweep.add_argument("--trials", type=int)
@@ -115,15 +116,10 @@ def _canon_model(name):
 
 def cmd_sample(args) -> int:
     model = _canon_model(args.model)
-    if model == "bernoulli":
-        if args.p is None:
-            raise InvalidInput("sample: --p is required for the bernoulli model")
-        spec = SampleSpec.bernoulli(args.n, args.p, args.seed)
-    else:
-        if args.d is None:
-            raise InvalidInput("sample: --d is required for the combinatorial model")
-        spec = SampleSpec.combinatorial(args.n, args.d, args.seed)
-    matio.write_matrix(sample(spec), args.out)
+    flag = "p" if model == "bernoulli" else "d"
+    if getattr(args, flag) is None:
+        raise InvalidInput(f"sample: --{flag} is required for the {model} model")
+    matio.write_matrix(sample(SampleSpec(model, args.n, args.seed, getattr(args, flag))), args.out)
     return EXIT_OK
 
 

@@ -5,7 +5,13 @@ carries its code in ``exit_code``, and ``cli.main`` returns it.  2 is a
 usage or input error (the default), 3 an enumeration or precision budget
 exceeded, and 4 an internal error: a result failed its own check, or the
 kernel search passed its bound on unlucky primes.
+
+``check_int`` is the one integer rule: it refuses a bool, a non-integer
+or an out-of-range count, size, weight, modulus or seed (seeds lie in
+[0, 2**64), since the generator would alias a seed mod 2**64).
 """
+
+import numbers
 
 
 class SingmatError(Exception):
@@ -16,6 +22,17 @@ class SingmatError(Exception):
 
 class InvalidInput(SingmatError, ValueError):
     """A caller's argument is out of range or malformed."""
+
+
+def check_int(name: str, value, low: int | None = None, high: int | None = None) -> None:
+    """Refuse a bool, a non-integer, or an integer outside [low, high); a missing bound is none."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidInput(f"{name} must be an integer, not {value!r}")
+    if high is None and low is not None and value < low:
+        raise InvalidInput(f"{name} must be >= {low}, not {value}")
+    if high is not None and not low <= value < high:
+        what = "a 64-bit unsigned integer" if (low, high) == (0, 1 << 64) else f"in [{low}, {high - 1}]"
+        raise InvalidInput(f"{name} must be {what}, not {value}")
 
 
 class NotSquare(InvalidInput):

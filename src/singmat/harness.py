@@ -10,7 +10,9 @@ trials, seeded ``derive_seed(cell_seed, i)``, in (cell, trial) order,
 in this process or over a process pool: ``run_trial`` for the sweep,
 ``_lemma21_trial`` and ``_complement_trial``.  Each samples and
 certifies its matrix in one step, ``_certify_sample``, so every
-experiment is deterministic and replayable trial by trial.
+experiment is deterministic and replayable trial by trial.  A trial
+draws from ``models.SampleSpec(model, n, seed, density)``, the owner of
+the model names and row laws, and integers go through ``check_int``.
 ``run_sweep`` writes both its tables as CSVs with one column per field
 of ``CellAggregate`` and ``TrialRecord``.
 
@@ -37,10 +39,10 @@ from typing import Sequence
 
 from .bounds import max_atom_bernoulli, max_atom_combinatorial
 from .certify import SingularityCertificate, is_singular_exact
-from .errors import BudgetExceeded, InfeasibleDensity, InvalidInput, KernelLiftFailed, KernelTooLarge
+from .errors import BudgetExceeded, InfeasibleDensity, InvalidInput, KernelLiftFailed, KernelTooLarge, check_int
 from .exactla import exact_dot, kernel_vector_crt
 from .matrices import BitMatrix
-from .models import SampleSpec, sample, sample_rows
+from .models import MODELS, SampleSpec, sample, sample_rows
 from .rng import derive_seed, derive_seeds
 from .stats import binomial_sigma, clopper_pearson
 from .structure import PropertyPredicate, enumerate_gf2_kernel_min_support, eval_predicate
@@ -89,28 +91,16 @@ def combinatorial_density(c: Fraction, n: int) -> int:
 # The trial loop of every experiment
 
 
-def _check_count(name: str, value, seed: bool = False) -> None:
-    """Refuse a bool or a non-integer, a count below 1, or a seed outside
-    [0, 2**64): derive_seed reduces a seed mod 2**64, so such a seed would
-    repeat another seed's trials under its own name."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidInput(f"{name} must be an integer, not {value!r}")
-    if seed and not 0 <= value < 1 << 64:
-        raise InvalidInput(f"{name} must be a 64-bit unsigned integer")
-    if not seed and value < 1:
-        raise InvalidInput(f"{name} must be >= 1")
-
-
 def _run_trials(trial, cells: Sequence[tuple[tuple, int]], trials: int, jobs: int = 1) -> list:
     """``trial(*args, i, derive_seed(cell_seed, i))`` for each ``(args,
     cell_seed)`` of ``cells`` and each i < ``trials``, in (cell, trial)
     order.  With ``jobs > 1`` the trials are mapped over a process pool,
     whose module is imported only then; a serial run loads no
     multiprocessing machinery."""
-    _check_count("trials", trials)
+    check_int("trials", trials, 1)
     calls = []
     for args, cell_seed in cells:
-        _check_count("seed", cell_seed, seed=True)
+        check_int("seed", cell_seed, 0, 1 << 64)
         calls += [(*args, i, derive_seed(cell_seed, i)) for i in range(trials)]
     columns = list(zip(*calls))
     if jobs > 1:
@@ -132,7 +122,7 @@ class SweepConfig:
     or tuple of distinct integral n or rational c >= 0, read as Fraction(str(c)) so that
     0.1 is 1/10.  ``run_sweep`` writes ``output`` and its ``.trials.csv`` companion."""
 
-    model: str  # "bernoulli" | "combinatorial"
+    model: str  # one of models.MODELS
     n_grid: tuple[int, ...]
     c_grid: tuple[Fraction, ...]
     trials_per_cell: int
@@ -141,10 +131,11 @@ class SweepConfig:
     jobs: int = 1
 
     def __post_init__(self):
-        if self.model not in ("bernoulli", "combinatorial"):
+        if self.model not in MODELS:
             raise InvalidInput(f"unknown model {self.model!r}")
-        for name in ("trials_per_cell", "master_seed", "jobs"):
-            _check_count(name, getattr(self, name), seed=name == "master_seed")
+        check_int("trials_per_cell", self.trials_per_cell, 1)
+        check_int("master_seed", self.master_seed, 0, 1 << 64)
+        check_int("jobs", self.jobs, 1)
         if not isinstance(self.output, str):
             raise InvalidInput(f"output must be a path, not {self.output!r}")
         if not Path(self.output).name:  # "", "." or "/" names no file
@@ -203,18 +194,12 @@ def _cell_density(model: str, c: Fraction, n: int) -> Fraction | int:
     return combinatorial_density(c, n)
 
 
-def _make_spec(model: str, n: int, density, seed: int) -> SampleSpec:
-    if model == "bernoulli":
-        return SampleSpec.bernoulli(n, density, seed)
-    return SampleSpec.combinatorial(n, int(density), seed)
-
-
 def _certify_sample(
     model: str, n: int, density, trial_seed: int
 ) -> tuple[BitMatrix, SingularityCertificate]:
     """One trial's matrix and its certificate, under the prime seed the
     trial seed derives: the sample-and-certify step of every experiment."""
-    matrix = sample(_make_spec(model, n, density, trial_seed))
+    matrix = sample(SampleSpec(model, n, trial_seed, density))
     return matrix, is_singular_exact(matrix, prime_seed=derive_seed(trial_seed, PRIME_SEED_SALT))
 
 
@@ -389,13 +374,13 @@ def _atom_proxy(model: str, density, x: Sequence[int], seed: int) -> tuple[float
         if model == "bernoulli":
             atom = max_atom_bernoulli([e for e in x if e != 0], density)
         else:
-            atom = max_atom_combinatorial(x, int(density))
+            atom = max_atom_combinatorial(x, density)
         return float(atom.max_prob), 0.0, True
     except BudgetExceeded:  # too large to enumerate: estimate it below
         pass
     # Fresh row k is row 0 of sample() of the child spec seeded derive_seed(seed, k).
     row_seeds = derive_seeds(derive_seeds(seed, ATOM_MC_INNER), 1)[:, 0]
-    rows = sample_rows(_make_spec(model, len(x), density, seed), row_seeds)
+    rows = sample_rows(SampleSpec(model, len(x), seed, density), row_seeds)
     hits = sum(exact_dot(x, row) == 0 for row in rows)
     return hits / ATOM_MC_INNER, binomial_sigma(max(hits, 1), ATOM_MC_INNER), False
 
@@ -454,10 +439,13 @@ def verify_lemma21(
     GF(2) left kernel is lifted to its integer vector, whose support
     decides the event.  Term (3) is the first largest positive atom
     proxy, with its sigma; when no atom is positive it is 0 with sigma 0.
+    What ``check_int`` or ``SampleSpec`` refuses is refused before any trial.
     """
-    if t < 1:
-        raise InvalidInput("t must be >= 1")
-    records = _run_trials(_lemma21_trial, [((model, n, density, t, pred), seed)], trials)
+    check_int("t", t, 1)
+    check_int("n", n, 1)  # the first n - 1 rows give the kernel vector
+    spec = SampleSpec(model, n, seed, density)
+    cell = ((spec.model, spec.n, spec.density, t, pred), spec.seed)
+    records = _run_trials(_lemma21_trial, [cell], trials)
     singular, small_support, budget_hits, zero_dots, atoms = zip(*records)
     atoms = [atom for atom in atoms if atom is not None]
     atom_exact = sum(exact for _, _, exact in atoms)
@@ -515,9 +503,10 @@ def verify_complement(n: int, d: int, trials: int, seed: int) -> ComplementRepor
     running ``_complement_trial`` through ``_run_trials`` on one cell
     seeded ``seed``.
 
-    Requires 0 < d < n (the complement transform preserves constant row
-    sums only away from the degenerate densities)."""
+    Requires an integer 0 < d < n (the complement transform preserves
+    constant row sums only away from the degenerate densities)."""
+    spec = SampleSpec("combinatorial", n, seed, d)
     if not 0 < d < n:
         raise InfeasibleDensity("needs 0 < d < n")
-    agreements = sum(_run_trials(_complement_trial, [((n, d), seed)], trials))
+    agreements = sum(_run_trials(_complement_trial, [((spec.n, spec.density), spec.seed)], trials))
     return ComplementReport(trials, agreements, trials - agreements)

@@ -71,9 +71,6 @@ class BitMatrix:
     def identity(cls, n: int) -> BitMatrix:
         return cls(n, n, tuple(1 << i for i in range(n)))
 
-    def row_sum(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
     def to_lists(self) -> list[list[int]]:
         return self.to_bit_array().tolist()
 

@@ -1,7 +1,9 @@
 """Random zero-one matrix samplers and related transforms.
 
-Two models: independent Bernoulli(p) entries, and rows drawn uniformly
-from the weight-d slice (the combinatorial model).  Both are driven by
+``MODELS`` names the two models: independent Bernoulli(p) entries, and
+rows drawn uniformly from the weight-d slice (the combinatorial model).
+``SampleSpec`` alone knows their row laws and refuses a density, size or
+seed its model cannot take.  Both are driven by
 the counter-based generator in :mod:`singmat.rng`, with row i of a
 matrix read from the child stream ``derive_seed(seed, i)``, so matrices
 are reproducible bit for bit and rows can be generated in parallel.
@@ -20,48 +22,48 @@ ignored.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import InvalidInput, PairingInfeasible
+from .errors import InvalidInput, PairingInfeasible, check_int
 from .matrices import BitMatrix, pack_rows
 from .rng import MASK64, Stream, bernoulli_threshold, derive_seeds, u64_block
+
+MODELS = ("bernoulli", "combinatorial")
 
 
 @dataclass(frozen=True)
 class SampleSpec:
-    """Which model to draw from, at what size, under which seed."""
+    """Which model to draw from, at what size, under which seed.  ``density``
+    is p, a rational in [0, 1] stored as a Fraction, or d, an integer in [0, n]."""
 
-    model: str  # "bernoulli" | "combinatorial"
+    model: str  # one of MODELS
     n: int
     seed: int
-    p: Fraction | None = None
-    d: int | None = None
+    density: Fraction | int
 
     def __post_init__(self):
-        if self.model not in ("bernoulli", "combinatorial"):
+        if self.model not in MODELS:
             raise InvalidInput(f"unknown model {self.model!r}")
-        if self.n < 0:
-            raise InvalidInput("n must be nonnegative")
-        if not 0 <= self.seed <= MASK64:
-            raise InvalidInput("seed must be a 64-bit unsigned integer")
-        if self.model == "bernoulli":
-            if self.p is None or not 0 <= self.p <= 1:
-                raise InvalidInput("bernoulli model needs 0 <= p <= 1")
-            object.__setattr__(self, "p", Fraction(self.p))
-        else:
-            if self.d is None or not 0 <= self.d <= self.n:
-                raise InvalidInput("combinatorial model needs 0 <= d <= n")
+        check_int("n", self.n, 0)
+        check_int("seed", self.seed, 0, 1 << 64)
+        if self.model == "combinatorial":
+            check_int("d", self.density, 0, self.n + 1)
+            return
+        if not isinstance(self.density, numbers.Real) or not 0 <= self.density <= 1:
+            raise InvalidInput(f"bernoulli model needs 0 <= p <= 1, not {self.density!r}")
+        object.__setattr__(self, "density", Fraction(self.density))
 
     @classmethod
     def bernoulli(cls, n: int, p, seed: int) -> SampleSpec:
-        return cls("bernoulli", n, seed, p=Fraction(p))
+        return cls("bernoulli", n, seed, p)
 
     @classmethod
     def combinatorial(cls, n: int, d: int, seed: int) -> SampleSpec:
-        return cls("combinatorial", n, seed, d=d)
+        return cls("combinatorial", n, seed, d)
 
 
 @dataclass(frozen=True)
@@ -107,8 +109,8 @@ def sample_rows(spec: SampleSpec, row_seeds: np.ndarray) -> tuple[int, ...]:
     """
     n = spec.n
     if spec.model == "combinatorial":
-        return _subset_rows(u64_block(row_seeds, spec.d), row_seeds, n)
-    threshold = bernoulli_threshold(spec.p.numerator, spec.p.denominator)
+        return _subset_rows(u64_block(row_seeds, spec.density), row_seeds, n)
+    threshold = bernoulli_threshold(spec.density.numerator, spec.density.denominator)
     if threshold == 0:
         return (0,) * len(row_seeds)
     if threshold > MASK64:
@@ -169,6 +171,9 @@ def sample_pairing(n: int, d: int, seed: int) -> PairingSample:
     random permutation, consecutive positions paired in order), then one
     coin per pair.
     """
+    check_int("n", n, 0)
+    check_int("d", d, 0)
+    check_int("seed", seed, 0, 1 << 64)
     if 2 * d > n:
         raise PairingInfeasible(f"cannot place {2 * d} distinct indices in [0, {n})")
     stream = Stream(seed)

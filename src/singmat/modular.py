@@ -8,6 +8,8 @@ never overflows.  The fixed prime list (``crt_primes``) descends from
 
 from __future__ import annotations
 
+from math import gcd
+
 from .rng import Stream
 
 PRIME_BITS = 31
@@ -94,8 +96,6 @@ def rational_reconstruct(r: int, m: int) -> tuple[int, int] | None:
         return None
     if t1 < 0:
         v1, t1 = -v1, -t1
-    from math import gcd
-
     if gcd(v1, t1) != 1 or gcd(t1, m) != 1:
         return None
     return v1, t1

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import EmptyVector, InvalidInput, KernelTooLarge, SelfCheckFailed
+from .errors import EmptyVector, InvalidInput, KernelTooLarge, SelfCheckFailed, check_int
 from .exactla import kernel_gf2
 from .matrices import BitMatrix
 
@@ -116,12 +116,11 @@ def enumerate_gf2_kernel_min_support(m: BitMatrix, max_dim: int = 20) -> MinSupp
     vectors (pass ``m.transpose()`` for the left kernel).
 
     Walks the kernel span in Gray-code order (one basis XOR per step).
-    Raises InvalidInput for a negative max_dim, KernelTooLarge when the
-    kernel dimension exceeds max_dim, and SelfCheckFailed if the
-    lightest vector fails its kernel check.
+    Raises InvalidInput for a non-integer or negative max_dim,
+    KernelTooLarge when the kernel dimension exceeds max_dim, and
+    SelfCheckFailed if the lightest vector fails its kernel check.
     """
-    if max_dim < 0:
-        raise InvalidInput(f"max_dim must be >= 0, not {max_dim}")
+    check_int("max_dim", max_dim, 0)
     vectors = kernel_gf2(m)
     k = len(vectors)
     if k == 0:

@@ -21,7 +21,7 @@ from singmat.bounds import (
     union_bound_ber,
     union_bound_comb,
 )
-from singmat.errors import BudgetExceeded, PairingInfeasible
+from singmat.errors import BudgetExceeded, InvalidInput, PairingInfeasible
 from singmat.harness import bernoulli_density
 
 
@@ -118,6 +118,29 @@ def test_union_bound_validation():
         union_bound_comb(5, 2, 3, [Fraction(1)])
     with pytest.raises(ValueError):
         union_bound_comb(5, 2, 1, [Fraction(3, 2)])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: p_even(2.5, Fraction(1, 3)),
+    lambda: union_bound_ber(8, Fraction(1, 2), 2.5),
+    lambda: union_bound_ber(2.5, Fraction(1, 2), 1),
+    lambda: union_bound_comb(8, 2.5, 2, [1, 1]),
+    lambda: max_atom_combinatorial([1, 2, 3], 1.5),
+    lambda: max_atom_combinatorial([1, 2, 3], 1, modulus=1.5),
+    lambda: binomial_point_mass(5, Fraction(1, 2), 2.5),
+    lambda: binomial_point_mass(True, Fraction(1, 2), 1),
+    lambda: pairing_disagreement_prob([0, 1, 0, 1], 4, 1.5, 10, 1),
+    lambda: pairing_disagreement_prob([0, 1, 0, 1], 4, 1, 2.5, 1),
+    lambda: pairing_disagreement_prob([0, 1, 0, 1], 4, 1, 10, -1),
+], ids=["p_even-s", "union_ber-s_max", "union_ber-n", "union_comb-q", "atom_comb-d",
+        "atom_comb-modulus", "binom_pm-d", "binom_pm-bool-n", "pairing-d", "pairing-trials",
+        "pairing-seed"])
+def test_integer_arguments_must_be_integers(call):
+    """A fractional or bool count, size, weight or modulus is refused: the
+    bounds are exact rationals, and 2.5 gave a float or a bare TypeError."""
+    with pytest.raises(InvalidInput) as err:
+        call()
+    assert err.value.exit_code == 2
 
 
 @pytest.mark.parametrize("p", [Fraction(-1, 3), Fraction(3, 2), 2])

@@ -27,6 +27,7 @@ from singmat.harness import (
     verify_complement,
     verify_lemma21,
 )
+from singmat.matrices import BitMatrix
 from singmat.models import SampleSpec, find_duplicate_or_zero_lines, sample
 from singmat.rng import derive_seed
 from singmat.stats import clopper_pearson
@@ -405,6 +406,40 @@ def test_lemma21_inequality_holds_small():
     assert rep.inequality_ok
     assert rep.trials == 120
     assert rep.predicate
+
+
+_PRED = PropertyPredicate.support_at_least(1)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_lemma21("gaussian", 6, Fraction(7, 2), 2, _PRED, 5, 1),
+    lambda: verify_lemma21("combinatorial", 6, Fraction(7, 2), 2, _PRED, 5, 1),
+    lambda: verify_lemma21("bernoulli", 6, Fraction(1, 3), 2.5, _PRED, 5, 1),
+    lambda: verify_lemma21("bernoulli", 2.5, Fraction(1, 3), 2, _PRED, 5, 1),
+    lambda: verify_lemma21("bernoulli", 0, Fraction(1, 3), 2, _PRED, 5, 1),
+    lambda: verify_complement(16, 4.5, 3, 1),
+    lambda: verify_complement(16, True, 3, 1),
+    lambda: SampleSpec.bernoulli(6, Fraction(1, 2), 2.5),
+    lambda: SampleSpec.bernoulli(6, Fraction(1, 2), True),
+    lambda: SampleSpec.bernoulli(2.5, Fraction(1, 2), 1),
+    lambda: SampleSpec.bernoulli(6, None, 1),
+    lambda: SampleSpec.combinatorial(6, 2.5, 1),
+    lambda: is_singular_exact(BitMatrix.identity(3), prime_seed=True),
+    lambda: is_singular_exact(BitMatrix.identity(3), prime_seed=2.5),
+], ids=["lemma21-unknown-model", "lemma21-fractional-d", "lemma21-fractional-t",
+        "lemma21-fractional-n", "lemma21-zero-n", "complement-fractional-d", "complement-bool-d", "spec-fractional-seed", "spec-bool-seed",
+        "spec-fractional-n", "spec-no-p", "spec-fractional-d", "certify-bool-seed",
+        "certify-fractional-seed"])
+def test_bad_models_sizes_densities_and_seeds_are_refused_before_any_trial(monkeypatch, call):
+    """One model table and one integer rule: an unknown model, a density its
+    model cannot take, and a bool or fractional size, count or seed raise
+    InvalidInput (exit code 2) instead of running another experiment under
+    this one's name (d = 4.5 ran d = 4; a seed of True drew seed 1's matrix)
+    or escaping as a bare TypeError."""
+    monkeypatch.setattr(harness, "_certify_sample", lambda *args: pytest.fail("a trial ran"))
+    with pytest.raises(InvalidInput) as err:
+        call()
+    assert err.value.exit_code == 2
 
 
 def test_lemma21_validation():

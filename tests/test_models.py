@@ -1,6 +1,7 @@
 """Sampler laws, determinism, and degenerate-line detection."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 from itertools import combinations
 from math import comb, sqrt
@@ -9,7 +10,7 @@ import pytest
 
 from oracles import chi_square_uniform, naive_bernoulli_rows, naive_combinatorial_rows
 from singmat.certify import is_singular_exact
-from singmat.errors import PairingInfeasible
+from singmat.errors import InvalidInput, PairingInfeasible
 from singmat.harness import bernoulli_density
 from singmat.matrices import BitMatrix
 from singmat.models import (
@@ -43,7 +44,10 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SampleSpec.combinatorial(4, 5, 0)
     with pytest.raises(ValueError):
-        SampleSpec("gaussian", 4, 0)
+        SampleSpec("gaussian", 4, 0, 1)
+    assert [f.name for f in fields(SampleSpec)] == ["model", "n", "seed", "density"]
+    assert SampleSpec.bernoulli(4, 0.5, 0).density == Fraction(1, 2)
+    assert SampleSpec.combinatorial(4, 2, 0).density == 2
 
 
 def test_sampling_is_deterministic():
@@ -69,7 +73,7 @@ def test_row_sums_always_d():
         n = rng.randint(1, 40)
         d = rng.randint(0, n)
         q = sample(SampleSpec.combinatorial(n, d, rng.getrandbits(64)))
-        assert all(q.row_sum(i) == d for i in range(n))
+        assert all(row.bit_count() == d for row in q.rows)
 
 
 def _first_row(spec):
@@ -223,6 +227,15 @@ def test_pairing_structure():
     assert empty.pairs == () and empty.one_set() == frozenset()
     with pytest.raises(PairingInfeasible):
         sample_pairing(5, 3, 0)
+
+
+@pytest.mark.parametrize("n, d, seed", [
+    (10, -1, 0), (10, 2.5, 0), (10.5, 2, 0), (10, 2, -1), (10, 2, 2**64), (10, 2, 1.5),
+])
+def test_pairing_refuses_a_bad_size_count_or_seed(n, d, seed):
+    """d = -1 gave an empty sample, and seed -1 aliased 2**64 - 1."""
+    with pytest.raises(InvalidInput):
+        sample_pairing(n, d, seed)
 
 
 def test_complement_examples():

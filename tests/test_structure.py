@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from singmat.errors import EmptyVector, KernelTooLarge
+from singmat.errors import EmptyVector, InvalidInput, KernelTooLarge
 from singmat.matrices import BitMatrix
 from singmat.structure import (
     PropertyPredicate,
@@ -133,6 +133,8 @@ def test_min_support_zero_column_gives_one():
 def test_min_support_budget():
     with pytest.raises(KernelTooLarge):
         enumerate_gf2_kernel_min_support(BitMatrix.zeros(25, 25), max_dim=20)
+    with pytest.raises(InvalidInput, match="max_dim must be an integer"):
+        enumerate_gf2_kernel_min_support(BitMatrix.identity(2), max_dim=2.5)
 
 
 def test_min_support_exhaustive_cross_check():
